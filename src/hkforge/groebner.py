@@ -11,22 +11,26 @@ from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import ZeroPolynomial
 from .polyring import (
     DegRevLex,
+    DivisorTable,
     Monomial,
     MonomialOrder,
+    Packing,
     Polynomial,
+    _merge_sub,
+    _Overflow,
     _reduce_sorted,
     division,
-    divisor_table,
     monomial_div,
     monomial_lcm,
-    monomial_mul,
     normal_form,
+    packing_for,
+    packing_width,
 )
 
 
@@ -56,6 +60,11 @@ class GroebnerBasis:
     elements: tuple[Polynomial, ...]
     order: MonomialOrder
     reduced: bool = False
+    # the elements packed for division, on the first `reduce`
+    _divisors: DivisorTable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_divisors", DivisorTable(self.elements, self.order))
 
     def __iter__(self):
         return iter(self.elements)
@@ -71,7 +80,7 @@ class GroebnerBasis:
 
     def reduce(self, f: Polynomial) -> Polynomial:
         """Normal form of f against this basis."""
-        return normal_form(f, self.elements, self.order)
+        return normal_form(f, self._divisors)
 
     def contains(self, f: Polynomial) -> bool:
         return self.reduce(f).is_zero()
@@ -86,78 +95,62 @@ class GroebnerBasis:
         )
 
 
-def _spoly_terms(fi, fj, p, key):
-    """S-polynomial on reducer-table entries (lm, lc_inv, terms) -> sorted terms."""
-    lm_i, _, terms_i = fi
-    lm_j, _, terms_j = fj
-    lcm = monomial_lcm(lm_i, lm_j)
-    ti = monomial_div(lcm, lm_i)
-    tj = monomial_div(lcm, lm_j)
-    ci = terms_i[0][1]
-    cj = terms_j[0][1]
-    # (cj * x^ti) * f_i - (ci * x^tj) * f_j, merged descending
-    out = []
-    left = [(monomial_mul(m, ti), c * cj % p) for m, c in terms_i]
-    right = [(monomial_mul(m, tj), c * ci % p) for m, c in terms_j]
-    i = j = 0
-    while i < len(left) and j < len(right):
-        ml, cl = left[i]
-        mr, cr = right[j]
-        kl, kr = key(ml), key(mr)
-        if kl > kr:
-            out.append((ml, cl))
-            i += 1
-        elif kl < kr:
-            out.append((mr, -cr % p))
-            j += 1
-        else:
-            c = (cl - cr) % p
-            if c:
-                out.append((ml, c))
-            i += 1
-            j += 1
-    out.extend(left[i:])
-    out.extend((m, -c % p) for m, c in right[j:])
-    return out
+def _spoly_terms(packing: Packing, fi: tuple, fj: tuple, lcm: int, p: int) -> list:
+    """S-polynomial of two reducer entries whose leads have packed lcm `lcm`,
+    as a descending packed term list; raises `_Overflow` if a product would
+    not fit."""
+    plain, guard = lcm ^ packing.flip, packing.guard
+    for lead, _, _, top in (fi, fj):
+        if (plain - lead + top) & guard:
+            raise _Overflow
+    terms_i, terms_j = fi[2], fj[2]
+    ci, cj = terms_i[0][1], terms_j[0][1]
+    # (cj * x^ti) * f_i - (ci * x^tj) * f_j
+    shift_i = lcm - terms_i[0][0]
+    left = [(m + shift_i, c * cj % p) for m, c in terms_i]
+    return _merge_sub(left, 0, terms_j, lcm - terms_j[0][0], ci, p)
 
 
-def _gm_update(lms, active, pairs, h):
+def _gm_update(packing: Packing, lms: list[int], active: list[int], pairs: list, h: int):
     """Gebauer-Moeller pair update on adding element index h.
 
-    Applies the standard chain and coprimality criteria to prune the pair set,
-    then retires active elements whose lead became divisible by lm(h).
+    `lms` holds the plain leading monomials without a degree field, and
+    `pairs` is a heap of (packed lcm, i, j, plain lcm).  Applies the standard
+    chain and coprimality criteria to prune the pair set, then retires active
+    elements whose lead became divisible by lm(h).
     """
+    guard, lcm_of = packing.guard, packing.plain_max
     mh = lms[h]
     candidates = sorted(active)
-    surviving = []
-    for ig in candidates:
-        lcm_hg = monomial_lcm(mh, lms[ig])
-        def dominated(ip):
-            m = monomial_lcm(mh, lms[ip])
-            return m != lcm_hg and monomial_div(lcm_hg, m) is not None
-
-        if monomial_mul(mh, lms[ig]) == lcm_hg:
+    lcms = [lcm_of(mh, lms[ig]) for ig in candidates]
+    surviving = []  # lcms of the candidates kept so far, coprime ones included
+    new_pairs = []
+    for pos, ig in enumerate(candidates):
+        lcm_hg = lcms[pos]
+        if mh + lms[ig] == lcm_hg:
             # coprime leads: S-pair reduces to zero, but it may still justify
             # dropping other pairs, so handle after the divisibility pass
-            surviving.append((ig, True))
-        elif not any(dominated(ip) for ip, _ in surviving) and not any(
-            dominated(ip) for ip in candidates[candidates.index(ig) + 1 :]
+            surviving.append(lcm_hg)
+        elif not any(m != lcm_hg and not (lcm_hg - m) & guard for m in surviving) and not any(
+            m != lcm_hg and not (lcm_hg - m) & guard for m in lcms[pos + 1 :]
         ):
-            surviving.append((ig, False))
-    new_pairs = [(ig, h) for ig, coprime in surviving if not coprime]
+            # no other pair's lcm properly divides this one's
+            surviving.append(lcm_hg)
+            new_pairs.append((ig, lcm_hg))
 
-    kept = []
-    for (i, j) in pairs:
-        lcm_ij = monomial_lcm(lms[i], lms[j])
-        if (
-            monomial_div(lcm_ij, mh) is None
-            or monomial_lcm(lms[i], mh) == lcm_ij
-            or monomial_lcm(mh, lms[j]) == lcm_ij
-        ):
-            kept.append((i, j))
-    kept.extend(new_pairs)
+    kept = [
+        pair
+        for pair in pairs
+        if (pair[3] - mh) & guard
+        or lcm_of(lms[pair[1]], mh) == pair[3]
+        or lcm_of(mh, lms[pair[2]]) == pair[3]
+    ]
+    flip = packing.flip
+    for ig, lcm in new_pairs:
+        kept.append((packing.with_degree(lcm) ^ flip, ig, h, lcm))
+    heapq.heapify(kept)
 
-    still_active = [ig for ig in active if monomial_div(lms[ig], mh) is None]
+    still_active = [ig for ig in active if (lms[ig] - mh) & guard]
     still_active.append(h)
     return still_active, kept
 
@@ -181,80 +174,93 @@ def buchberger(
     if not live:
         return GroebnerBasis((), order or DegRevLex(), reduced=True)
     ring = live[0].ring
+    for g in live:
+        live[0]._check(g)
     if order is None:
         order = ring.order
+    width = packing_width(max(g.total_degree() for g in live))
+    while True:
+        pk = packing_for(order, ring.nvars, width)
+        try:
+            reduced = _packed_buchberger(pk, live, ring.p, ring.field.inv, gebauer_moller)
+            break
+        except _Overflow:
+            width *= 2
     work = ring.with_order(order)
-    key = order.key
-    p = ring.p
-    inv = ring.field.inv
-
-    table = divisor_table([g.resorted(work).monic() for g in live], key, inv)
-    lms = [entry[0] for entry in table]
-
-    if gebauer_moller:
-        active: list[int] = []
-        pairs: list[tuple[int, int]] = []
-        seeded = len(table)
-        for h in range(seeded):
-            active, pairs = _gm_update(lms, active, pairs, h)
-        while pairs:
-            pick = min(pairs, key=lambda ij: (key(monomial_lcm(lms[ij[0]], lms[ij[1]])), ij))
-            pairs.remove(pick)
-            i, j = pick
-            s = _spoly_terms(table[i], table[j], p, key)
-            rem = _reduce_sorted(s, [table[a] for a in active], p, key, None)
-            if rem:
-                c = inv(rem[0][1])
-                rem = [(m, k * c % p) for m, k in rem]
-                table.append((rem[0][0], 1, rem))
-                lms.append(rem[0][0])
-                active, pairs = _gm_update(lms, active, pairs, len(table) - 1)
-        basis_terms = [table[a][2] for a in sorted(active)]
-    else:
-        heap: list[tuple] = []
-        for j in range(len(table)):
-            for i in range(j):
-                heapq.heappush(heap, (key(monomial_lcm(lms[i], lms[j])), i, j))
-        while heap:
-            lcm_key, i, j = heapq.heappop(heap)
-            lcm = monomial_lcm(lms[i], lms[j])
-            if lcm == monomial_mul(lms[i], lms[j]):
-                continue  # coprime leads reduce to zero
-            s = _spoly_terms(table[i], table[j], p, key)
-            rem = _reduce_sorted(s, table, p, key, None)
-            if rem:
-                c = inv(rem[0][1])
-                rem = [(m, k * c % p) for m, k in rem]
-                h = len(table)
-                table.append((rem[0][0], 1, rem))
-                lms.append(rem[0][0])
-                for i2 in range(h):
-                    heapq.heappush(heap, (key(monomial_lcm(lms[i2], lms[h])), i2, h))
-        basis_terms = [entry[2] for entry in table]
-
-    reduced = _reduce_basis(basis_terms, p, key, inv)
-    elements = tuple(work.polynomial(t) for t in reduced)
+    elements = tuple(Polynomial(work, pk.unpack_terms(t)) for t in reduced)
     return GroebnerBasis(elements, order, reduced=True)
 
 
-def _reduce_basis(basis_terms, p, key, inv):
-    """Minimalize and tail-reduce term lists into the reduced basis, lm-descending."""
-    by_lm = sorted(basis_terms, key=lambda t: key(t[0][0]))
-    minimal: list[list] = []
-    for terms in by_lm:
-        lm = terms[0][0]
-        if any(monomial_div(lm, kept[0][0]) is not None for kept in minimal):
+def _packed_buchberger(packing: Packing, gens: list[Polynomial], p: int, inv, gebauer_moller: bool):
+    """`buchberger` on packed terms: the reduced basis as term lists."""
+    table = []
+    for g in gens:
+        terms = packing.pack_terms(g.terms)
+        if terms[0][1] != 1:
+            c = inv(terms[0][1])
+            terms = [(m, k * c % p) for m, k in terms]
+        table.append(packing.reducer(terms, 1))
+    exponents, flip = packing.exponents, packing.flip
+    lms = [entry[0] & exponents for entry in table]
+
+    def add(rem: list) -> None:
+        c = inv(rem[0][1])
+        entry = packing.reducer([(m, k * c % p) for m, k in rem], 1)
+        table.append(entry)
+        lms.append(entry[0] & exponents)
+
+    if gebauer_moller:
+        active: list[int] = []
+        pairs: list[tuple] = []
+        for h in range(len(table)):
+            active, pairs = _gm_update(packing, lms, active, pairs, h)
+        reducers = [table[a] for a in active]
+        while pairs:
+            lcm, i, j, _ = heapq.heappop(pairs)
+            s = _spoly_terms(packing, table[i], table[j], lcm, p)
+            rem = _reduce_sorted(s, reducers, packing, p)
+            if rem:
+                add(rem)
+                active, pairs = _gm_update(packing, lms, active, pairs, len(table) - 1)
+                reducers = [table[a] for a in active]
+        basis = [table[a] for a in sorted(active)]
+    else:
+        def pair(i: int, j: int) -> tuple:
+            return (packing.with_degree(packing.plain_max(lms[i], lms[j])) ^ flip, i, j)
+
+        heap = [pair(i, j) for j in range(len(table)) for i in range(j)]
+        heapq.heapify(heap)
+        while heap:
+            lcm, i, j = heapq.heappop(heap)
+            if (lcm ^ flip) & exponents == lms[i] + lms[j]:
+                continue  # coprime leads reduce to zero
+            s = _spoly_terms(packing, table[i], table[j], lcm, p)
+            rem = _reduce_sorted(s, table, packing, p)
+            if rem:
+                add(rem)
+                h = len(table) - 1
+                for i2 in range(h):
+                    heapq.heappush(heap, pair(i2, h))
+        basis = table
+
+    return _reduce_basis(packing, basis, p, inv)
+
+
+def _reduce_basis(packing: Packing, basis: list[tuple], p: int, inv) -> list[list]:
+    """Minimalize and tail-reduce monic reducer entries into the reduced
+    basis, as term lists, lm-descending."""
+    guard = packing.guard
+    minimal: list[tuple] = []
+    for entry in sorted(basis, key=lambda entry: entry[2][0][0]):
+        if any(not (entry[0] - kept[0]) & guard for kept in minimal):
             continue
-        minimal.append(terms)
+        minimal.append(entry)
     reduced = []
-    for idx, terms in enumerate(minimal):
-        others = [
-            (t[0][0], inv(t[0][1]), t) for k, t in enumerate(minimal) if k != idx
-        ]
-        rem = _reduce_sorted(list(terms), others, p, key, None)
+    for idx, entry in enumerate(minimal):
+        rem = _reduce_sorted(entry[2], minimal[:idx] + minimal[idx + 1 :], packing, p)
         c = inv(rem[0][1])
         reduced.append([(m, k * c % p) for m, k in rem])
-    reduced.sort(key=lambda t: key(t[0][0]), reverse=True)
+    reduced.sort(key=lambda t: t[0][0], reverse=True)
     return reduced
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from . import config
 from .errors import CapExceeded, ContainmentError
 from .ideals import Ideal, intersect, maximal_ideal, saturate
-from .linalg import in_row_span, rank, rank_of_rows
+from .linalg import in_row_span, matrix_dtype, rank, rank_of_rows
 from .polyring import Monomial, PolyRing, Polynomial
 
 __all__ = [
@@ -236,6 +236,7 @@ def _monomials_up_to(ring: PolyRing, degree: int) -> list[Monomial]:
 
 
 def _span_matrix(ideal: Ideal, degree_bound: int, columns: dict[Monomial, int]):
+    dtype = matrix_dtype(ideal.ring.p)
     rows = []
     for g in ideal.generators:
         room = degree_bound - g.total_degree()
@@ -243,12 +244,12 @@ def _span_matrix(ideal: Ideal, degree_bound: int, columns: dict[Monomial, int]):
             continue
         for mon in _monomials_up_to(ideal.ring, room):
             shifted = g.mul_term(mon, 1)
-            row = np.zeros(len(columns), dtype=np.int64)
+            row = np.zeros(len(columns), dtype=dtype)
             for m, c in shifted.terms:
                 row[columns[m]] = c
             rows.append(row)
     if not rows:
-        return np.zeros((0, len(columns)), dtype=np.int64)
+        return np.zeros((0, len(columns)), dtype=dtype)
     return np.vstack(rows)
 
 
@@ -283,7 +284,7 @@ def oracle_ideal_member(
         mons = _monomials_up_to(ideal.ring, bound)
         columns = {m: i for i, m in enumerate(mons)}
         matrix = _span_matrix(ideal, bound, columns)
-        vec = np.zeros(len(mons), dtype=np.int64)
+        vec = np.zeros(len(mons), dtype=matrix_dtype(ideal.ring.p))
         for m, c in f.terms:
             vec[columns[m]] = c
         answer = in_row_span(matrix, vec, ideal.ring.p)

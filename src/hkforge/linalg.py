@@ -1,11 +1,18 @@
-"""Dense exact linear algebra over F_p, vectorized with numpy int64.
+"""Dense exact linear algebra over F_p, vectorized with numpy.
 
-Entries stay below p**2 < 2**63 throughout, so arithmetic is exact.
+Entries stay below p**2 throughout.  Matrices are int64 while that bound is
+below 2**63, and hold exact Python ints (object dtype) for larger primes;
+`matrix_dtype` makes the choice for every matrix built for this module.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def matrix_dtype(p: int):
+    """The numpy dtype in which elimination mod p is exact."""
+    return np.int64 if (p - 1) ** 2 < 2**63 else object
 
 
 def row_reduce(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -14,7 +21,7 @@ def row_reduce(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     Elimination touches only the rows below each pivot and the columns at or
     past it, which is all a rank computation needs.
     """
-    a = np.array(matrix, dtype=np.int64) % p
+    a = np.array(matrix, dtype=matrix_dtype(p)) % p
     rows, cols = a.shape
     pivots: list[int] = []
     r = 0
@@ -42,8 +49,7 @@ def row_reduce(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 def rank(matrix: np.ndarray, p: int) -> int:
     if matrix.size == 0:
         return 0
-    deduped = np.unique(matrix % p, axis=0)
-    return len(row_reduce(deduped, p)[1])
+    return len(row_reduce(matrix, p)[1])
 
 
 def rank_of_rows(rows: list[dict], columns: list, p: int) -> int:
@@ -51,7 +57,7 @@ def rank_of_rows(rows: list[dict], columns: list, p: int) -> int:
     if not rows or not columns:
         return 0
     index = {c: i for i, c in enumerate(columns)}
-    a = np.zeros((len(rows), len(columns)), dtype=np.int64)
+    a = np.zeros((len(rows), len(columns)), dtype=matrix_dtype(p))
     for r, row in enumerate(rows):
         for key, value in row.items():
             a[r, index[key]] = value % p

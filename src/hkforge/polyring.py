@@ -8,12 +8,15 @@ operations are pure; values are safe to share freely.
 The heart of the module is the division algorithm (`division` /
 `normal_form`): divide by the first usable divisor in list order, always
 rewriting the largest reducible term, so remainders and quotient certificates
-are reproducible bit for bit.
+are reproducible bit for bit.  Division and Buchberger's algorithm work on
+monomials packed into single ints (`Packing`), converted only on the way in
+and out; the public values above keep exponent tuples.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Sequence
+import functools
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionError, RingMismatch, ZeroPolynomial
 
@@ -124,6 +127,13 @@ class MonomialOrder:
     def key(self, mon: Monomial):
         raise NotImplementedError
 
+    def _fields(self, variables: tuple[int, ...]) -> list[tuple[str, object]]:
+        """The `Packing` layout on `variables`, most significant field first:
+        ("lex", i) for an exponent compared ascending, ("rev", i) for one
+        compared in reverse, ("degree", vars) for the degree of vars, whose
+        fields follow it directly."""
+        raise NotImplementedError
+
     def compare(self, a: Monomial, b: Monomial) -> int:
         if len(a) != len(b):
             raise DimensionError(f"exponent vectors of length {len(a)} vs {len(b)}")
@@ -156,6 +166,9 @@ class Lex(MonomialOrder):
     def key(self, mon: Monomial):
         return self._permute(mon)
 
+    def _fields(self, variables):
+        return [("lex", i) for i in self._permute(variables)]
+
 
 class DegRevLex(MonomialOrder):
     kind = "degrevlex"
@@ -163,6 +176,12 @@ class DegRevLex(MonomialOrder):
     def key(self, mon: Monomial):
         m = self._permute(mon)
         return (sum(m), tuple(-e for e in reversed(m)))
+
+    def _fields(self, variables):
+        m = self._permute(variables)
+        if not m:
+            return []
+        return [("degree", m)] + [("rev", i) for i in reversed(m)]
 
 
 class Block(MonomialOrder):
@@ -180,6 +199,11 @@ class Block(MonomialOrder):
 
     def key(self, mon: Monomial):
         return (mon[: self.elim], self.inner.key(mon[self.elim :]))
+
+    def _fields(self, variables):
+        return [("lex", i) for i in variables[: self.elim]] + self.inner._fields(
+            variables[self.elim :]
+        )
 
     def _ident(self) -> tuple:
         return (self.kind, self.elim, self.inner._ident())
@@ -518,88 +542,272 @@ def leading_term(f: Polynomial, order: MonomialOrder | None = None) -> tuple[int
 
 
 # ---------------------------------------------------------------------------
-# division
+# packed monomials
 
-def _sorted_terms(f: Polynomial, key: Callable) -> list[Term]:
-    return sorted(f.terms, key=lambda t: key(t[0]), reverse=True)
+class _Overflow(Exception):
+    """A product would not fit its packed fields; the caller repacks wider."""
 
 
-def _merge_sub(h: list[Term], start: int, g: list[Term], shift: Monomial, c: int, p: int, key) -> list[Term]:
-    """h[start:] minus c * x^shift * g, both inputs descending; result descending.
+# Spare bits per field above the inputs' largest exponent or degree, so that
+# the products a reduction forms seldom force a repack.
+_HEADROOM = 2
 
-    The leading terms cancel by construction in the division loop, but the
-    merge does not rely on that.
+
+class Packing:
+    """The monomials of one order on `nvars` variables, each as one int.
+
+    Every exponent gets a `width`-bit field with a guard bit above it.  A
+    degrevlex part of the order (the whole order, or the inner order of a
+    `Block`) adds a field above its own variables that holds their degree.
+    The fields sit most significant first in the sequence in which the order
+    compares them, and those it compares in reverse (degrevlex's exponents)
+    are stored complemented, so packed ints compare exactly as the order's
+    keys do.  With plain(a) = a ^ flip, the int whose fields hold the
+    exponents themselves:
+
+    - b divides a iff (plain(a) - plain(b)) & guard == 0, and the difference
+      is then plain(a / b);
+    - a * b packs to a + b - flip, so multiplying every term of a list by
+      a / b adds the constant a - b to each packed term;
+    - the lcm is the field-wise max of the plain ints (`plain_max`), with
+      the degree field summed afresh (`with_degree`).
+
+    No field ever wraps: the core tests the guard bits before it forms a
+    product, raises `_Overflow` when one would carry, and its caller repacks
+    at twice the width and starts again.
     """
-    out: list[Term] = []
-    i, j = start, 0
-    nh, ng = len(h), len(g)
-    while i < nh and j < ng:
-        mh, ch = h[i]
-        mg = monomial_mul(g[j][0], shift)
-        kh, kg = key(mh), key(mg)
-        if kh > kg:
-            out.append(h[i])
+
+    __slots__ = (
+        "width", "mask", "shifts", "guard", "flip", "exponents",
+        "_deg_vars", "_deg_shift", "_sum_low", "_sum_spread", "_sum_top", "_field_mask",
+    )
+
+    def __init__(self, order: MonomialOrder, nvars: int, width: int):
+        fields = order._fields(tuple(range(nvars)))
+        placed = sorted(arg for kind, arg in fields if kind != "degree")
+        if placed != list(range(nvars)):
+            raise ValueError(f"order {order.describe()} does not rank all {nvars} variables once")
+        step = width + 1
+        self.width = width
+        self.mask = (1 << width) - 1
+        self.shifts = [0] * nvars
+        self.guard = self.flip = self.exponents = 0
+        self._deg_vars: tuple[int, ...] = ()
+        for pos, (kind, arg) in enumerate(reversed(fields)):
+            shift = pos * step
+            self.guard |= 1 << (shift + width)
+            if kind == "degree":
+                # the len(arg) fields right below hold the summed exponents;
+                # multiplying them by `_sum_spread` adds them into its top one
+                k = len(arg)
+                self._deg_vars, self._deg_shift = arg, shift
+                self._sum_low = shift - k * step
+                self._sum_spread = sum(1 << (i * step) for i in range(k))
+                self._sum_top = (k - 1) * step
+                self._field_mask = (1 << step) - 1
+            else:
+                self.shifts[arg] = shift
+                self.exponents |= self.mask << shift
+                if kind == "rev":
+                    self.flip |= self.mask << shift
+
+    def pack(self, mon: Monomial) -> int:
+        e = 0
+        for x, s in zip(mon, self.shifts):
+            e |= x << s
+        if self._deg_vars:
+            e |= sum(mon[i] for i in self._deg_vars) << self._deg_shift
+        return e ^ self.flip
+
+    def unpack(self, m: int) -> Monomial:
+        e, mask = m ^ self.flip, self.mask
+        return tuple((e >> s) & mask for s in self.shifts)
+
+    def pack_terms(self, terms: Iterable[Term]) -> list[tuple[int, int]]:
+        """Terms with distinct monomials, packed and sorted descending."""
+        pack = self.pack
+        return sorted(((pack(m), c) for m, c in terms), reverse=True)
+
+    def unpack_terms(self, terms: Iterable[tuple[int, int]]) -> tuple[Term, ...]:
+        unpack = self.unpack
+        return tuple((unpack(m), c) for m, c in terms)
+
+    def plain_max(self, a: int, b: int) -> int:
+        """Field-wise max of two plain ints (SWAR: a guard bit survives
+        (a | guard) - b exactly in the fields where a >= b)."""
+        guard = self.guard
+        d = ((a | guard) - b) & guard
+        return b ^ ((a ^ b) & (d - (d >> self.width)))
+
+    def with_degree(self, e: int) -> int:
+        """Fill the empty degree field of the plain lcm `e` of two packed
+        monomials; raises `_Overflow` if the degree does not fit."""
+        if self._deg_vars:
+            d = ((e >> self._sum_low) * self._sum_spread >> self._sum_top) & self._field_mask
+            if d > self.mask:
+                raise _Overflow
+            e |= d << self._deg_shift
+        return e
+
+    def reducer(self, terms: list[tuple[int, int]], lcinv: int) -> tuple:
+        """Division table entry of a descending packed term list: (plain
+        lead, inverse lead coefficient, terms, field-wise max of the plain
+        terms, which bounds every product formed from them)."""
+        flip, top = self.flip, 0
+        for m, _ in terms:
+            top = self.plain_max(top, m ^ flip)
+        return (terms[0][0] ^ flip, lcinv, terms, top)
+
+
+@functools.lru_cache(maxsize=64)
+def packing_for(order: MonomialOrder, nvars: int, width: int) -> Packing:
+    return Packing(order, nvars, width)
+
+
+def packing_width(top: int) -> int:
+    """The field width for exponents and degrees up to `top`."""
+    return max(top, 1).bit_length() + _HEADROOM
+
+
+def _merge_sub(h: list, start: int, g: list, delta: int, c: int, p: int) -> list:
+    """h[start:] minus c * x^t * g, both inputs descending; result descending.
+
+    `delta` adds t to a packed monomial (see Packing).  The leading terms
+    cancel by construction in the division loop, but the merge does not rely
+    on that.
+    """
+    out: list = []
+    append = out.append
+    i, nh = start, len(h)
+    # packed monomials are >= 0, so -1 stands for "h is used up"
+    head = h[i][0] if i < nh else -1
+    neg = p - c
+    for mg, cg in g:
+        m = mg + delta
+        while head > m:
+            append(h[i])
             i += 1
-        elif kh < kg:
-            out.append((mg, -c * g[j][1] % p))
-            j += 1
-        else:
-            cc = (ch - c * g[j][1]) % p
+            head = h[i][0] if i < nh else -1
+        if head == m:
+            cc = (h[i][1] + neg * cg) % p
             if cc:
-                out.append((mh, cc))
+                append((m, cc))
             i += 1
-            j += 1
-    out.extend(h[i:])
-    for jj in range(j, ng):
-        out.append((monomial_mul(g[jj][0], shift), -c * g[jj][1] % p))
+            head = h[i][0] if i < nh else -1
+        else:
+            append((m, neg * cg % p))
+    out += h[i:]
     return out
 
 
 def _reduce_sorted(
-    h: list[Term],
-    ginfo: Sequence[tuple[Monomial, int, list[Term]]],
+    h: list,
+    table: Sequence[tuple],
+    packing: Packing,
     p: int,
-    key: Callable,
-    quotients: list[dict[Monomial, int]] | None,
-) -> list[Term]:
-    """Core division loop on descending term lists.
+    quotients: list[dict[int, int]] | None = None,
+) -> list:
+    """Core division loop on descending packed term lists.
 
-    ginfo holds (leading monomial, inverse leading coefficient, sorted terms)
-    per divisor.  Rewrites the largest reducible term against the first listed
-    divisor whose lead divides it; irreducible terms accumulate into the
-    remainder, which is returned (descending).
+    `table` holds a `Packing.reducer` entry per divisor.  Rewrites the largest
+    reducible term against the first listed divisor whose lead divides it;
+    irreducible terms accumulate into the remainder, which is returned
+    (descending).  Quotient terms, when collected, are keyed by packed
+    monomial.  Raises `_Overflow` before forming a product that would not fit.
     """
-    remainder: list[Term] = []
+    flip, guard = packing.flip, packing.guard
+    leads = [entry[0] for entry in table]
+    remainder = []
     start = 0
     while start < len(h):
-        mon, coeff = h[start]
-        for gi, (glm, glcinv, gterms) in enumerate(ginfo):
-            t = monomial_div(mon, glm)
-            if t is not None:
-                c = coeff * glcinv % p
-                if quotients is not None:
-                    q = quotients[gi]
-                    q[t] = (q.get(t, 0) + c) % p
-                h = _merge_sub(h, start, gterms, t, c, p, key)
-                start = 0
+        term = h[start]
+        e = term[0] ^ flip
+        for lead in leads:
+            t = e - lead
+            if not t & guard:
                 break
         else:
-            remainder.append((mon, coeff))
+            remainder.append(term)
             start += 1
+            continue
+        # the first listed divisor with this lead is the one that matched
+        gi = leads.index(lead)
+        _, lcinv, gterms, top = table[gi]
+        if (t + top) & guard:
+            raise _Overflow
+        c = term[1] * lcinv % p
+        if quotients is not None:
+            q = quotients[gi]
+            t ^= flip
+            q[t] = (q.get(t, 0) + c) % p
+        h = _merge_sub(h, start, gterms, term[0] - gterms[0][0], c, p)
+        start = 0
     return remainder
 
 
-def divisor_table(
-    divisors: Sequence[Polynomial], key: Callable, inv: Callable
-) -> list[tuple[Monomial, int, list[Term]]]:
-    """Precompute (lm, lc^-1, sorted terms) per divisor for repeated division."""
-    table = []
-    for g in divisors:
-        if g.is_zero():
-            raise ZeroPolynomial("cannot divide by the zero polynomial")
-        terms = _sorted_terms(g, key)
-        table.append((terms[0][0], inv(terms[0][1]), terms))
-    return table
+class DivisorTable:
+    """Divisors under one order, packed on first use and kept for reuse.
+
+    A `GroebnerBasis` holds one, so that repeated normal forms against it
+    pack the basis once; it is packed again, wider, only when a dividend or
+    a product does not fit.
+    """
+
+    __slots__ = ("divisors", "order", "_top", "_packing", "_entries")
+
+    def __init__(self, divisors: Sequence[Polynomial], order: MonomialOrder):
+        self.divisors = tuple(divisors)
+        self.order = order
+        self._top: int | None = None
+        self._packing: Packing | None = None
+        self._entries: list[tuple] = []
+
+    def __len__(self) -> int:
+        return len(self.divisors)
+
+    def top(self) -> int:
+        """The largest total degree among the divisors."""
+        if self._top is None:
+            self._top = max((g.total_degree() for g in self.divisors), default=0)
+        return self._top
+
+    def packed(self, nvars: int, width: int) -> tuple[Packing, list[tuple]]:
+        """The packing of at least `width` bits per field, and the entries."""
+        if self._packing is None or self._packing.width < width:
+            if any(g.is_zero() for g in self.divisors):
+                raise ZeroPolynomial("cannot divide by the zero polynomial")
+            pk = packing_for(self.order, nvars, width)
+            entries = []
+            for g in self.divisors:
+                terms = pk.pack_terms(g.terms)
+                entries.append(pk.reducer(terms, g.ring.field.inv(terms[0][1])))
+            self._packing, self._entries = pk, entries
+        return self._packing, self._entries
+
+
+def _divide(f: Polynomial, table: DivisorTable, with_quotients: bool):
+    """Run the core on f, repacking wider on overflow; returns (packing,
+    packed quotient dicts or None, packed remainder)."""
+    for g in table.divisors:
+        if g.ring is not f.ring:
+            f._check(g)
+    width = packing_width(max(f.total_degree(), table.top()))
+    while True:
+        pk, entries = table.packed(f.ring.nvars, width)
+        quotients = [{} for _ in entries] if with_quotients else None
+        try:
+            return pk, quotients, _reduce_sorted(
+                pk.pack_terms(f.terms), entries, pk, f.ring.p, quotients
+            )
+        except _Overflow:
+            width = 2 * pk.width
+
+
+def _unpacked(ring: PolyRing, pk: Packing, terms: list, order: MonomialOrder) -> Polynomial:
+    """The polynomial of a descending packed term list of `order`."""
+    if order == ring.order:
+        return Polynomial(ring, pk.unpack_terms(terms))
+    return ring.polynomial(pk.unpack_terms(terms))
 
 
 def division(
@@ -616,25 +824,36 @@ def division(
     ring = f.ring
     if order is None:
         order = ring.order
-    for g in divisors:
-        f._check(g)
-    key = order.key
-    ginfo = divisor_table(divisors, key, ring.field.inv)
-    quotients: list[dict[Monomial, int]] = [{} for _ in divisors]
-    remainder = _reduce_sorted(_sorted_terms(f, key), ginfo, ring.p, key, quotients)
+    pk, quotients, remainder = _divide(f, DivisorTable(divisors, order), True)
     return (
-        [ring.polynomial(q) for q in quotients],
-        ring.polynomial(remainder),
+        [
+            _unpacked(ring, pk, sorted([t for t in q.items() if t[1]], reverse=True), order)
+            for q in quotients
+        ],
+        _unpacked(ring, pk, remainder, order),
     )
 
 
 def normal_form(
-    f: Polynomial, divisors: Sequence[Polynomial], order: MonomialOrder | None = None
+    f: Polynomial,
+    divisors: "Sequence[Polynomial] | DivisorTable",
+    order: MonomialOrder | None = None,
 ) -> Polynomial:
-    """Remainder of f on division by `divisors` (quotients discarded)."""
+    """Remainder of f on division by `divisors` (no quotients are formed).
+
+    `divisors` may be a `DivisorTable`, which brings its own order and keeps
+    its packing from one call to the next.
+    """
     if not divisors:
         return f
-    return division(f, divisors, order)[1]
+    if isinstance(divisors, DivisorTable):
+        if order is not None and order != divisors.order:
+            raise ValueError(f"divisor table is for {divisors.order!r}, not {order!r}")
+        table = divisors
+    else:
+        table = DivisorTable(divisors, order if order is not None else f.ring.order)
+    pk, _, remainder = _divide(f, table, False)
+    return _unpacked(f.ring, pk, remainder, table.order)
 
 
 # ---------------------------------------------------------------------------

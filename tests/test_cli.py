@@ -271,13 +271,14 @@ def test_shipped_sample_session_runs_clean(capsys):
 
 def test_console_script_end_to_end():
     proc = subprocess.run(
-        [sys.executable, "-m", "hkforge.cli", "verify", "construction", "--p", "3", "--m", "4"],
+        [sys.executable, "-m", "hkforge", "verify", "construction", "--p", "3", "--m", "4"],
         capture_output=True,
         text=True,
         timeout=300,
     )
     assert proc.returncode == EXIT_OK
     assert json.loads(proc.stdout)["pass"] is True
+    assert "RuntimeWarning" not in proc.stderr, proc.stderr
 
 
 def test_output_identical_across_processes(tmp_path):

@@ -11,7 +11,16 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from hkforge import DegRevLex, Ideal, Lex, PolyRing, buchberger, finite_colength_length
+from hkforge import (
+    Block,
+    DegRevLex,
+    Ideal,
+    Lex,
+    PolyRing,
+    buchberger,
+    certify_groebner,
+    finite_colength_length,
+)
 
 from helpers import random_nonzero_polynomial
 
@@ -26,20 +35,23 @@ def to_sympy(f, symbols):
     return expr
 
 
-def sympy_reduced_basis(gens, ring, symbols, order):
+def from_sympy(expr, ring, symbols):
+    poly = sympy.Poly(expr, *symbols, modulus=ring.p)
+    return ring.polynomial(
+        {tuple(mon): int(coeff) % ring.p for mon, coeff in zip(poly.monoms(), poly.coeffs())}
+    )
+
+
+def sympy_reduced_basis(gens, ring, symbols, order, ranked=None):
+    """sympy's reduced basis, comparing variables in the sequence `ranked`
+    (the ring's own by default)."""
     basis = sympy.groebner(
         [to_sympy(g, symbols) for g in gens],
-        *symbols,
+        *(ranked or symbols),
         order=order,
         modulus=ring.p,
     )
-    out = []
-    for poly in basis.polys:
-        coeffs = {}
-        for mon, coeff in zip(poly.monoms(), poly.coeffs()):
-            coeffs[tuple(mon)] = int(coeff) % ring.p
-        out.append(ring.polynomial(coeffs))
-    return out
+    return [from_sympy(expr, ring, symbols) for expr in basis.exprs]
 
 
 @pytest.mark.parametrize(
@@ -58,6 +70,57 @@ def test_reduced_bases_match_sympy(order, sympy_order):
             ours = list(buchberger(gens, order))
             theirs = sympy_reduced_basis(gens, ring, symbols, sympy_order)
             assert sorted(map(str, ours)) == sorted(map(str, theirs))
+
+
+@pytest.mark.parametrize(
+    "order,sympy_order",
+    [(Lex(priority=(2, 0, 1)), "lex"), (DegRevLex(priority=(1, 2, 0)), "grevlex")],
+)
+def test_permuted_orders_match_sympy(order, sympy_order):
+    """priority=(i, j, k) ranks x_i first, as sympy does with generators x_i, x_j, x_k."""
+    rng = random.Random(4242)
+    ring = PolyRing(5, ("x", "y", "z"), order)
+    symbols = sympy.symbols("x y z")
+    ranked = [symbols[i] for i in order.priority]
+    for _ in range(8):
+        gens = [
+            random_nonzero_polynomial(rng, ring, max_degree=3, max_terms=3)
+            for _ in range(rng.randint(2, 3))
+        ]
+        ours = buchberger(gens, order)
+        assert certify_groebner(list(ours), order).ok
+        theirs = sympy_reduced_basis(gens, ring, symbols, sympy_order, ranked)
+        assert sorted(map(str, ours)) == sorted(map(str, theirs))
+
+
+def test_block_order_matches_sympy_elimination():
+    """The x-free part of a block(1; degrevlex) basis is the reduced degrevlex
+    basis of the elimination ideal, which sympy reaches through lex."""
+    rng = random.Random(4343)
+    order = Block(1, DegRevLex())
+    ring = PolyRing(5, ("x", "y", "z"), order)
+    inner = PolyRing(5, ("y", "z"), DegRevLex())
+    symbols = sympy.symbols("x y z")
+    for _ in range(8):
+        gens = [
+            random_nonzero_polynomial(rng, ring, max_degree=3, max_terms=3)
+            for _ in range(rng.randint(2, 3))
+        ]
+        basis = buchberger(gens, order)
+        assert certify_groebner(list(basis), order).ok
+        ours = [
+            inner.polynomial({m[1:]: c for m, c in g.terms})
+            for g in basis
+            if g.leading_monomial(order)[0] == 0
+        ]
+        lex = sympy.groebner([to_sympy(g, symbols) for g in gens], *symbols, order="lex", modulus=5)
+        eliminated = [
+            from_sympy(e, inner, symbols[1:]) for e in lex.exprs if symbols[0] not in e.free_symbols
+        ]
+        theirs = []
+        if eliminated:
+            theirs = sympy_reduced_basis(eliminated, inner, symbols[1:], "grevlex")
+        assert sorted(map(str, ours)) == sorted(map(str, theirs))
 
 
 def test_colengths_match_sympy_quotient_dimension():

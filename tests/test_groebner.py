@@ -4,6 +4,7 @@ import random
 import pytest
 
 from hkforge import (
+    Block,
     DegRevLex,
     Ideal,
     Lex,
@@ -11,6 +12,8 @@ from hkforge import (
     ZeroPolynomial,
     buchberger,
     certify_groebner,
+    division,
+    normal_form,
     s_polynomial,
 )
 from hkforge.lengths import oracle_ideal_member
@@ -144,6 +147,53 @@ def test_gebauer_moller_agrees_with_plain_strategy():
     for _ in range(10):
         gens = [random_nonzero_polynomial(rng, ring, max_degree=3) for _ in range(3)]
         assert list(buchberger(gens)) == list(buchberger(gens, gebauer_moller=True))
+
+
+@pytest.mark.parametrize(
+    "order",
+    [
+        Lex(),
+        DegRevLex(),
+        Block(1, DegRevLex()),
+        Lex(priority=(2, 0, 1)),
+        DegRevLex(priority=(1, 2, 0)),
+    ],
+    ids=str,
+)
+def test_bracket_transport_past_32_bit_exponents(order):
+    """Over F_101, the 5th bracket puts exponents past 2**32; the bases of the
+    bracketed generators must still be the bracketed bases."""
+    rng = random.Random(53)
+    ring = PolyRing(101, ("x", "y", "z"), order)
+    for _ in range(3):
+        gens = [random_nonzero_polynomial(rng, ring, max_degree=3, max_terms=3) for _ in range(3)]
+        assert buchberger([g.frobenius(5) for g in gens]) == buchberger(gens).frobenius(5)
+
+
+def test_products_past_the_input_exponents_repack():
+    """Reducing x^16 by x - y^m gives y^(16m), four bits past the largest
+    input exponent, so the packing sized from the inputs must be widened."""
+    ring = PolyRing(7, ("x", "y"), Lex())
+    x, y = ring.gens()
+    m = 1000
+    g = x - y**m
+    f = x**16 + 3 * x * y
+    quotients, remainder = division(f, [g])
+    assert remainder == y ** (16 * m) + 3 * y ** (m + 1)
+    assert quotients[0] * g + remainder == f
+    assert list(buchberger([x**16, g])) == [g, y ** (16 * m)]
+
+
+def test_basis_reduce_widens_its_cached_packing():
+    ring = PolyRing(5, ("x", "y"), DegRevLex())
+    x, y = ring.gens()
+    basis = buchberger([x**2, y**3])
+    small = x + y**2
+    big = x ** (5**20) + y**2 * x
+    assert basis.reduce(small) == small
+    assert basis.reduce(big) == y**2 * x
+    assert basis.reduce(small) == small
+    assert basis.reduce(big.frobenius(3)).is_zero()
 
 
 # -- certification ----------------------------------------------------------------

@@ -250,28 +250,35 @@ def test_normal_form_idempotent_randomized():
 
 
 def test_division_is_an_exact_certificate():
+    # the ring stays lex: quotients and remainder come back in the ring's order
     rng = random.Random(19)
     ring = PolyRing(5, ("x", "y"), Lex())
-    order = ring.order
-    for _ in range(25):
+    orders = [
+        Lex(),
+        DegRevLex(),
+        Block(1, DegRevLex()),
+        Lex(priority=(1, 0)),
+        DegRevLex(priority=(1, 0)),
+    ]
+    for order in orders * 5:
         f = random_polynomial(rng, ring, max_degree=5)
         divisors = [random_nonzero_polynomial(rng, ring) for _ in range(3)]
-        quotients, remainder = division(f, divisors)
+        quotients, remainder = division(f, divisors, order)
         recombined = remainder
         for q, g in zip(quotients, divisors):
             recombined = recombined + q * g
         assert recombined == f
         if not f.is_zero():
-            f_key = order.key(f.leading_monomial())
+            f_key = order.key(f.leading_monomial(order))
             for q, g in zip(quotients, divisors):
                 if not q.is_zero():
-                    assert order.key((q * g).leading_monomial()) <= f_key
+                    assert order.key((q * g).leading_monomial(order)) <= f_key
         # no remainder term reducible
         for mon, _ in remainder.terms:
             for g in divisors:
                 from hkforge.polyring import monomial_divides
 
-                assert not monomial_divides(g.leading_monomial(), mon)
+                assert not monomial_divides(g.leading_monomial(order), mon)
 
 
 # -- text syntax ---------------------------------------------------------------------
