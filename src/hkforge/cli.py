@@ -580,12 +580,10 @@ def _build_parser() -> argparse.ArgumentParser:
     vc = vsub.add_parser("construction")
     vc.add_argument("--p", type=int, required=True)
     vc.add_argument("--m", type=int, required=True)
-    vc.add_argument("--json", action="store_true")
     vk = vsub.add_parser("katzman")
     vk.add_argument("--p", type=int, required=True)
     vk.add_argument("--e", type=int, required=True)
     vk.add_argument("--slow", action="store_true")
-    vk.add_argument("--json", action="store_true")
     return parser
 
 

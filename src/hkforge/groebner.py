@@ -155,18 +155,11 @@ def _gm_update(packing: Packing, lms: list[int], active: list[int], pairs: list,
     return still_active, kept
 
 
-def buchberger(
-    gens: Sequence[Polynomial],
-    order: MonomialOrder | None = None,
-    *,
-    gebauer_moller: bool = False,
-) -> GroebnerBasis:
+def buchberger(gens: Sequence[Polynomial], order: MonomialOrder | None = None) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by `gens`.
 
-    Pair selection follows the normal strategy (smallest lcm of the leading
-    monomials under the order); pairs with coprime leads are skipped.  With
-    `gebauer_moller=True` the full chain-criterion pair pruning is used
-    instead, which matters on the larger elimination ideals.  Either way the
+    Pairs are pruned by the Gebauer-Moeller chain and coprimality criteria and
+    taken smallest lcm first under the order (the normal strategy).  The
     result is the unique reduced basis: monic elements, no term of one
     divisible by the lead of another, sorted lead-descending.
     """
@@ -182,7 +175,7 @@ def buchberger(
     while True:
         pk = packing_for(order, ring.nvars, width)
         try:
-            reduced = _packed_buchberger(pk, live, ring.p, ring.field.inv, gebauer_moller)
+            reduced = _packed_buchberger(pk, live, ring.p, ring.field.inv)
             break
         except _Overflow:
             width *= 2
@@ -191,7 +184,7 @@ def buchberger(
     return GroebnerBasis(elements, order, reduced=True)
 
 
-def _packed_buchberger(packing: Packing, gens: list[Polynomial], p: int, inv, gebauer_moller: bool):
+def _packed_buchberger(packing: Packing, gens: list[Polynomial], p: int, inv):
     """`buchberger` on packed terms: the reduced basis as term lists."""
     table = []
     for g in gens:
@@ -200,50 +193,25 @@ def _packed_buchberger(packing: Packing, gens: list[Polynomial], p: int, inv, ge
             c = inv(terms[0][1])
             terms = [(m, k * c % p) for m, k in terms]
         table.append(packing.reducer(terms, 1))
-    exponents, flip = packing.exponents, packing.flip
+    exponents = packing.exponents
     lms = [entry[0] & exponents for entry in table]
-
-    def add(rem: list) -> None:
-        c = inv(rem[0][1])
-        entry = packing.reducer([(m, k * c % p) for m, k in rem], 1)
-        table.append(entry)
-        lms.append(entry[0] & exponents)
-
-    if gebauer_moller:
-        active: list[int] = []
-        pairs: list[tuple] = []
-        for h in range(len(table)):
-            active, pairs = _gm_update(packing, lms, active, pairs, h)
-        reducers = [table[a] for a in active]
-        while pairs:
-            lcm, i, j, _ = heapq.heappop(pairs)
-            s = _spoly_terms(packing, table[i], table[j], lcm, p)
-            rem = _reduce_sorted(s, reducers, packing, p)
-            if rem:
-                add(rem)
-                active, pairs = _gm_update(packing, lms, active, pairs, len(table) - 1)
-                reducers = [table[a] for a in active]
-        basis = [table[a] for a in sorted(active)]
-    else:
-        def pair(i: int, j: int) -> tuple:
-            return (packing.with_degree(packing.plain_max(lms[i], lms[j])) ^ flip, i, j)
-
-        heap = [pair(i, j) for j in range(len(table)) for i in range(j)]
-        heapq.heapify(heap)
-        while heap:
-            lcm, i, j = heapq.heappop(heap)
-            if (lcm ^ flip) & exponents == lms[i] + lms[j]:
-                continue  # coprime leads reduce to zero
-            s = _spoly_terms(packing, table[i], table[j], lcm, p)
-            rem = _reduce_sorted(s, table, packing, p)
-            if rem:
-                add(rem)
-                h = len(table) - 1
-                for i2 in range(h):
-                    heapq.heappush(heap, pair(i2, h))
-        basis = table
-
-    return _reduce_basis(packing, basis, p, inv)
+    active: list[int] = []
+    pairs: list[tuple] = []
+    for h in range(len(table)):
+        active, pairs = _gm_update(packing, lms, active, pairs, h)
+    reducers = [table[a] for a in active]
+    while pairs:
+        lcm, i, j, _ = heapq.heappop(pairs)
+        s = _spoly_terms(packing, table[i], table[j], lcm, p)
+        rem = _reduce_sorted(s, reducers, packing, p)
+        if rem:
+            c = inv(rem[0][1])
+            entry = packing.reducer([(m, k * c % p) for m, k in rem], 1)
+            table.append(entry)
+            lms.append(entry[0] & exponents)
+            active, pairs = _gm_update(packing, lms, active, pairs, len(table) - 1)
+            reducers = [table[a] for a in active]
+    return _reduce_basis(packing, [table[a] for a in sorted(active)], p, inv)
 
 
 def _reduce_basis(packing: Packing, basis: list[tuple], p: int, inv) -> list[list]:

@@ -22,16 +22,7 @@ from .errors import (
     ZeroDivisor,
 )
 from .groebner import GroebnerBasis, buchberger
-from .polyring import (
-    Block,
-    DegRevLex,
-    MonomialOrder,
-    PolyRing,
-    Polynomial,
-    division,
-)
-
-CANONICAL_ORDER = DegRevLex()
+from .polyring import Block, MonomialOrder, PolyRing, Polynomial, division
 
 
 class Ideal:
@@ -54,15 +45,13 @@ class Ideal:
 
     # -- bases and membership ------------------------------------------------
 
-    def groebner_basis(
-        self, order: MonomialOrder | None = None, *, gebauer_moller: bool = False
-    ) -> GroebnerBasis:
+    def groebner_basis(self, order: MonomialOrder | None = None) -> GroebnerBasis:
         if order is None:
             order = self.ring.order
         cached = self._bases.get(order)
         if cached is not None:
             return cached
-        basis = buchberger(self.generators, order, gebauer_moller=gebauer_moller)
+        basis = buchberger(self.generators, order)
         self._bases[order] = basis
         return basis
 
@@ -168,11 +157,10 @@ def ideal_member(f: Polynomial, ideal: Ideal, order: MonomialOrder | None = None
 
 
 def ideal_equal(a: Ideal, b: Ideal) -> bool:
-    """Equality via the canonical reduced Groebner basis (degrevlex)."""
+    """Equality via reduced Groebner bases under a's ring order, which are
+    unique for a fixed order."""
     a._check(b)
-    ga = a.groebner_basis(CANONICAL_ORDER)
-    gb = b.groebner_basis(CANONICAL_ORDER)
-    return list(ga.elements) == list(gb.elements)
+    return a.groebner_basis().elements == b.groebner_basis(a.ring.order).elements
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +197,7 @@ def _fresh_variable(ring: PolyRing) -> str:
     return name
 
 
-def intersect(a: Ideal, b: Ideal, *, gebauer_moller: bool = True) -> Ideal:
+def intersect(a: Ideal, b: Ideal) -> Ideal:
     """I ∩ K through elimination of one auxiliary variable.
 
     Builds t*I + (1-t)*K in an extended ring ordered with t ahead of the
@@ -234,7 +222,7 @@ def intersect(a: Ideal, b: Ideal, *, gebauer_moller: bool = True) -> Ideal:
 
     gens = [t * lift(g) for g in a.generators]
     gens += [one_minus_t * lift(g) for g in b.generators]
-    basis = buchberger(gens, aux.order, gebauer_moller=gebauer_moller)
+    basis = buchberger(gens, aux.order)
 
     contracted = []
     for g in basis:
@@ -245,7 +233,7 @@ def intersect(a: Ideal, b: Ideal, *, gebauer_moller: bool = True) -> Ideal:
     return result
 
 
-def colon_element(ideal: Ideal, u: Polynomial, **kw) -> Ideal:
+def colon_element(ideal: Ideal, u: Polynomial) -> Ideal:
     """(I : u) = {f : f*u in I}, computed as (I ∩ (u)) divided through by u."""
     if isinstance(u, int):
         u = ideal.ring.constant(u)
@@ -253,7 +241,7 @@ def colon_element(ideal: Ideal, u: Polynomial, **kw) -> Ideal:
         raise ZeroDivisor("colon by zero")
     if u.is_monomial() and not any(u.leading_monomial()):
         return ideal  # unit scalar
-    meet = intersect(ideal, Ideal(ideal.ring, [u]), **kw)
+    meet = intersect(ideal, Ideal(ideal.ring, [u]))
     quotients = []
     for g in meet.generators:
         quot, rem = division(g, [u])
@@ -263,41 +251,34 @@ def colon_element(ideal: Ideal, u: Polynomial, **kw) -> Ideal:
     return Ideal(ideal.ring, quotients)
 
 
-def colon_ideal(ideal: Ideal, divisor: Ideal, **kw) -> Ideal:
+def colon_ideal(ideal: Ideal, divisor: Ideal) -> Ideal:
     """(I : K) as the intersection of the element colons over generators of K."""
     ideal._check(divisor)
     if divisor.is_zero():
         raise ZeroDivisor("colon by the zero ideal")
-    parts = [colon_element(ideal, k, **kw) for k in divisor.generators]
+    parts = [colon_element(ideal, k) for k in divisor.generators]
     out = parts[0]
     for part in parts[1:]:
-        out = intersect(out, part, **kw)
+        out = intersect(out, part)
     return out
 
 
 def saturate(
-    ideal: Ideal,
-    divisor: Ideal | Polynomial,
-    *,
-    cap: int | None = None,
-    **kw,
+    ideal: Ideal, divisor: Ideal | Polynomial, *, cap: int | None = None
 ) -> tuple[Ideal, int]:
     """(I : K^infinity): iterate the colon until the chain stabilizes.
 
     Returns (stable ideal, number of colon steps that strictly grew the
-    chain).  Stabilization is detected on canonical reduced bases.  The step
-    cap exists only to surface runaway misuse; the chain itself must terminate.
+    chain).  Stabilization is detected on reduced bases under the ring order.
+    The step cap exists only to surface runaway misuse; the chain itself must
+    terminate.
     """
     if cap is None:
         cap = config.DEFAULT_SATURATION_CAP
     single = isinstance(divisor, Polynomial) or isinstance(divisor, int)
     current = ideal
     for step in range(cap + 1):
-        nxt = (
-            colon_element(current, divisor, **kw)
-            if single
-            else colon_ideal(current, divisor, **kw)
-        )
+        nxt = colon_element(current, divisor) if single else colon_ideal(current, divisor)
         if ideal_equal(nxt, current):
             return current, step
         current = nxt
@@ -314,9 +295,9 @@ def dimension(ideal: Ideal, order: MonomialOrder | None = None) -> int:
 
     dim R/I equals the largest number of variables a subset S can hold while
     containing no leading monomial's support; any Groebner order gives the
-    same answer.
+    same answer, and the ring order is the default.
     """
-    basis = ideal.groebner_basis(order if order is not None else CANONICAL_ORDER)
+    basis = ideal.groebner_basis(order)
     nvars = ideal.ring.nvars
     supports = []
     for g in basis:

@@ -26,18 +26,39 @@ Term = tuple[Monomial, int]
 LT, EQ, GT = -1, 0, 1
 
 
+# Miller-Rabin with these bases is exact below the bound (Sorenson & Webster,
+# "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017): the bound is
+# the least strong pseudoprime to all of them.
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; ValueError at or above MILLER_RABIN_BOUND,
+    where these bases no longer decide primality exactly."""
+    if n >= MILLER_RABIN_BOUND:
+        raise ValueError(
+            f"cannot decide primality of {n} exactly: must be below {MILLER_RABIN_BOUND}"
+        )
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in MILLER_RABIN_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -132,9 +132,6 @@ def default_scaling_exponent(ring: PolyRing, hypersurface: Polynomial | None = N
     return dimension(Ideal(ring, gens))
 
 
-_default_d = default_scaling_exponent
-
-
 def _check_nested(j_ideal: Ideal, i_ideal: Ideal, hypersurface: Polynomial | None) -> tuple[Ideal, Ideal]:
     j_full = _with_hypersurface(j_ideal, hypersurface)
     i_full = _with_hypersurface(i_ideal, hypersurface)
@@ -171,7 +168,7 @@ def hk_function(
     """len(R/I^[q]) for q = p^e, e = 0..e_max, scaled by q^d."""
     ring = ideal.ring
     if d is None:
-        d = _default_d(ring, hypersurface)
+        d = default_scaling_exponent(ring, hypersurface)
     entries = []
     for e in range(e_max + 1):
         bracketed = _bracket(ideal, e, hypersurface)
@@ -195,7 +192,7 @@ def rjj_sequence(
     ring = j_ideal.ring
     _check_nested(j_ideal, i_ideal, hypersurface)
     if d is None:
-        d = _default_d(ring, hypersurface)
+        d = default_scaling_exponent(ring, hypersurface)
     entries = []
     for e in range(e_max + 1):
         raw = gamma_length(
@@ -222,7 +219,7 @@ def sjj_sequence(
     ring = j_ideal.ring
     j_full, i_full = _check_nested(j_ideal, i_ideal, hypersurface)
     if d is None:
-        d = _default_d(ring, hypersurface)
+        d = default_scaling_exponent(ring, hypersurface)
     h = gamma_submodule(j_full, i_full)
     entries = []
     for e in range(e_max + 1):
@@ -249,7 +246,7 @@ def vjj_sequence(
     ring = j_ideal.ring
     _check_nested(j_ideal, i_ideal, hypersurface)
     if d is None:
-        d = _default_d(ring, hypersurface)
+        d = default_scaling_exponent(ring, hypersurface)
     k_ideal = j_ideal + maximal_ideal(ring) * i_ideal
     entries = []
     for e in range(e_max + 1):
@@ -303,7 +300,7 @@ def f_difference_sequence(
     ring = j_ideal.ring
     _check_nested(j_ideal, i_ideal, hypersurface)
     if d is None:
-        d = _default_d(ring, hypersurface)
+        d = default_scaling_exponent(ring, hypersurface)
     _, f_j = lf_sequences(j_ideal, e_max, hypersurface)
     _, f_i = lf_sequences(i_ideal, e_max, hypersurface)
     entries = [

@@ -3,6 +3,7 @@
 import random
 
 from hkforge import Ideal, PolyRing, Polynomial
+from hkforge.polyring import monomial_divides
 
 
 def random_monomial(rng: random.Random, ring: PolyRing, max_degree: int):
@@ -60,3 +61,16 @@ def random_monomial_ideal(
     for _ in range(rng.randint(0, extra)):
         gens.append(ring.polynomial({random_monomial(rng, ring, max_degree): 1}))
     return Ideal(ring, [g for g in gens if not g.is_zero()])
+
+
+def is_reduced_basis(basis, order) -> bool:
+    """Every element monic, and no term of one element divisible by the lead
+    of another."""
+    leads = [g.leading_monomial(order) for g in basis]
+    for idx, g in enumerate(basis):
+        if g.leading_coefficient(order) != 1:
+            return False
+        others = leads[:idx] + leads[idx + 1 :]
+        if any(monomial_divides(lead, mon) for mon, _ in g.terms for lead in others):
+            return False
+    return True

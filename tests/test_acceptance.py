@@ -8,8 +8,6 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 from hkforge import (
     Ideal,
     Lex,
@@ -66,7 +64,6 @@ def test_criterion_2_katzman_level_one():
     announce("ACCEPTANCE 2: PASS katzman p=3 e=1")
 
 
-@pytest.mark.slow
 def test_criterion_2_katzman_level_two_slow():
     report = verify_katzman(3, 2, slow=True)
     assert report.ok, report.to_json()

@@ -223,9 +223,33 @@ def test_main_env_cap_override(tmp_path, capsys, monkeypatch):
     assert "x^2187" in capsys.readouterr().out
 
 
+VERIFY_CONSTRUCTION_3_4 = (
+    '{"claims": [{"detail": "12/12 generators of (x,y)^11 lie in e", "label": "1: b <= e", "pass": true}, '
+    '{"detail": "multiplying f by s lands in e", "label": "2: s*f in e", "pass": true}, '
+    '{"detail": "x*f: True, y*f: True", "label": "3: x*f, y*f in e", "pass": true}, '
+    '{"detail": "f outside: True, colon equals (s,x,y): True", "label": "4: f not in e and (e : f) = m", "pass": true}, '
+    '{"detail": "h is s-saturated", "label": "5: (h : s) = h", "pass": true}, '
+    '{"detail": "s-saturation in 1 step(s), m-saturation in 1 step(s)", "label": "6: e : s^inf = e : m^inf = h", "pass": true}, '
+    '{"detail": "computed length 1", "label": "7: len Gamma_m(A/e) = 1", "pass": true}, '
+    '{"detail": "certificate pass: True, leading monomials match: True", "label": "basis: explicit set certifies", "pass": true}], "params": {"m": 4, "n": 9, "p": 3}, "pass": true, "target": "construction"}'
+    "\n"
+)
+
+
 def test_main_verify_construction(capsys):
     assert main(["verify", "construction", "--p", "3", "--m", "4"]) == EXIT_OK
-    assert json.loads(capsys.readouterr().out)["pass"] is True
+    assert capsys.readouterr().out == VERIFY_CONSTRUCTION_3_4
+
+
+@pytest.mark.parametrize(
+    "target",
+    [["construction", "--m", "4"], ["katzman", "--e", "1"]],
+    ids=["construction", "katzman"],
+)
+def test_main_verify_has_no_json_flag(target):
+    # verify output is always JSON, so the flag is refused
+    with pytest.raises(SystemExit):
+        main(["verify", *target, "--p", "3", "--json"])
 
 
 def test_main_reads_stdin(monkeypatch, capsys):

@@ -93,14 +93,54 @@ def test_permuted_orders_match_sympy(order, sympy_order):
         assert sorted(map(str, ours)) == sorted(map(str, theirs))
 
 
+def eliminated_part(basis, order, inner):
+    """The elements of a block(1; ...) basis free of the first variable, moved
+    into `inner` (the ring of the remaining variables)."""
+    return [
+        inner.polynomial({m[1:]: c for m, c in g.terms})
+        for g in basis
+        if g.leading_monomial(order)[0] == 0
+    ]
+
+
+def sympy_elimination_basis(gens, ring, symbols, inner):
+    """sympy's reduced degrevlex basis of (gens) ∩ k[symbols[1:]], reached
+    through a lex basis."""
+    lex = sympy.groebner(
+        [to_sympy(g, symbols) for g in gens], *symbols, order="lex", modulus=ring.p
+    )
+    eliminated = [
+        from_sympy(e, inner, symbols[1:]) for e in lex.exprs if symbols[0] not in e.free_symbols
+    ]
+    if not eliminated:
+        return []
+    return sympy_reduced_basis(eliminated, inner, symbols[1:], "grevlex")
+
+
+def matches_sympy(basis, gens, order):
+    """Whether a reduced basis under Lex, DegRevLex, Block(1, Lex) or
+    Block(1, DegRevLex) is sympy's.  sympy has no block orders: block(1; lex)
+    is lex on all variables, and for block(1; degrevlex) the first-variable-free
+    part is compared with sympy's elimination basis."""
+    ring = gens[0].ring
+    symbols = sympy.symbols(ring.variables)
+    if order == Block(1, DegRevLex()):
+        inner = PolyRing(ring.p, ring.variables[1:], DegRevLex())
+        ours = eliminated_part(basis, order, inner)
+        theirs = sympy_elimination_basis(gens, ring, symbols, inner)
+    else:
+        sympy_order = {Lex(): "lex", Block(1, Lex()): "lex", DegRevLex(): "grevlex"}[order]
+        ours = list(basis)
+        theirs = sympy_reduced_basis(gens, ring, symbols, sympy_order)
+    return sorted(map(str, ours)) == sorted(map(str, theirs))
+
+
 def test_block_order_matches_sympy_elimination():
     """The x-free part of a block(1; degrevlex) basis is the reduced degrevlex
     basis of the elimination ideal, which sympy reaches through lex."""
     rng = random.Random(4343)
     order = Block(1, DegRevLex())
     ring = PolyRing(5, ("x", "y", "z"), order)
-    inner = PolyRing(5, ("y", "z"), DegRevLex())
-    symbols = sympy.symbols("x y z")
     for _ in range(8):
         gens = [
             random_nonzero_polynomial(rng, ring, max_degree=3, max_terms=3)
@@ -108,19 +148,7 @@ def test_block_order_matches_sympy_elimination():
         ]
         basis = buchberger(gens, order)
         assert certify_groebner(list(basis), order).ok
-        ours = [
-            inner.polynomial({m[1:]: c for m, c in g.terms})
-            for g in basis
-            if g.leading_monomial(order)[0] == 0
-        ]
-        lex = sympy.groebner([to_sympy(g, symbols) for g in gens], *symbols, order="lex", modulus=5)
-        eliminated = [
-            from_sympy(e, inner, symbols[1:]) for e in lex.exprs if symbols[0] not in e.free_symbols
-        ]
-        theirs = []
-        if eliminated:
-            theirs = sympy_reduced_basis(eliminated, inner, symbols[1:], "grevlex")
-        assert sorted(map(str, ours)) == sorted(map(str, theirs))
+        assert matches_sympy(basis, gens, order)
 
 
 def test_colengths_match_sympy_quotient_dimension():

@@ -1,12 +1,10 @@
-"""Heavier randomized cross-checks (run with --runslow).
+"""Randomized cross-checks.
 
 Each test hammers one semantic contract with membership-level probes that do
 not depend on how the operation under test is implemented.
 """
 
 import random
-
-import pytest
 
 from hkforge import (
     Block,
@@ -16,6 +14,7 @@ from hkforge import (
     PolyRing,
     bracket_power,
     buchberger,
+    certify_groebner,
     colon_element,
     ideal_equal,
     intersect,
@@ -23,14 +22,14 @@ from hkforge import (
     subquotient_length,
 )
 
-from helpers import random_nonzero_polynomial, random_polynomial
-
-pytestmark = pytest.mark.slow
+from helpers import is_reduced_basis, random_nonzero_polynomial, random_polynomial
 
 ORDERS = (Lex(), DegRevLex(), Block(1, DegRevLex()), Block(1, Lex()))
 
 
-def test_gebauer_moller_equals_plain_across_orders():
+def test_reduced_bases_certify_and_match_sympy_across_orders():
+    from test_cross_validation import matches_sympy  # skips when sympy is missing
+
     rng = random.Random(999)
     for _ in range(80):
         nv = rng.choice((2, 3))
@@ -39,7 +38,10 @@ def test_gebauer_moller_equals_plain_across_orders():
             random_nonzero_polynomial(rng, ring, max_degree=3, max_terms=3)
             for _ in range(rng.randint(2, 3))
         ]
-        assert list(buchberger(gens)) == list(buchberger(gens, gebauer_moller=True))
+        basis = buchberger(gens)
+        assert certify_groebner(list(basis), ring.order).check()
+        assert is_reduced_basis(basis, ring.order)
+        assert matches_sympy(basis, gens, ring.order)
 
 
 def test_intersection_membership_semantics():

@@ -19,7 +19,7 @@ from hkforge import (
 from hkforge.lengths import oracle_ideal_member
 from hkforge.verify import aux_saturation_basis
 
-from helpers import random_nonzero_polynomial, random_polynomial
+from helpers import is_reduced_basis, random_nonzero_polynomial, random_polynomial
 
 
 @pytest.fixture
@@ -141,12 +141,18 @@ def test_reduced_basis_is_unique_under_permutation_and_scaling():
         assert list(buchberger(scaled)) == list(reference)
 
 
-def test_gebauer_moller_agrees_with_plain_strategy():
+def test_reduced_basis_certifies_and_matches_sympy():
+    from test_cross_validation import matches_sympy  # skips when sympy is missing
+
     rng = random.Random(37)
-    ring = PolyRing(3, ("x", "y", "z"), DegRevLex())
+    order = DegRevLex()
+    ring = PolyRing(3, ("x", "y", "z"), order)
     for _ in range(10):
         gens = [random_nonzero_polynomial(rng, ring, max_degree=3) for _ in range(3)]
-        assert list(buchberger(gens)) == list(buchberger(gens, gebauer_moller=True))
+        basis = buchberger(gens)
+        assert certify_groebner(list(basis), order).check()
+        assert is_reduced_basis(basis, order)
+        assert matches_sympy(basis, gens, order)
 
 
 @pytest.mark.parametrize(

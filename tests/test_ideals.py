@@ -4,8 +4,10 @@ import pytest
 
 from hkforge import (
     CapExceeded,
+    DegRevLex,
     EmptyVariety,
     Ideal,
+    Lex,
     PolyRing,
     ZeroDivisor,
     bracket_power,
@@ -255,3 +257,50 @@ def test_dimension_of_monomial_edge_case(f3xy):
     # (xy) has dimension 1: {x} and {y} each avoid containing its support
     x, y = f3xy.gens()
     assert dimension(Ideal(f3xy, [x * y])) == 1
+
+
+# -- one ideal over rings with different orders ----------------------------------------
+
+def lex_and_degrevlex(generators):
+    """The ideal of `generators` (polynomials over a lex ring) over the lex ring
+    and over the degrevlex ring on the same variables."""
+    lex = generators[0].ring
+    drl = lex.with_order(DegRevLex())
+    return Ideal(lex, generators), Ideal(drl, [g.resorted(drl) for g in generators])
+
+
+def test_ideal_equal_across_ring_orders():
+    rng = random.Random(61)
+    ring = PolyRing(5, ("x", "y", "z"), Lex())
+    for _ in range(10):
+        gens = [random_nonzero_polynomial(rng, ring, max_degree=3) for _ in range(3)]
+        a, b = lex_and_degrevlex(gens)
+        # a different generating set of the same ideal on the degrevlex side
+        b = Ideal(b.ring, [g.scale(2) for g in b.generators] + [(gens[0] * gens[1]).resorted(b.ring)])
+        assert ideal_equal(a, b) and ideal_equal(b, a)
+
+
+def test_ideal_equal_across_ring_orders_tells_ideals_apart():
+    ring = PolyRing(5, ("x", "y", "z"), Lex())
+    x, y, z = ring.gens()
+    # (1, 1, 1) lies on V(xy - z^2, y^3 - x), so z is not in that ideal
+    smaller = [x * y - z**2, y**3 - x]
+    small_lex, small_drl = lex_and_degrevlex(smaller)
+    big_lex, big_drl = lex_and_degrevlex(smaller + [z])
+    for a, b in ((small_lex, big_drl), (small_drl, big_lex)):
+        assert not ideal_equal(a, b) and not ideal_equal(b, a)
+
+
+def test_dimension_does_not_depend_on_the_order(construction54):
+    rng = random.Random(67)
+    ring = PolyRing(5, ("x", "y", "z"), Lex())
+    ideals = [
+        Ideal(ring, [random_nonzero_polynomial(rng, ring, 3) for _ in range(rng.randint(1, 3))])
+        for _ in range(12)
+    ]
+    ideals += [construction54.e, Ideal(construction54.ring, [construction54.g])]
+    for ideal in ideals:
+        assert ideal.ring.order == Lex()
+        if ideal.is_unit():
+            continue
+        assert dimension(ideal) == dimension(ideal, DegRevLex())

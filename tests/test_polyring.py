@@ -14,7 +14,7 @@ from hkforge import (
     division,
     normal_form,
 )
-from hkforge.polyring import GT, EQ, LT, PrimeField
+from hkforge.polyring import GT, EQ, LT, MILLER_RABIN_BOUND, PrimeField, is_prime
 
 from helpers import random_nonzero_polynomial, random_polynomial
 
@@ -43,6 +43,32 @@ def test_prime_field_rejects_composites():
     for bad in (0, 1, 4, 9, 15):
         with pytest.raises(ValueError):
             PrimeField(bad)
+
+
+def test_is_prime_agrees_with_trial_division():
+    def trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert all(is_prime(n) == trial_division(n) for n in range(20000))
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # a Carmichael number, the least strong pseudoprime to bases 2, 3, 5, 7,
+    # the least to the first nine primes, and the least to the first twelve
+    for n in (561, 3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+
+
+def test_is_prime_accepts_large_primes():
+    assert is_prime(2**31 - 1) and is_prime(2**61 - 1)
+    assert PolyRing(2**61 - 1, ("x",)).p == 2**61 - 1
+
+
+def test_prime_field_refuses_primes_past_the_exact_bound():
+    with pytest.raises(ValueError, match=str(MILLER_RABIN_BOUND)):
+        PrimeField(MILLER_RABIN_BOUND)
+    with pytest.raises(ValueError, match=str(MILLER_RABIN_BOUND)):
+        PrimeField(2**89 - 1)
 
 
 def test_prime_field_inverses():

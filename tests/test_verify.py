@@ -94,7 +94,6 @@ def test_explicit_basis_matches_computed_leads():
     assert certify_groebner(explicit, data.ring.order).ok
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize(
     "p,m",
     [(p, m) for p in (3, 5, 7) for m in (4, 5, 6, 7) if m % p != 0],
@@ -150,20 +149,17 @@ def test_katzman_e2_requires_slow_flag():
         verify_katzman(3, 2)
 
 
-@pytest.mark.slow
 def test_katzman_p3_e2_passes():
     report = verify_katzman(3, 2, slow=True)
     assert report.ok, report.to_json()
 
 
-@pytest.mark.slow
 def test_katzman_p5_e1_passes():
     report = verify_katzman(5, 1)
     assert report.ok, report.to_json()
 
 
-@pytest.mark.slow
-@pytest.mark.parametrize("p,e", [(7, 1), (5, 2)])
+@pytest.mark.parametrize("p,e", [(7, 1), pytest.param(5, 2, marks=pytest.mark.slow)])
 def test_katzman_larger_instances(p, e):
     """The torsion stays exactly one-dimensional out to n = p^(e+1) = 125."""
     report = verify_katzman(p, e, slow=True)
