@@ -1,7 +1,8 @@
 """Line-oriented session language and the `hkforge` entry point.
 
 A session is a list of `;`-terminated statements: one ring declaration,
-named polynomial and ideal bindings, then commands.
+named polynomial and ideal bindings, then commands.  `#` starts a comment
+that runs to the end of the line.
 
     ring p=5 vars=s,x,y order=lex;
     poly G = x*y*(x-y)*(x+y-s*y);
@@ -11,9 +12,12 @@ named polynomial and ideal bindings, then commands.
     seq rjj J I e_max=2 d=2 mod=G;
     verify construction p=5 m=4;
 
-Sequences print CSV, everything else prints one JSON object per command, and
-identical sessions produce byte-identical output.  Exit codes: 0 success,
-1 engine error, 2 parse error, 3 a verification claim failed.
+Statements are read from `polyring.tokenize_expression`'s token stream with
+the polynomial grammar itself, so an expression ends where the grammar stops
+(at `,` or `;`).  Sequences print CSV, everything else prints one JSON object
+per command, and identical sessions produce byte-identical output.  Exit
+codes: 0 success, 1 engine error, 2 parse error, 3 a verification claim
+failed.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import EngineError, ParseError
 from .ideals import (
@@ -34,8 +37,18 @@ from .ideals import (
     saturate,
 )
 from .lengths import finite_colength_length, gamma_length
-from .polyring import DegRevLex, Lex, PolyRing, Polynomial, is_prime, parse_polynomial
+from .polyring import (
+    DegRevLex,
+    ExpressionError,
+    Lex,
+    PolyRing,
+    Polynomial,
+    _ExprParser,
+    tokenize_expression,
+)
 from .sequences import (
+    SequenceReport,
+    _entry,
     check_sandwich,
     default_scaling_exponent,
     f_difference_sequence,
@@ -56,386 +69,15 @@ _ORDERS = {"lex": Lex, "degrevlex": DegRevLex}
 
 
 # ---------------------------------------------------------------------------
-# tokenizing
-
-_PUNCT = set("=,;^*+-()")
-
-
-def _tokenize(text: str):
-    """(kind, value, line, col, offset) tuples; kinds: name, int, punct."""
-    line, col = 1, 1
-    i = 0
-    out = []
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch == "#":  # comment to end of line
-            while i < len(text) and text[i] != "\n":
-                i += 1
-            continue
-        start = i
-        if ch.isdigit():
-            while i < len(text) and text[i].isdigit():
-                i += 1
-            out.append(("int", text[start:i], line, col, start))
-        elif ch.isalpha() or ch == "_":
-            while i < len(text) and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            out.append(("name", text[start:i], line, col, start))
-        elif ch in _PUNCT:
-            out.append(("punct", ch, line, col, start))
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-        col += i - start
-    return out
-
-
-# ---------------------------------------------------------------------------
-# session model
+# commands: each runner takes the run state, then the parsed arguments, and
+# returns the command's output text
 
 @dataclass
-class Session:
-    """A parsed session: the ring, resolved bindings, and command list."""
+class _RunState:
+    json_mode: bool
+    default_d: int | None
+    verify_failed: bool = False
 
-    ring: PolyRing | None = None
-    polys: dict[str, Polynomial] = field(default_factory=dict)
-    ideals: dict[str, Ideal] = field(default_factory=dict)
-    commands: list[tuple] = field(default_factory=list)
-    statements: list[str] = field(default_factory=list)  # canonical text
-
-    def pretty(self) -> str:
-        """Canonical text that re-parses to an equivalent session."""
-        return "\n".join(self.statements)
-
-
-class _StatementParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.session = Session()
-
-    # -- token helpers ----------------------------------------------------
-
-    def _peek(self):
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        if self.tokens:
-            _, _, line, col, _ = self.tokens[-1]
-        else:
-            line, col = 1, 1
-        return ("end", "", line, col, len(self.text))
-
-    def _next(self):
-        tok = self._peek()
-        if tok[0] != "end":
-            self.pos += 1
-        return tok
-
-    def _expect_punct(self, value: str):
-        kind, val, line, col, _ = self._next()
-        if kind != "punct" or val != value:
-            raise ParseError(f"expected {value!r}, got {val!r}", line, col)
-
-    def _expect_name(self) -> str:
-        kind, val, line, col, _ = self._next()
-        if kind != "name":
-            raise ParseError(f"expected a name, got {val!r}", line, col)
-        return val
-
-    def _expect_int(self) -> int:
-        kind, val, line, col, _ = self._next()
-        if kind != "int":
-            raise ParseError(f"expected an integer, got {val!r}", line, col)
-        return int(val)
-
-    def _expect_keyvalue(self, key: str) -> str:
-        kind, val, line, col, _ = self._next()
-        if kind != "name" or val != key:
-            raise ParseError(f"expected {key}=..., got {val!r}", line, col)
-        self._expect_punct("=")
-        kind, val, line, col, _ = self._next()
-        if kind not in {"name", "int"}:
-            raise ParseError(f"expected a value for {key}", line, col)
-        return val
-
-    # -- expressions -------------------------------------------------------
-
-    def _require_ring(self, line: int, col: int) -> PolyRing:
-        if self.session.ring is None:
-            raise ParseError("no ring declared yet", line, col)
-        return self.session.ring
-
-    def _parse_expression(self, stop_at_comma: bool) -> Polynomial:
-        """Parse an expression slice with the polynomial grammar."""
-        kind, val, line, col, start = self._peek()
-        if kind == "end":
-            raise ParseError("expected an expression", line, col)
-        ring = self._require_ring(line, col)
-        depth = 0
-        end_offset = start
-        while True:
-            kind, val, line2, col2, off = self._peek()
-            if kind == "end":
-                raise ParseError("missing ';'", line2, col2)
-            if kind == "punct":
-                if val == "(":
-                    depth += 1
-                elif val == ")":
-                    depth -= 1
-                elif val == ";" and depth == 0:
-                    break
-                elif val == "," and depth == 0 and stop_at_comma:
-                    break
-            end_offset = off + len(val)
-            self.pos += 1
-        source = self.text[start:end_offset]
-        try:
-            return parse_polynomial(ring, source, self.session.polys)
-        except ValueError as exc:
-            raise ParseError(str(exc), line, col) from exc
-
-    # -- statements ----------------------------------------------------------
-
-    def parse(self) -> Session:
-        while self._peek()[0] != "end":
-            self._parse_statement()
-        return self.session
-
-    def _parse_statement(self) -> None:
-        kind, keyword, line, col, _ = self._next()
-        if kind == "punct" and keyword == ";":
-            return  # stray empty statement
-        if kind != "name":
-            raise ParseError(f"expected a statement, got {keyword!r}", line, col)
-        handler = getattr(self, f"_stmt_{keyword}", None)
-        if handler is None:
-            raise ParseError(f"unknown statement {keyword!r}", line, col)
-        handler(line, col)
-
-    def _stmt_ring(self, line, col):
-        if self.session.ring is not None:
-            raise ParseError("a session declares exactly one ring", line, col)
-        p = int(self._expect_keyvalue("p"))
-        if not is_prime(p):
-            raise ParseError(f"p must be prime, got {p}", line, col)
-        kind, val, l2, c2, _ = self._next()
-        if kind != "name" or val != "vars":
-            raise ParseError("expected vars=...", l2, c2)
-        self._expect_punct("=")
-        variables = [self._expect_name()]
-        while self._peek()[:2] == ("punct", ","):
-            self._next()
-            variables.append(self._expect_name())
-        order_name = self._expect_keyvalue("order")
-        if order_name not in _ORDERS:
-            raise ParseError(
-                f"order must be one of {sorted(_ORDERS)}, got {order_name!r}", line, col
-            )
-        self._expect_punct(";")
-        self.session.ring = PolyRing(p, variables, _ORDERS[order_name]())
-        self.session.statements.append(
-            f"ring p={p} vars={','.join(variables)} order={order_name};"
-        )
-
-    def _bind_name(self, line, col) -> str:
-        name = self._expect_name()
-        ring = self._require_ring(line, col)
-        if name in ring._var_index:
-            raise ParseError(f"{name!r} is a ring variable", line, col)
-        if name in self.session.polys or name in self.session.ideals:
-            raise ParseError(f"{name!r} is already bound", line, col)
-        return name
-
-    def _stmt_poly(self, line, col):
-        name = self._bind_name(line, col)
-        self._expect_punct("=")
-        value = self._parse_expression(stop_at_comma=False)
-        self._expect_punct(";")
-        self.session.polys[name] = value
-        self.session.statements.append(f"poly {name} = {value};")
-
-    def _stmt_ideal(self, line, col):
-        name = self._bind_name(line, col)
-        self._expect_punct("=")
-        gens = [self._parse_expression(stop_at_comma=True)]
-        while self._peek()[:2] == ("punct", ","):
-            self._next()
-            gens.append(self._parse_expression(stop_at_comma=True))
-        self._expect_punct(";")
-        ring = self._require_ring(line, col)
-        self.session.ideals[name] = Ideal(ring, gens)
-        self.session.statements.append(
-            f"ideal {name} = {', '.join(str(g) for g in gens)};"
-        )
-
-    # -- name lookups ---------------------------------------------------------
-
-    def _ideal_arg(self) -> tuple[str, Ideal]:
-        kind, val, line, col, _ = self._next()
-        if kind != "name" or val not in self.session.ideals:
-            raise ParseError(f"unknown ideal {val!r}", line, col)
-        return val, self.session.ideals[val]
-
-    def _poly_or_ideal_arg(self):
-        kind, val, line, col, _ = self._next()
-        if kind == "name" and val in self.session.polys:
-            return val, self.session.polys[val]
-        if kind == "name" and val in self.session.ideals:
-            return val, self.session.ideals[val]
-        ring = self._require_ring(line, col)
-        if kind == "name" and val in ring._var_index:
-            return val, ring.gen(val)
-        raise ParseError(f"unknown name {val!r}", line, col)
-
-    def _poly_arg(self) -> tuple[str, Polynomial]:
-        name, value = self._poly_or_ideal_arg()
-        if isinstance(value, Ideal):
-            kind, val, line, col, _ = self.tokens[self.pos - 1]
-            raise ParseError(f"{name!r} names an ideal, need a polynomial", line, col)
-        return name, value
-
-    def _add_command(self, command: tuple, text: str) -> None:
-        self.session.commands.append(command)
-        self.session.statements.append(text)
-
-    # -- commands ---------------------------------------------------------------
-
-    def _stmt_gb(self, line, col):
-        name, ideal = self._ideal_arg()
-        self._expect_punct(";")
-        self._add_command(("gb", name, ideal), f"gb {name};")
-
-    def _stmt_nf(self, line, col):
-        fname, f = self._poly_arg()
-        iname, ideal = self._ideal_arg()
-        self._expect_punct(";")
-        self._add_command(("nf", fname, f, iname, ideal), f"nf {fname} {iname};")
-
-    def _stmt_member(self, line, col):
-        fname, f = self._poly_arg()
-        iname, ideal = self._ideal_arg()
-        self._expect_punct(";")
-        self._add_command(("member", fname, f, iname, ideal), f"member {fname} {iname};")
-
-    def _stmt_colon(self, line, col):
-        iname, ideal = self._ideal_arg()
-        xname, x = self._poly_or_ideal_arg()
-        self._expect_punct(";")
-        self._add_command(("colon", iname, ideal, xname, x), f"colon {iname} {xname};")
-
-    def _stmt_intersect(self, line, col):
-        aname, a = self._ideal_arg()
-        bname, b = self._ideal_arg()
-        self._expect_punct(";")
-        self._add_command(("intersect", aname, a, bname, b), f"intersect {aname} {bname};")
-
-    def _stmt_saturate(self, line, col):
-        iname, ideal = self._ideal_arg()
-        xname, x = self._poly_or_ideal_arg()
-        self._expect_punct(";")
-        self._add_command(("saturate", iname, ideal, xname, x), f"saturate {iname} {xname};")
-
-    def _stmt_bracket(self, line, col):
-        iname, ideal = self._ideal_arg()
-        e = self._expect_int()
-        self._expect_punct(";")
-        self._add_command(("bracket", iname, ideal, e), f"bracket {iname} {e};")
-
-    def _stmt_length(self, line, col):
-        iname, ideal = self._ideal_arg()
-        self._expect_punct(";")
-        self._add_command(("length", iname, ideal), f"length {iname};")
-
-    def _stmt_gamma_length(self, line, col):
-        jname, j = self._ideal_arg()
-        iname, i = self._ideal_arg()
-        self._expect_punct(";")
-        self._add_command(("gamma_length", jname, j, iname, i), f"gamma_length {jname} {iname};")
-
-    _SEQ_ARITY = {"hk": 1, "rjj": 2, "sjj": 2, "vjj": 2, "lf": 1, "fdiff": 2}
-
-    def _stmt_seq(self, line, col):
-        kind, val, l2, c2, _ = self._next()
-        if kind != "name" or val not in self._SEQ_ARITY:
-            raise ParseError(
-                f"seq kind must be one of {sorted(self._SEQ_ARITY)}, got {val!r}", l2, c2
-            )
-        seq_kind = val
-        args = []
-        for _ in range(self._SEQ_ARITY[seq_kind]):
-            args.append(self._ideal_arg())
-        e_max = int(self._expect_keyvalue("e_max"))
-        d = None
-        if self._peek()[:2] == ("name", "d"):
-            self._next()
-            self._expect_punct("=")
-            d = self._expect_int()
-        mod_name, mod = self._optional_mod()
-        self._expect_punct(";")
-        names = " ".join(name for name, _ in args)
-        text = f"seq {seq_kind} {names} e_max={e_max}"
-        if d is not None:
-            text += f" d={d}"
-        if mod_name:
-            text += f" mod={mod_name}"
-        self._add_command(
-            ("seq", seq_kind, tuple(ideal for _, ideal in args), e_max, d, mod), text + ";"
-        )
-
-    def _stmt_sandwich(self, line, col):
-        jname, j = self._ideal_arg()
-        iname, i = self._ideal_arg()
-        n = int(self._expect_keyvalue("n"))
-        mod_name, mod = self._optional_mod()
-        self._expect_punct(";")
-        text = f"sandwich {jname} {iname} n={n}" + (f" mod={mod_name}" if mod_name else "") + ";"
-        self._add_command(("sandwich", jname, j, iname, i, n, mod), text)
-
-    def _optional_mod(self):
-        if self._peek()[:2] == ("name", "mod"):
-            self._next()
-            self._expect_punct("=")
-            name, value = self._poly_arg()
-            return name, value
-        return None, None
-
-    def _stmt_verify(self, line, col):
-        kind, target, l2, c2, _ = self._next()
-        if kind != "name" or target not in {"construction", "katzman"}:
-            raise ParseError("verify target must be construction or katzman", l2, c2)
-        p = int(self._expect_keyvalue("p"))
-        if target == "construction":
-            m = int(self._expect_keyvalue("m"))
-            self._expect_punct(";")
-            self._add_command(("verify", "construction", p, m), f"verify construction p={p} m={m};")
-        else:
-            e = int(self._expect_keyvalue("e"))
-            slow = False
-            if self._peek()[:2] == ("name", "slow"):
-                self._next()
-                slow = True
-            self._expect_punct(";")
-            text = f"verify katzman p={p} e={e}" + (" slow" if slow else "") + ";"
-            self._add_command(("verify", "katzman", p, e, slow), text)
-
-
-def parse_session(text: str) -> Session:
-    """Parse session text; raises ParseError with line/column on bad input."""
-    return _StatementParser(text).parse()
-
-
-# ---------------------------------------------------------------------------
-# execution
 
 def _json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True)
@@ -452,41 +94,305 @@ def _length_json(result) -> str:
 
 
 def _ideal_json(ideal: Ideal, **extra) -> str:
-    payload = {"generators": [str(g) for g in ideal.generators]}
-    payload.update(extra)
-    return _json(payload)
+    return _json({"generators": [str(g) for g in ideal.generators], **extra})
 
 
-def _run_seq(command, json_mode: bool, default_d: int | None) -> str:
-    _, seq_kind, ideals, e_max, d, mod = command
+def _gb(_, ideal: Ideal) -> str:
+    basis = ideal.groebner_basis()
+    return _json(
+        {
+            "basis": [str(g) for g in basis],
+            "order": basis.order.describe(),
+            "reduced": basis.reduced,
+        }
+    )
+
+
+def _colon(_, ideal: Ideal, x) -> str:
+    return _ideal_json(
+        colon_element(ideal, x) if isinstance(x, Polynomial) else colon_ideal(ideal, x)
+    )
+
+
+def _saturate(_, ideal: Ideal, x) -> str:
+    stable, steps = saturate(ideal, x)
+    return _ideal_json(stable, exponent=steps)
+
+
+# keyword -> (argument kinds, runner) for the commands that take only names
+# and integers; kinds are "ideal", "poly", "poly-or-ideal" and "int"
+_COMMANDS = {
+    "gb": (("ideal",), _gb),
+    "nf": (("poly", "ideal"), lambda _, f, i: _json({"result": str(i.groebner_basis().reduce(f))})),
+    "member": (("poly", "ideal"), lambda _, f, i: _json({"member": i.contains(f)})),
+    "colon": (("ideal", "poly-or-ideal"), _colon),
+    "intersect": (("ideal", "ideal"), lambda _, a, b: _ideal_json(intersect(a, b))),
+    "saturate": (("ideal", "poly-or-ideal"), _saturate),
+    "bracket": (("ideal", "int"), lambda _, i, e: _ideal_json(bracket_power(i, e))),
+    "length": (("ideal",), lambda _, i: _length_json(finite_colength_length(i))),
+    "gamma_length": (("ideal", "ideal"), lambda _, j, i: _length_json(gamma_length(j, i))),
+}
+
+# seq kind -> (number of ideal arguments, sequence function); lf has its own rows
+_SEQUENCES = {
+    "hk": (1, hk_function),
+    "rjj": (2, rjj_sequence),
+    "sjj": (2, sjj_sequence),
+    "vjj": (2, vjj_sequence),
+    "lf": (1, None),
+    "fdiff": (2, f_difference_sequence),
+}
+
+
+def _seq(state: _RunState, kind: str, ideals: tuple, e_max: int, d: int | None, mod) -> str:
     if d is None:
-        d = default_d
-    if seq_kind == "lf":
-        l_values, f_values = lf_sequences(ideals[0], e_max, hypersurface=mod)
-        if json_mode:
-            return _json({"kind": "lf", "l": l_values, "f": f_values})
-        lines = ["kind,e,q,raw,scaled_num,scaled_den"]
-        ring = ideals[0].ring
-        d_eff = d if d is not None else default_scaling_exponent(ring, mod)
-        for e, raw in enumerate(l_values[1:]):
-            q = ring.p**e
-            scaled = Fraction(raw, q**d_eff)
-            lines.append(f"le,{e},{q},{raw},{scaled.numerator},{scaled.denominator}")
-        for n, raw in enumerate(f_values):
-            q = ring.p**n
-            scaled = Fraction(raw, q**d_eff)
-            lines.append(f"fe,{n},{q},{raw},{scaled.numerator},{scaled.denominator}")
-        return "\n".join(lines)
-    builder = {
-        "hk": lambda: hk_function(ideals[0], e_max, d, mod),
-        "rjj": lambda: rjj_sequence(ideals[0], ideals[1], e_max, d, mod),
-        "sjj": lambda: sjj_sequence(ideals[0], ideals[1], e_max, d, mod),
-        "vjj": lambda: vjj_sequence(ideals[0], ideals[1], e_max, d, mod),
-        "fdiff": lambda: f_difference_sequence(ideals[0], ideals[1], e_max, d, mod),
-    }[seq_kind]
-    report = builder()
-    return report.to_json() if json_mode else report.to_csv()
+        d = state.default_d
+    if kind != "lf":
+        report = _SEQUENCES[kind][1](*ideals, e_max, d, mod)
+        return report.to_json() if state.json_mode else report.to_csv()
+    l_values, f_values = lf_sequences(ideals[0], e_max, hypersurface=mod)
+    if state.json_mode:
+        return _json({"kind": "lf", "l": l_values, "f": f_values})
+    ring = ideals[0].ring
+    if d is None:
+        d = default_scaling_exponent(ring, mod)
+    le, fe = (
+        SequenceReport(
+            row_kind, ring.p, d, tuple(_entry(e, ring.p, raw, d) for e, raw in enumerate(raws))
+        )
+        for row_kind, raws in (("le", l_values[1:]), ("fe", f_values))
+    )
+    return "\n".join([le.to_csv(), *fe.csv_rows()])
 
+
+def _sandwich(_, j: Ideal, i: Ideal, n: int, mod) -> str:
+    return check_sandwich(j, i, n, hypersurface=mod).to_json()
+
+
+# verify target -> its integer keys, in order; katzman also takes `slow`
+_VERIFY_KEYS = {"construction": ("p", "m"), "katzman": ("p", "e")}
+
+
+def _verify(state: _RunState, target: str, params: dict) -> str:
+    """The `verify` statement; `hkforge verify` runs it as a one-command session."""
+    if target == "construction":
+        report = verify_construction(**params)
+    else:
+        report = verify_katzman(**params)
+    state.verify_failed |= not report.ok
+    return report.to_json()
+
+
+# ---------------------------------------------------------------------------
+# parsing
+
+@dataclass
+class Session:
+    """A parsed session: the ring, resolved bindings, and command list."""
+
+    ring: PolyRing | None = None
+    polys: dict[str, Polynomial] = field(default_factory=dict)
+    ideals: dict[str, Ideal] = field(default_factory=dict)
+    commands: list[tuple] = field(default_factory=list)  # (runner, arguments)
+    statements: list[str] = field(default_factory=list)  # canonical text
+
+    def pretty(self) -> str:
+        """Canonical text that re-parses to an equivalent session."""
+        return "\n".join(self.statements)
+
+
+class _SessionParser(_ExprParser):
+    """Statements over the polynomial grammar's own tokens and expressions."""
+
+    def __init__(self, text: str):
+        self.text = text
+        try:
+            super().__init__(None, tokenize_expression(text), None)
+        except ExpressionError as exc:
+            self.fail(exc.message, exc.offset)
+        self.session = Session()
+        self.names = self.session.polys
+
+    def fail(self, message: str, offset: int):
+        line = self.text.count("\n", 0, offset) + 1
+        column = offset - self.text.rfind("\n", 0, offset)
+        raise ParseError(message, line, column)
+
+    # -- token helpers ----------------------------------------------------
+
+    def _at_name(self, name: str) -> bool:
+        return self.peek()[:2] == ("name", name)
+
+    def _name(self) -> str:
+        kind, value, at = self.advance()
+        if kind != "name":
+            self.fail(f"expected a name, got {value!r}", at)
+        return value
+
+    def _comma_list(self, read) -> list:
+        items = [read()]
+        while self.peek()[:2] == ("op", ","):
+            self.advance()
+            items.append(read())
+        return items
+
+    def _key(self, key: str) -> None:
+        kind, value, at = self.advance()
+        if kind != "name" or value != key:
+            self.fail(f"expected {key}=..., got {value!r}", at)
+        self.expect_op("=")
+
+    def _keyed(self, key: str) -> int:
+        """Read `key=<integer>`."""
+        self._key(key)
+        return self._argument("int")[1]
+
+    def _argument(self, kind: str) -> tuple[str, object]:
+        """One command argument of `kind`: its source text and its value."""
+        token, value, at = self.advance()
+        if kind == "int":
+            if token != "int":
+                self.fail(f"expected an integer, got {value!r}", at)
+            return value, int(value)
+        ideals, polys = self.session.ideals, self.session.polys
+        if kind == "ideal" or value in ideals:
+            if value not in ideals:
+                self.fail(f"unknown ideal {value!r}", at)
+            if kind == "poly":
+                self.fail(f"{value!r} names an ideal, need a polynomial", at)
+            return value, ideals[value]
+        if value in polys:
+            return value, polys[value]
+        if self.ring is not None and value in self.ring._var_index:
+            return value, self.ring.gen(value)
+        self.fail(f"unknown name {value!r}", at)
+
+    def _optional_mod(self) -> tuple[str, Polynomial | None]:
+        """` mod=G` and the hypersurface, or ("", None) when absent."""
+        if not self._at_name("mod"):
+            return "", None
+        self._key("mod")
+        name, value = self._argument("poly")
+        return f" mod={name}", value
+
+    def _add(self, text: str, runner, arguments: tuple) -> None:
+        self.session.commands.append((runner, arguments))
+        self.session.statements.append(text)
+
+    # -- statements ----------------------------------------------------------
+
+    def parse(self) -> Session:
+        while self.peek()[0] != "end":
+            kind, keyword, at = self.advance()
+            if (kind, keyword) == ("op", ";"):
+                continue  # stray empty statement
+            if kind != "name":
+                self.fail(f"expected a statement, got {keyword!r}", at)
+            if keyword in _COMMANDS:
+                self._command(keyword)
+            elif hasattr(self, f"_stmt_{keyword}"):
+                getattr(self, f"_stmt_{keyword}")(at)
+            else:
+                self.fail(f"unknown statement {keyword!r}", at)
+        return self.session
+
+    def _command(self, keyword: str) -> None:
+        kinds, runner = _COMMANDS[keyword]
+        texts, values = zip(*(self._argument(kind) for kind in kinds))
+        self.expect_op(";")
+        self._add(f"{keyword} {' '.join(texts)};", runner, values)
+
+    def _stmt_ring(self, at):
+        if self.ring is not None:
+            self.fail("a session declares exactly one ring", at)
+        p = self._keyed("p")
+        self._key("vars")
+        variables = self._comma_list(self._name)
+        self._key("order")
+        order_at = self.peek()[2]
+        order_name = self._name()
+        if order_name not in _ORDERS:
+            self.fail(f"order must be one of {sorted(_ORDERS)}, got {order_name!r}", order_at)
+        self.expect_op(";")
+        try:  # PolyRing refuses a p that is not a prime and repeated variables
+            self.ring = self.session.ring = PolyRing(p, variables, _ORDERS[order_name]())
+        except ValueError as exc:
+            self.fail(str(exc), at)
+        self.session.statements.append(
+            f"ring p={p} vars={','.join(variables)} order={order_name};"
+        )
+
+    def _bind_name(self, at) -> str:
+        if self.ring is None:
+            self.fail("no ring declared yet", at)
+        name_at = self.peek()[2]
+        name = self._name()
+        if name in self.ring._var_index:
+            self.fail(f"{name!r} is a ring variable", name_at)
+        if name in self.session.polys or name in self.session.ideals:
+            self.fail(f"{name!r} is already bound", name_at)
+        self.expect_op("=")
+        return name
+
+    def _stmt_poly(self, at):
+        name = self._bind_name(at)
+        value = self.parse_expr()
+        self.expect_op(";")
+        self.session.polys[name] = value
+        self.session.statements.append(f"poly {name} = {value};")
+
+    def _stmt_ideal(self, at):
+        name = self._bind_name(at)
+        gens = self._comma_list(self.parse_expr)
+        self.expect_op(";")
+        self.session.ideals[name] = Ideal(self.ring, gens)
+        self.session.statements.append(
+            f"ideal {name} = {', '.join(str(g) for g in gens)};"
+        )
+
+    def _stmt_seq(self, at):
+        _, seq_kind, kind_at = self.advance()
+        if seq_kind not in _SEQUENCES:
+            self.fail(f"seq kind must be one of {sorted(_SEQUENCES)}, got {seq_kind!r}", kind_at)
+        names, ideals = zip(*(self._argument("ideal") for _ in range(_SEQUENCES[seq_kind][0])))
+        e_max = self._keyed("e_max")
+        text = f"seq {seq_kind} {' '.join(names)} e_max={e_max}"
+        d = None
+        if self._at_name("d"):
+            d = self._keyed("d")
+            text += f" d={d}"
+        mod_text, mod = self._optional_mod()
+        self.expect_op(";")
+        self._add(text + mod_text + ";", _seq, (seq_kind, ideals, e_max, d, mod))
+
+    def _stmt_sandwich(self, at):
+        (jname, j), (iname, i) = self._argument("ideal"), self._argument("ideal")
+        n = self._keyed("n")
+        mod_text, mod = self._optional_mod()
+        self.expect_op(";")
+        self._add(f"sandwich {jname} {iname} n={n}{mod_text};", _sandwich, (j, i, n, mod))
+
+    def _stmt_verify(self, at):
+        _, target, target_at = self.advance()
+        if target not in _VERIFY_KEYS:
+            self.fail("verify target must be construction or katzman", target_at)
+        params = {key: self._keyed(key) for key in _VERIFY_KEYS[target]}
+        text = f"verify {target} " + " ".join(f"{k}={v}" for k, v in params.items())
+        if target == "katzman" and self._at_name("slow"):
+            self.advance()
+            params["slow"] = True
+            text += " slow"
+        self.expect_op(";")
+        self._add(text + ";", _verify, (target, params))
+
+
+def parse_session(text: str) -> Session:
+    """Parse session text; raises ParseError with line/column on bad input."""
+    return _SessionParser(text).parse()
+
+
+# ---------------------------------------------------------------------------
+# execution
 
 def run(
     session: Session, *, json_mode: bool = False, default_d: int | None = None
@@ -496,68 +402,9 @@ def run(
     Returns (per-command output strings, any-verification-failed flag).
     Output is a deterministic function of the session text.
     """
-    outputs: list[str] = []
-    verify_failed = False
-    for command in session.commands:
-        kind = command[0]
-        if kind == "gb":
-            _, name, ideal = command
-            basis = ideal.groebner_basis()
-            outputs.append(
-                _json(
-                    {
-                        "basis": [str(g) for g in basis],
-                        "order": basis.order.describe(),
-                        "reduced": basis.reduced,
-                    }
-                )
-            )
-        elif kind == "nf":
-            _, fname, f, iname, ideal = command
-            outputs.append(_json({"result": str(ideal.groebner_basis().reduce(f))}))
-        elif kind == "member":
-            _, fname, f, iname, ideal = command
-            outputs.append(_json({"member": ideal.contains(f)}))
-        elif kind == "colon":
-            _, iname, ideal, xname, x = command
-            result = (
-                colon_element(ideal, x) if isinstance(x, Polynomial) else colon_ideal(ideal, x)
-            )
-            outputs.append(_ideal_json(result))
-        elif kind == "intersect":
-            _, aname, a, bname, b = command
-            outputs.append(_ideal_json(intersect(a, b)))
-        elif kind == "saturate":
-            _, iname, ideal, xname, x = command
-            stable, steps = saturate(ideal, x)
-            outputs.append(_ideal_json(stable, exponent=steps))
-        elif kind == "bracket":
-            _, iname, ideal, e = command
-            outputs.append(_ideal_json(bracket_power(ideal, e)))
-        elif kind == "length":
-            _, iname, ideal = command
-            outputs.append(_length_json(finite_colength_length(ideal)))
-        elif kind == "gamma_length":
-            _, jname, j, iname, i = command
-            outputs.append(_length_json(gamma_length(j, i)))
-        elif kind == "seq":
-            outputs.append(_run_seq(command, json_mode, default_d))
-        elif kind == "sandwich":
-            _, jname, j, iname, i, n, mod = command
-            outputs.append(check_sandwich(j, i, n, hypersurface=mod).to_json())
-        elif kind == "verify":
-            if command[1] == "construction":
-                _, _, p, m = command
-                report = verify_construction(p, m)
-            else:
-                _, _, p, e, slow = command
-                report = verify_katzman(p, e, slow=slow)
-            if not report.ok:
-                verify_failed = True
-            outputs.append(report.to_json())
-        else:  # pragma: no cover - parser emits only the kinds above
-            raise EngineError(f"unknown command {kind!r}")
-    return outputs, verify_failed
+    state = _RunState(json_mode, default_d)
+    outputs = [runner(state, *arguments) for runner, arguments in session.commands]
+    return outputs, state.verify_failed
 
 
 # ---------------------------------------------------------------------------
@@ -596,18 +443,17 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 with open(args.path, "r", encoding="utf-8") as fh:
                     text = fh.read()
-            session = parse_session(text)
-            outputs, verify_failed = run(session, json_mode=args.json, default_d=args.d)
-            for chunk in outputs:
-                print(chunk)
-            return EXIT_VERIFY if verify_failed else EXIT_OK
-        # verify subcommand
-        if args.target == "construction":
-            report = verify_construction(args.p, args.m)
+            outputs, verify_failed = run(
+                parse_session(text), json_mode=args.json, default_d=args.d
+            )
         else:
-            report = verify_katzman(args.p, args.e, slow=args.slow)
-        print(report.to_json())
-        return EXIT_OK if report.ok else EXIT_VERIFY
+            params = {key: getattr(args, key) for key in _VERIFY_KEYS[args.target]}
+            if getattr(args, "slow", False):
+                params["slow"] = True
+            outputs, verify_failed = run(Session(commands=[(_verify, (args.target, params))]))
+        for chunk in outputs:
+            print(chunk)
+        return EXIT_VERIFY if verify_failed else EXIT_OK
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -26,7 +26,7 @@ from . import config
 from .errors import CapExceeded, ContainmentError
 from .ideals import Ideal, intersect, maximal_ideal, saturate
 from .linalg import in_row_span, matrix_dtype, rank, rank_of_rows
-from .polyring import Monomial, PolyRing, Polynomial
+from .polyring import Monomial, PolyRing, Polynomial, monomial_mul
 
 __all__ = [
     "LengthResult",
@@ -236,21 +236,17 @@ def _monomials_up_to(ring: PolyRing, degree: int) -> list[Monomial]:
 
 
 def _span_matrix(ideal: Ideal, degree_bound: int, columns: dict[Monomial, int]):
-    dtype = matrix_dtype(ideal.ring.p)
-    rows = []
-    for g in ideal.generators:
-        room = degree_bound - g.total_degree()
-        if room < 0:
-            continue
-        for mon in _monomials_up_to(ideal.ring, room):
-            shifted = g.mul_term(mon, 1)
-            row = np.zeros(len(columns), dtype=dtype)
-            for m, c in shifted.terms:
-                row[columns[m]] = c
-            rows.append(row)
-    if not rows:
-        return np.zeros((0, len(columns)), dtype=dtype)
-    return np.vstack(rows)
+    """One row per generator multiple of degree <= bound, in `columns`."""
+    shifts = [
+        (g, mon)
+        for g in ideal.generators
+        for mon in _monomials_up_to(ideal.ring, degree_bound - g.total_degree())
+    ]
+    matrix = np.zeros((len(shifts), len(columns)), dtype=matrix_dtype(ideal.ring.p))
+    for r, (g, mon) in enumerate(shifts):
+        for m, c in g.terms:
+            matrix[r, columns[monomial_mul(m, mon)]] = c
+    return matrix
 
 
 def oracle_quotient_dimension(ideal: Ideal, degree_bound: int) -> int:

@@ -65,11 +65,15 @@ def rank_of_rows(rows: list[dict], columns: list, p: int) -> int:
 
 
 def in_row_span(matrix: np.ndarray, vector: np.ndarray, p: int) -> bool:
-    """Whether `vector` lies in the row span of `matrix` over F_p."""
-    if not vector.any():
-        return True
-    if matrix.size == 0:
-        return False
-    base = rank(matrix, p)
-    stacked = np.vstack([matrix, vector])
-    return rank(stacked, p) == base
+    """Whether `vector` lies in the row span of `matrix` over F_p.
+
+    One elimination: the vector is cleared against the echelon rows, whose
+    pivots are 1, in pivot-column order, and is in the span iff nothing is left.
+    """
+    v = np.array(vector, dtype=matrix_dtype(p)) % p
+    if matrix.size:
+        echelon, pivots = row_reduce(matrix, p)
+        for r, c in enumerate(pivots):
+            if v[c]:
+                v = (v - v[c] * echelon[r]) % p
+    return not v.any()

@@ -880,18 +880,37 @@ def normal_form(
 # ---------------------------------------------------------------------------
 # text syntax
 
-_TOKEN_CHARS = {"+", "-", "*", "^", "(", ")", ","}
+_TOKEN_CHARS = {"+", "-", "*", "^", "(", ")", ",", ";", "="}
+
+
+class ExpressionError(ValueError):
+    """Malformed expression text; `offset` is where in the text it goes wrong."""
+
+    def __init__(self, message: str, offset: int):
+        super().__init__(f"{message} at position {offset}")
+        self.message = message
+        self.offset = offset
 
 
 def tokenize_expression(text: str):
-    """Yield (kind, value, position) triples; kind in {int, name, op, end}."""
+    """Yield (kind, value, position) triples; kind in {int, name, op, end}.
+
+    The ops are `+ - * ^ ( ) , ; =`; the last two only end or separate
+    expressions, so the session language reads its statements from the same
+    token stream.  `#` starts a comment that runs to the end of the line.
+    An unknown character raises ExpressionError.
+    """
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch == "#":
+            i = text.find("\n", i)
+            if i < 0:
+                break
+        elif ch.isdigit():
             j = i
             while j < n and text[j].isdigit():
                 j += 1
@@ -907,7 +926,7 @@ def tokenize_expression(text: str):
             yield ("op", ch, i)
             i += 1
         else:
-            raise ValueError(f"unexpected character {ch!r} at position {i}")
+            raise ExpressionError(f"unexpected character {ch!r}", i)
     yield ("end", "", n)
 
 
@@ -928,10 +947,14 @@ class _ExprParser:
         self.pos += 1
         return tok
 
+    def fail(self, message: str, offset: int):
+        """Report a syntax error at `offset` in the text; every error goes here."""
+        raise ExpressionError(message, offset)
+
     def expect_op(self, op: str):
         kind, value, at = self.advance()
         if kind != "op" or value != op:
-            raise ValueError(f"expected {op!r} at position {at}, got {value!r}")
+            self.fail(f"expected {op!r}, got {value!r}", at)
 
     def parse_expr(self) -> Polynomial:
         kind, value, _ = self.peek()
@@ -968,7 +991,7 @@ class _ExprParser:
             self.advance()
             kind, value, at = self.advance()
             if kind != "int":
-                raise ValueError(f"expected integer exponent at position {at}")
+                self.fail("expected integer exponent", at)
             return base ** int(value)
         return base
 
@@ -981,14 +1004,14 @@ class _ExprParser:
                 return self.ring.gen(value)
             if value in self.names:
                 return self.names[value].resorted(self.ring)
-            raise ValueError(f"unknown name {value!r} at position {at}")
+            self.fail(f"unknown name {value!r}", at)
         if kind == "op" and value == "(":
             inner = self.parse_expr()
             self.expect_op(")")
             return inner
         if kind == "op" and value == "-":
             return -self.parse_factor()
-        raise ValueError(f"unexpected token {value!r} at position {at}")
+        self.fail(f"unexpected token {value!r}", at)
 
 
 def parse_polynomial(
@@ -996,12 +1019,13 @@ def parse_polynomial(
 ) -> Polynomial:
     """Parse an expression like `3*s^2*x*y^4 + x - 7` into `ring`.
 
-    `names` supplies bindings for non-variable identifiers (used by the CLI to
-    resolve previously declared polynomials).
+    `names` supplies bindings for non-variable identifiers.  A `#` comment may
+    follow the expression.  Malformed text raises ExpressionError, a
+    ValueError whose message ends in `at position N`.
     """
     parser = _ExprParser(ring, tokenize_expression(text), names)
     result = parser.parse_expr()
     kind, value, at = parser.peek()
     if kind != "end":
-        raise ValueError(f"trailing input {value!r} at position {at}")
+        parser.fail(f"trailing input {value!r}", at)
     return result

@@ -73,14 +73,15 @@ class SequenceReport:
     def running_min(self) -> Fraction:
         return min(self.scaled_values())
 
+    def csv_rows(self) -> list[str]:
+        return [
+            f"{self.kind},{entry.e},{entry.q},{entry.raw},"
+            f"{entry.scaled.numerator},{entry.scaled.denominator}"
+            for entry in self.entries
+        ]
+
     def to_csv(self) -> str:
-        lines = ["kind,e,q,raw,scaled_num,scaled_den"]
-        for entry in self.entries:
-            lines.append(
-                f"{self.kind},{entry.e},{entry.q},{entry.raw},"
-                f"{entry.scaled.numerator},{entry.scaled.denominator}"
-            )
-        return "\n".join(lines)
+        return "\n".join(["kind,e,q,raw,scaled_num,scaled_den", *self.csv_rows()])
 
     def to_json(self) -> str:
         payload = {

@@ -73,6 +73,130 @@ def test_parse_one_ring_per_session():
         parse_session("ring p=3 vars=x order=lex;\nring p=5 vars=y order=lex;\n")
 
 
+
+EVERY_STATEMENT = """\
+# every statement form, with comments
+ring p=3 vars=s,x,y order=lex;   # the ambient ring
+poly G = x*y*(x-y)*(x+y-s*y);
+poly F = -(x + y)^2 + 3*s - 2;   # constants reduce mod p
+ideal J = x^3, y^3;
+ideal I = x^3, x^2*y, x*y^2, y^3;
+ideal M = s, x, y;
+gb J;
+nf F J;
+member G J;
+colon I x;
+colon J M;
+colon J G;
+intersect J I;
+saturate I x;
+saturate J M;
+bracket J 1;
+length J;
+gamma_length J I;
+seq hk M e_max=1;
+seq rjj J I e_max=2 d=2 mod=G;
+seq sjj J I e_max=2 d=1 mod=G;
+seq vjj J I e_max=1;
+seq lf J e_max=1;
+seq fdiff J I e_max=1 mod=G;
+sandwich J I n=1 mod=G;
+sandwich J I n=0;
+verify construction p=3 m=4;
+verify katzman p=3 e=2 slow;
+verify katzman p=5 e=1;
+"""
+
+EVERY_STATEMENT_PRETTY = """\
+ring p=3 vars=s,x,y order=lex;
+poly G = 2*s*x^2*y^2 + s*x*y^3 + x^3*y + 2*x*y^3;
+poly F = 2*x^2 + x*y + 2*y^2 + 1;
+ideal J = x^3, y^3;
+ideal I = x^3, x^2*y, x*y^2, y^3;
+ideal M = s, x, y;
+gb J;
+nf F J;
+member G J;
+colon I x;
+colon J M;
+colon J G;
+intersect J I;
+saturate I x;
+saturate J M;
+bracket J 1;
+length J;
+gamma_length J I;
+seq hk M e_max=1;
+seq rjj J I e_max=2 d=2 mod=G;
+seq sjj J I e_max=2 d=1 mod=G;
+seq vjj J I e_max=1;
+seq lf J e_max=1;
+seq fdiff J I e_max=1 mod=G;
+sandwich J I n=1 mod=G;
+sandwich J I n=0;
+verify construction p=3 m=4;
+verify katzman p=3 e=2 slow;
+verify katzman p=5 e=1;"""
+
+
+def test_every_statement_form_round_trips():
+    # parsing only: nothing here runs a command
+    session = parse_session(EVERY_STATEMENT)
+    assert session.pretty() == EVERY_STATEMENT_PRETTY
+    assert parse_session(session.pretty()).pretty() == session.pretty()
+
+
+def test_readme_session_syntax_round_trips():
+    import pathlib
+
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    cli_section = readme.read_text().split("## The CLI", 1)[1].split("\n## ", 1)[0]
+    text = cli_section.split("```text\n", 1)[1].split("```", 1)[0]
+    session = parse_session(text)
+    statements = [line for line in text.splitlines() if line.split("#", 1)[0].strip()]
+    assert len(session.statements) == len(statements) > 10
+    assert parse_session(session.pretty()).pretty() == session.pretty()
+
+
+def _parse_error(text: str, tmp_path, capsys) -> str:
+    path = tmp_path / "bad.hk"
+    path.write_text(text)
+    assert main(["run", str(path)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ")
+    return err[len("parse error: "):]
+
+
+@pytest.mark.parametrize(
+    "text, location",
+    [
+        ("ring p=x vars=x,y order=lex;", "1:8: "),
+        ("ring p=3 vars=x,y order=lex;\nideal I = x, y;\nseq hk I e_max=abc;", "3:16: "),
+        ("verify construction p=x m=4;", "1:23: "),
+        ("ring p=3317044064679887385961981 vars=x order=lex;", "1:1: "),
+        ("ring p=3 vars=x,x order=lex;", "1:1: variables must be distinct"),
+    ],
+    ids=["ring-p", "seq-e_max", "verify-p", "p-past-primality-bound", "repeated-variable"],
+)
+def test_malformed_value_is_a_located_parse_error(text, location, tmp_path, capsys):
+    assert _parse_error(text, tmp_path, capsys).startswith(location)
+
+
+@pytest.mark.parametrize(
+    "statement, expected",
+    [
+        ("poly F = (x + y;", "2:16: expected ')'"),
+        ("poly F = x +* y;", "2:13: unexpected token '*'"),
+        ("ideal E = x, y w;", "2:16: expected ';'"),
+        ("ideal E = x, w;", "2:14: unknown name 'w'"),
+        ("poly F = x $ y;", "2:12: unexpected character '$'"),
+    ],
+)
+def test_expression_errors_point_at_the_offending_token(statement, expected, tmp_path, capsys):
+    text = f"ring p=3 vars=x,y order=lex;\n{statement}\n"
+    assert _parse_error(text, tmp_path, capsys).startswith(expected)
+
+
 # -- running ----------------------------------------------------------------------
 
 def test_run_katzman_sequence_rows():
@@ -153,6 +277,24 @@ def test_run_lf_csv_rows():
     kinds = {line.split(",")[0] for line in lines[1:]}
     assert kinds == {"le", "fe"}
 
+
+
+@pytest.mark.parametrize(
+    "suffix, rows",
+    [
+        ("", "le,0,1,16,16,1\nle,1,3,144,16,1\nfe,0,1,2,2,1\nfe,1,3,18,2,1\nfe,2,9,162,2,1"),
+        (" d=1", "le,0,1,16,16,1\nle,1,3,144,48,1\nfe,0,1,2,2,1\nfe,1,3,18,6,1\nfe,2,9,162,18,1"),
+    ],
+    ids=["default-d", "d=1"],
+)
+def test_run_lf_golden_bytes(suffix, rows):
+    session = parse_session(
+        f"ring p=3 vars=x,y order=lex;\nideal M = x, y^2;\nseq lf M e_max=2{suffix};\n"
+    )
+    assert run(session)[0] == ["kind,e,q,raw,scaled_num,scaled_den\n" + rows]
+    assert run(session, json_mode=True)[0] == [
+        '{"f": [2, 18, 162], "kind": "lf", "l": [2, 16, 144]}'
+    ]
 
 def test_run_verify_statement():
     session = parse_session("verify construction p=3 m=4;")

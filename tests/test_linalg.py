@@ -3,7 +3,7 @@ import random
 import numpy as np
 
 from hkforge import Ideal, PolyRing, finite_colength_length, oracle_quotient_dimension, subquotient_length
-from hkforge.linalg import rank, rank_of_rows
+from hkforge.linalg import in_row_span, rank, rank_of_rows
 
 # the least prime above 2**32: products of two residues overflow int64
 BIG_P = 4294967311
@@ -46,3 +46,25 @@ def test_length_routes_agree_beyond_int64_products():
     assert oracle_quotient_dimension(j_ideal, 8) == expected
     u_ideal = Ideal(ring, [ring.one()])
     assert subquotient_length(u_ideal, j_ideal, method="rank").value == expected
+
+
+def test_in_row_span_members_and_non_members():
+    p = 7
+    matrix = np.array([[1, 2, 0, 3], [0, 0, 1, 5], [2, 4, 1, 1]], dtype=np.int64)
+    inside = (3 * matrix[0] + 6 * matrix[1]) % p
+    assert in_row_span(matrix, inside, p)
+    assert not in_row_span(matrix, np.array([0, 1, 0, 0], dtype=np.int64), p)
+    assert in_row_span(matrix, np.zeros(4, dtype=np.int64), p)
+
+
+def test_in_row_span_of_an_empty_matrix():
+    empty = np.zeros((0, 3), dtype=np.int64)
+    assert in_row_span(empty, np.zeros(3, dtype=np.int64), 5)
+    assert not in_row_span(empty, np.array([0, 0, 1], dtype=np.int64), 5)
+
+
+def test_in_row_span_exact_beyond_int64_products():
+    p = BIG_P
+    matrix = np.array([[1, p - 2, 0], [0, 0, 1]], dtype=object)
+    assert in_row_span(matrix, np.array([p - 2, (p - 2) ** 2 % p, 5], dtype=object), p)
+    assert not in_row_span(matrix, np.array([p - 2, (p - 2) ** 2 % p + 1, 5], dtype=object), p)
