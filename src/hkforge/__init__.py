@@ -28,8 +28,6 @@ from .polyring import (
     PrimeField,
     compare_monomials,
     division,
-    frobenius_power,
-    leading_term,
     normal_form,
     parse_polynomial,
 )

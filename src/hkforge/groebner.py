@@ -30,7 +30,6 @@ from .polyring import (
     monomial_lcm,
     normal_form,
     packing_for,
-    packing_width,
 )
 
 
@@ -171,7 +170,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder | None = None) -
         live[0]._check(g)
     if order is None:
         order = ring.order
-    width = packing_width(max(g.total_degree() for g in live))
+    width = max(g.packing.width for g in live)
     while True:
         pk = packing_for(order, ring.nvars, width)
         try:
@@ -180,15 +179,14 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder | None = None) -
         except _Overflow:
             width *= 2
     work = ring.with_order(order)
-    elements = tuple(Polynomial(work, pk.unpack_terms(t)) for t in reduced)
-    return GroebnerBasis(elements, order, reduced=True)
+    return GroebnerBasis(tuple(Polynomial(work, pk, t) for t in reduced), order, reduced=True)
 
 
 def _packed_buchberger(packing: Packing, gens: list[Polynomial], p: int, inv):
     """`buchberger` on packed terms: the reduced basis as term lists."""
     table = []
     for g in gens:
-        terms = packing.pack_terms(g.terms)
+        terms = packing.repack(g.packed, g.packing)
         if terms[0][1] != 1:
             c = inv(terms[0][1])
             terms = [(m, k * c % p) for m, k in terms]

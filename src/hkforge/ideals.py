@@ -216,18 +216,10 @@ def intersect(a: Ideal, b: Ideal) -> Ideal:
     aux = PolyRing(ring.p, (_fresh_variable(ring),) + ring.variables, Block(1, ring.order))
     t = aux.gen(aux.variables[0])
     one_minus_t = aux.one() - t
-
-    def lift(f: Polynomial) -> Polynomial:
-        return aux.polynomial({(0,) + m: c for m, c in f.terms})
-
-    gens = [t * lift(g) for g in a.generators]
-    gens += [one_minus_t * lift(g) for g in b.generators]
+    gens = [t * aux.rebase(g) for g in a.generators]
+    gens += [one_minus_t * aux.rebase(g) for g in b.generators]
     basis = buchberger(gens, aux.order)
-
-    contracted = []
-    for g in basis:
-        if g.leading_monomial(aux.order)[0] == 0:
-            contracted.append(ring.polynomial({m[1:]: c for m, c in g.terms}))
+    contracted = [ring.rebase(g) for g in basis if not g.leading_monomial()[0]]
     result = Ideal(ring, contracted)
     result.seed_basis(GroebnerBasis(tuple(contracted), ring.order, reduced=True))
     return result

@@ -1,16 +1,17 @@
 """Exact multivariate polynomial arithmetic over a prime field F_p.
 
-Monomials are exponent tuples, one slot per ring variable.  A polynomial is an
-immutable list of (monomial, coefficient) terms kept strictly descending under
-the ring's monomial order, with coefficients fully reduced into [1, p).  All
+A polynomial stores its terms once, as (packed monomial, coefficient) pairs:
+each monomial is one int (`Packing`) whose integer order is the ring's
+monomial order, the list is strictly descending, and coefficients are fully
+reduced into [1, p).  Arithmetic, division and Buchberger's algorithm all run
+on these ints.  Exponent tuples, one slot per ring variable, are the public
+form of a monomial: `Polynomial.terms` unpacks them on first read.  All
 operations are pure; values are safe to share freely.
 
 The heart of the module is the division algorithm (`division` /
 `normal_form`): divide by the first usable divisor in list order, always
 rewriting the largest reducible term, so remainders and quotient certificates
-are reproducible bit for bit.  Division and Buchberger's algorithm work on
-monomials packed into single ints (`Packing`), converted only on the way in
-and out; the public values above keep exponent tuples.
+are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -72,12 +73,6 @@ class PrimeField:
             raise ValueError(f"p must be prime, got {p}")
         self.p = p
 
-    def __call__(self, a: int) -> int:
-        return a % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
-
     def inv(self, a: int) -> int:
         a %= self.p
         if a == 0:
@@ -119,19 +114,16 @@ def monomial_divides(b: Monomial, a: Monomial) -> bool:
     return all(x >= y for x, y in zip(a, b))
 
 
-def monomial_degree(a: Monomial) -> int:
-    return sum(a)
-
-
 # ---------------------------------------------------------------------------
 # monomial orders
 
 class MonomialOrder:
     """Total multiplicative order on monomials with 1 minimal.
 
-    Subclasses provide `key`, mapping a monomial to a tuple that sorts the way
-    the order compares.  `priority` optionally permutes variables before the
-    key is formed; the default reads the ring's declared variable order as the
+    A subclass defines the order once, by its `_fields` layout; `key` and
+    `Packing` both read it, so tuple and packed comparisons agree by
+    construction.  `priority` optionally permutes variables before the layout
+    is formed; the default reads the ring's declared variable order as the
     priority (first variable largest for lex).
     """
 
@@ -145,14 +137,20 @@ class MonomialOrder:
             return mon
         return tuple(mon[i] for i in self.priority)
 
-    def key(self, mon: Monomial):
-        raise NotImplementedError
+    def key(self, mon: Monomial) -> tuple:
+        """A tuple that sorts the way the order compares: per field of the
+        layout, the degree of its variables, minus a `rev` exponent, or a
+        `lex` exponent."""
+        return tuple(
+            mon[arg] if kind == "lex" else -mon[arg] if kind == "rev" else sum(mon[i] for i in arg)
+            for kind, arg in self._fields(tuple(range(len(mon))))
+        )
 
     def _fields(self, variables: tuple[int, ...]) -> list[tuple[str, object]]:
-        """The `Packing` layout on `variables`, most significant field first:
-        ("lex", i) for an exponent compared ascending, ("rev", i) for one
-        compared in reverse, ("degree", vars) for the degree of vars, whose
-        fields follow it directly."""
+        """The layout on `variables`, most significant field first: ("lex", i)
+        for an exponent compared ascending, ("rev", i) for one compared in
+        reverse, ("degree", vars) for the degree of vars, whose fields follow
+        it directly."""
         raise NotImplementedError
 
     def compare(self, a: Monomial, b: Monomial) -> int:
@@ -169,7 +167,9 @@ class MonomialOrder:
         return (self.kind, self.priority)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, MonomialOrder) and other._ident() == self._ident()
+        return other is self or (
+            isinstance(other, MonomialOrder) and other._ident() == self._ident()
+        )
 
     def __hash__(self) -> int:
         return hash(self._ident())
@@ -184,19 +184,12 @@ class MonomialOrder:
 class Lex(MonomialOrder):
     kind = "lex"
 
-    def key(self, mon: Monomial):
-        return self._permute(mon)
-
     def _fields(self, variables):
         return [("lex", i) for i in self._permute(variables)]
 
 
 class DegRevLex(MonomialOrder):
     kind = "degrevlex"
-
-    def key(self, mon: Monomial):
-        m = self._permute(mon)
-        return (sum(m), tuple(-e for e in reversed(m)))
 
     def _fields(self, variables):
         m = self._permute(variables)
@@ -217,9 +210,6 @@ class Block(MonomialOrder):
             raise ValueError("block order needs at least one elimination variable")
         self.elim = elim
         self.inner = inner
-
-    def key(self, mon: Monomial):
-        return (mon[: self.elim], self.inner.key(mon[self.elim :]))
 
     def _fields(self, variables):
         return [("lex", i) for i in variables[: self.elim]] + self.inner._fields(
@@ -273,47 +263,62 @@ class PolyRing:
 
     # -- construction -------------------------------------------------------
 
+    def _exponents(self, mon: Sequence[int]) -> Monomial:
+        """`mon` as an exponent tuple of this ring, checked."""
+        mon = tuple(mon)
+        if len(mon) != self.nvars:
+            raise DimensionError(f"monomial {mon} has {len(mon)} slots, ring has {self.nvars}")
+        if min(mon) < 0:
+            raise ValueError(f"negative exponent in {mon}")
+        return mon
+
     def polynomial(self, coeffs: Mapping[Monomial, int] | Iterable[Term]) -> "Polynomial":
+        """The polynomial with these coefficients, packed at the width its
+        largest degree derives."""
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         acc: dict[Monomial, int] = {}
-        n = self.nvars
         for mon, c in items:
-            if len(mon) != n:
-                raise DimensionError(f"monomial {mon} has {len(mon)} slots, ring has {n}")
-            if any(e < 0 for e in mon):
-                raise ValueError(f"negative exponent in {mon}")
+            mon = self._exponents(mon)
             acc[mon] = (acc.get(mon, 0) + c) % self.p
-        terms = tuple(
-            (m, c)
-            for m, c in sorted(acc.items(), key=lambda t: self.order.key(t[0]), reverse=True)
-            if c != 0
-        )
-        return Polynomial(self, terms)
+        terms = [t for t in acc.items() if t[1]]
+        top = max((sum(m) for m, _ in terms), default=0)
+        pk = packing_for(self.order, self.nvars, packing_width(top))
+        return Polynomial(self, pk, pk.pack_terms(terms))
 
     def zero(self) -> "Polynomial":
-        return Polynomial(self, ())
+        return self.polynomial(())
 
     def one(self) -> "Polynomial":
         return self.constant(1)
 
     def constant(self, c: int) -> "Polynomial":
-        c %= self.p
-        if c == 0:
-            return self.zero()
-        return Polynomial(self, (((0,) * self.nvars, c),))
+        return self.polynomial((((0,) * self.nvars, c),))
 
     def gen(self, name: str) -> "Polynomial":
         i = self._var_index[name]
-        mon = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return Polynomial(self, ((mon, 1),))
+        return self.polynomial(((tuple(int(j == i) for j in range(self.nvars)), 1),))
 
     def gens(self) -> tuple["Polynomial", ...]:
         return tuple(self.gen(v) for v in self.variables)
 
     def monomial(self, *exponents: int) -> "Polynomial":
-        if len(exponents) != self.nvars:
-            raise DimensionError(f"expected {self.nvars} exponents, got {len(exponents)}")
-        return Polynomial(self, ((tuple(exponents), 1),))
+        return self.polynomial(((exponents, 1),))
+
+    def rebase(self, f: "Polynomial") -> "Polynomial":
+        """f moved, without repacking, between a ring and its extension by a
+        first variable t compared lex ahead of the ring's order (as in
+        `Block(1, order)`): t's field sits above the others at the same
+        width, so a t-free monomial packs to the same int in both rings."""
+        big, small = (f.ring, self) if f.ring.nvars > self.nvars else (self, f.ring)
+        n = small.nvars
+        if big.p != small.p or big.variables[1:] != small.variables or big.order._fields(
+            tuple(range(n + 1))
+        ) != [("lex", 0)] + small.order._fields(tuple(range(1, n + 1))):
+            raise RingMismatch(f"{self!r} does not extend {f.ring!r} or the other way round")
+        pk = f.packing
+        if big is f.ring and f.packed and f.packed[0][0] >> pk.shifts[0]:
+            raise ValueError(f"{f} involves {big.variables[0]}")
+        return Polynomial(self, packing_for(self.order, self.nvars, pk.width), f.packed)
 
     def parse(self, text: str, names: Mapping[str, "Polynomial"] | None = None) -> "Polynomial":
         """Parse `3*s^2*x*y^4 - x + 7`-style expressions; see parse_polynomial."""
@@ -339,51 +344,71 @@ class PolyRing:
 class Polynomial:
     """Immutable element of a PolyRing.
 
-    `terms` is a tuple of (monomial, coefficient) pairs, strictly descending
-    under the ring's order, with no zero coefficients.  Equality and hashing
-    are mathematical: they ignore the order the terms happen to be sorted by.
+    `packed` holds the terms as (packed monomial, coefficient) pairs under
+    `packing`, a `Packing` of the ring's order, strictly descending, with no
+    zero coefficients.  `terms` is the same list with exponent tuples,
+    unpacked on first read.  Equality and hashing are mathematical: they
+    ignore the order and width the terms happen to be packed in.
     """
 
-    __slots__ = ("ring", "terms", "_hash")
+    __slots__ = ("ring", "packing", "packed", "_terms", "_top", "_hash")
 
-    def __init__(self, ring: PolyRing, terms: tuple[Term, ...]):
+    def __init__(self, ring: PolyRing, packing: "Packing", packed: list[tuple[int, int]]):
         self.ring = ring
-        self.terms = terms
+        self.packing = packing
+        self.packed = packed
+        self._terms: tuple[Term, ...] | None = None
+        self._top: int | None = None
         self._hash: int | None = None
+
+    @property
+    def terms(self) -> tuple[Term, ...]:
+        """(exponent tuple, coefficient) pairs, descending under the ring's order."""
+        if self._terms is None:
+            self._terms = self.packing.unpack_terms(self.packed)
+        return self._terms
+
+    def _bound(self) -> int:
+        """The field-wise max of the plain monomials (see `Packing.top`)."""
+        if self._top is None:
+            self._top = self.packing.top(self.packed)
+        return self._top
+
+    def _at(self, pk: "Packing") -> "Polynomial":
+        """This polynomial under `pk`, a packing of the ring's order at least
+        as wide as its own."""
+        if pk == self.packing:
+            return self
+        return Polynomial(self.ring, pk, pk.repack(self.packed, self.packing))
 
     # -- inspection ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.packed)
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.packed)
 
     def coefficient(self, mon: Monomial) -> int:
-        for m, c in self.terms:
-            if m == mon:
-                return c
-        return 0
+        return self.as_dict().get(tuple(mon), 0)
 
     def as_dict(self) -> dict[Monomial, int]:
         return dict(self.terms)
 
     def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(monomial_degree(m) for m, _ in self.terms)
+        return max((sum(m) for m, _ in self.terms), default=-1)
 
     def leading_term(self, order: MonomialOrder | None = None) -> tuple[int, Monomial]:
         """(coefficient, monomial) of the maximal term; ZeroPolynomial on 0."""
-        if not self.terms:
+        if not self.packed:
             raise ZeroPolynomial("the zero polynomial has no leading term")
         if order is None or order == self.ring.order:
-            m, c = self.terms[0]
-        else:
-            m, c = max(self.terms, key=lambda t: order.key(t[0]))
+            m, c = self.packed[0]
+            return c, self.packing.unpack(m)
+        m, c = max(self.terms, key=lambda t: order.key(t[0]))
         return c, m
 
     def leading_monomial(self, order: MonomialOrder | None = None) -> Monomial:
@@ -393,12 +418,12 @@ class Polynomial:
         return self.leading_term(order)[0]
 
     def is_monomial(self) -> bool:
-        return len(self.terms) == 1
+        return len(self.packed) == 1
 
     def monic(self) -> "Polynomial":
-        if not self.terms:
+        if not self.packed:
             return self
-        c = self.terms[0][1]
+        c = self.packed[0][1]
         if c == 1:
             return self
         return self.scale(self.ring.field.inv(c))
@@ -411,53 +436,69 @@ class Polynomial:
 
     def _coerce(self, other) -> "Polynomial | None":
         if isinstance(other, Polynomial):
-            self._check(other)
+            if other.ring is not self.ring:
+                self._check(other)
+                if other.ring.order != self.ring.order:
+                    other = other.resorted(self.ring)
             return other
         if isinstance(other, int):
             return self.ring.constant(other)
         return None
 
+    def _aligned(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
+        """Both operands under the wider of their two packings."""
+        pk = self.packing if self.packing.width >= other.packing.width else other.packing
+        return self._at(pk), other._at(pk)
+
+    def _minus(self, other: "Polynomial", c: int) -> "Polynomial":
+        """self - c * other, for 0 < c < p, by one merge."""
+        a, b = self._aligned(other)
+        terms = _merge_sub(a.packed, 0, b.packed, 0, c, self.ring.p)
+        return Polynomial(self.ring, a.packing, terms)
+
     def __add__(self, other) -> "Polynomial":
         g = self._coerce(other)
         if g is None:
             return NotImplemented
-        acc = dict(self.terms)
-        p = self.ring.p
-        for m, c in g.terms:
-            acc[m] = (acc.get(m, 0) + c) % p
-        return self.ring.polynomial(acc)
+        return self._minus(g, self.ring.p - 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        p = self.ring.p
-        return Polynomial(self.ring, tuple((m, p - c) for m, c in self.terms))
+        return self.scale(-1)
 
     def __sub__(self, other) -> "Polynomial":
         g = self._coerce(other)
         if g is None:
             return NotImplemented
-        return self + (-g)
+        return self._minus(g, 1)
 
     def __rsub__(self, other) -> "Polynomial":
         g = self._coerce(other)
         if g is None:
             return NotImplemented
-        return g + (-self)
+        return g._minus(self, 1)
 
     def __mul__(self, other) -> "Polynomial":
+        if isinstance(other, int):
+            return self.scale(other)
         g = self._coerce(other)
         if g is None:
             return NotImplemented
-        if isinstance(other, int):
-            return self.scale(other)
-        acc: dict[Monomial, int] = {}
-        p = self.ring.p
-        for m1, c1 in self.terms:
-            for m2, c2 in g.terms:
-                m = monomial_mul(m1, m2)
-                acc[m] = (acc.get(m, 0) + c1 * c2) % p
-        return self.ring.polynomial(acc)
+        if not self.packed or not g.packed:
+            return self.ring.zero()
+        a, b = self._aligned(g)
+        # a * b packs to a + b - flip; no field may carry into its guard bit
+        while (a._bound() + b._bound()) & a.packing.guard:
+            pk = packing_for(self.ring.order, self.ring.nvars, 2 * a.packing.width)
+            a, b = a._at(pk), b._at(pk)
+        if len(a) < len(b):
+            a, b = b, a
+        # one merge per term of the shorter operand; a shift keeps term order
+        pk, p, terms = a.packing, self.ring.p, []
+        for mb, cb in b.packed:
+            terms = _merge_sub(terms, 0, a.packed, mb - pk.flip, p - cb, p)
+        return Polynomial(self.ring, pk, terms)
 
     __rmul__ = __mul__
 
@@ -468,7 +509,7 @@ class Polynomial:
         if c == 1:
             return self
         p = self.ring.p
-        return Polynomial(self.ring, tuple((m, (k * c) % p) for m, k in self.terms))
+        return Polynomial(self.ring, self.packing, [(m, k * c % p) for m, k in self.packed])
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
@@ -484,13 +525,16 @@ class Polynomial:
 
     def mul_term(self, mon: Monomial, c: int) -> "Polynomial":
         """Multiply by the single term c * x^mon (order of terms is preserved)."""
-        c %= self.ring.p
-        if c == 0:
-            return self.ring.zero()
-        p = self.ring.p
-        return Polynomial(
-            self.ring, tuple((monomial_mul(m, mon), (k * c) % p) for m, k in self.terms)
-        )
+        mon, p, pk = self.ring._exponents(mon), self.ring.p, self.packing
+        c %= p
+        # when the product fits, it shifts every packed term by one constant;
+        # the degree bounds every field of mon, so then mon packs exactly
+        if c and self.packed and sum(mon) <= pk.mask:
+            t = pk.pack(mon)
+            if not ((t ^ pk.flip) + self._bound()) & pk.guard:
+                shift = t - pk.flip
+                return Polynomial(self.ring, pk, [(m + shift, k * c % p) for m, k in self.packed])
+        return self * self.ring.monomial(*mon).scale(c)
 
     def frobenius(self, e: int) -> "Polynomial":
         """The p^e-th power: term-wise exponent scaling, coefficients fixed.
@@ -502,9 +546,7 @@ class Polynomial:
         if e == 0:
             return self
         q = self.ring.p**e
-        return Polynomial(
-            self.ring, tuple((tuple(q * a for a in m), c) for m, c in self.terms)
-        )
+        return self.ring.polynomial([(tuple(q * a for a in m), c) for m, c in self.terms])
 
     def resorted(self, ring: PolyRing) -> "Polynomial":
         """The same polynomial, re-normalized into a compatible ring."""
@@ -512,7 +554,7 @@ class Polynomial:
             return self
         if not self.ring.compatible(ring):
             raise RingMismatch(f"{self.ring!r} vs {ring!r}")
-        return ring.polynomial(dict(self.terms))
+        return ring.polynomial(self.terms)
 
     # -- identity -----------------------------------------------------------
 
@@ -521,11 +563,11 @@ class Polynomial:
             return self == self.ring.constant(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return (
-            self.ring.p == other.ring.p
-            and self.ring.variables == other.ring.variables
-            and dict(self.terms) == dict(other.terms)
-        )
+        if self.ring.p != other.ring.p or self.ring.variables != other.ring.variables:
+            return False
+        if self.packing == other.packing:
+            return self.packed == other.packed
+        return dict(self.terms) == dict(other.terms)
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -538,7 +580,7 @@ class Polynomial:
         return f"<{self} over F_{self.ring.p}>"
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.packed:
             return "0"
         parts = []
         for mon, c in self.terms:
@@ -554,14 +596,6 @@ class Polynomial:
         return " + ".join(parts)
 
 
-def frobenius_power(f: Polynomial, e: int) -> Polynomial:
-    return f.frobenius(e)
-
-
-def leading_term(f: Polynomial, order: MonomialOrder | None = None) -> tuple[int, Monomial]:
-    return f.leading_term(order)
-
-
 # ---------------------------------------------------------------------------
 # packed monomials
 
@@ -569,8 +603,8 @@ class _Overflow(Exception):
     """A product would not fit its packed fields; the caller repacks wider."""
 
 
-# Spare bits per field above the inputs' largest exponent or degree, so that
-# the products a reduction forms seldom force a repack.
+# Spare bits per field above a polynomial's largest degree, so that the
+# products arithmetic and reduction form seldom force a repack.
 _HEADROOM = 2
 
 
@@ -593,13 +627,14 @@ class Packing:
     - the lcm is the field-wise max of the plain ints (`plain_max`), with
       the degree field summed afresh (`with_degree`).
 
-    No field ever wraps: the core tests the guard bits before it forms a
-    product, raises `_Overflow` when one would carry, and its caller repacks
-    at twice the width and starts again.
+    No field ever wraps: arithmetic and the core test the guard bits before
+    they form a product, and on a carry (`_Overflow` in the core) repack at
+    twice the width and start again.  Two packings are equal when their
+    `layout`s are, whatever order object they were built from.
     """
 
     __slots__ = (
-        "width", "mask", "shifts", "guard", "flip", "exponents",
+        "order", "layout", "width", "mask", "shifts", "guard", "flip", "exponents",
         "_deg_vars", "_deg_shift", "_sum_low", "_sum_spread", "_sum_top", "_field_mask",
     )
 
@@ -609,6 +644,8 @@ class Packing:
         if placed != list(range(nvars)):
             raise ValueError(f"order {order.describe()} does not rank all {nvars} variables once")
         step = width + 1
+        self.order = order
+        self.layout = (width, tuple(fields))
         self.width = width
         self.mask = (1 << width) - 1
         self.shifts = [0] * nvars
@@ -632,6 +669,9 @@ class Packing:
                 if kind == "rev":
                     self.flip |= self.mask << shift
 
+    def __eq__(self, other) -> bool:
+        return other is self or (isinstance(other, Packing) and other.layout == self.layout)
+
     def pack(self, mon: Monomial) -> int:
         e = 0
         for x, s in zip(mon, self.shifts):
@@ -653,6 +693,17 @@ class Packing:
         unpack = self.unpack
         return tuple((unpack(m), c) for m, c in terms)
 
+    def repack(self, terms: list[tuple[int, int]], src: "Packing") -> list[tuple[int, int]]:
+        """Descending terms of packing `src` in this one.  Widening always
+        fits; another layout raises `_Overflow` when a degree does not."""
+        if src == self:
+            return terms
+        mons = src.unpack_terms(terms)
+        widening = src.layout[1] == self.layout[1] and src.width <= self.width
+        if not widening and any(sum(m) > self.mask for m, _ in mons):
+            raise _Overflow
+        return self.pack_terms(mons)
+
     def plain_max(self, a: int, b: int) -> int:
         """Field-wise max of two plain ints (SWAR: a guard bit survives
         (a | guard) - b exactly in the fields where a >= b)."""
@@ -670,14 +721,18 @@ class Packing:
             e |= d << self._deg_shift
         return e
 
-    def reducer(self, terms: list[tuple[int, int]], lcinv: int) -> tuple:
-        """Division table entry of a descending packed term list: (plain
-        lead, inverse lead coefficient, terms, field-wise max of the plain
-        terms, which bounds every product formed from them)."""
+    def top(self, terms: Iterable[tuple[int, int]]) -> int:
+        """The field-wise max of the plain monomials of `terms`: a product
+        with plain(b) fits iff top + plain(b) sets no guard bit."""
         flip, top = self.flip, 0
         for m, _ in terms:
             top = self.plain_max(top, m ^ flip)
-        return (terms[0][0] ^ flip, lcinv, terms, top)
+        return top
+
+    def reducer(self, terms: list[tuple[int, int]], lcinv: int) -> tuple:
+        """Division table entry of a descending packed term list: (plain
+        lead, inverse lead coefficient, terms, `top` of the terms)."""
+        return (terms[0][0] ^ self.flip, lcinv, terms, self.top(terms))
 
 
 @functools.lru_cache(maxsize=64)
@@ -686,8 +741,9 @@ def packing_for(order: MonomialOrder, nvars: int, width: int) -> Packing:
 
 
 def packing_width(top: int) -> int:
-    """The field width for exponents and degrees up to `top`."""
-    return max(top, 1).bit_length() + _HEADROOM
+    """The field width for exponents and degrees up to `top`, a multiple of 8
+    so that most polynomials share one packing."""
+    return -(-(max(top, 1).bit_length() + _HEADROOM) // 8) * 8
 
 
 def _merge_sub(h: list, start: int, g: list, delta: int, c: int, p: int) -> list:
@@ -770,39 +826,34 @@ class DivisorTable:
     """Divisors under one order, packed on first use and kept for reuse.
 
     A `GroebnerBasis` holds one, so that repeated normal forms against it
-    pack the basis once; it is packed again, wider, only when a dividend or
-    a product does not fit.
+    pack the basis once.  Divisors already packed under the order are taken
+    as they are; the table is packed again, wider, only when a dividend or a
+    product does not fit.
     """
 
-    __slots__ = ("divisors", "order", "_top", "_packing", "_entries")
+    __slots__ = ("divisors", "order", "_width", "_packing", "_entries")
 
     def __init__(self, divisors: Sequence[Polynomial], order: MonomialOrder):
         self.divisors = tuple(divisors)
         self.order = order
-        self._top: int | None = None
+        self._width = max((g.packing.width for g in self.divisors), default=0)
         self._packing: Packing | None = None
         self._entries: list[tuple] = []
 
     def __len__(self) -> int:
         return len(self.divisors)
 
-    def top(self) -> int:
-        """The largest total degree among the divisors."""
-        if self._top is None:
-            self._top = max((g.total_degree() for g in self.divisors), default=0)
-        return self._top
-
     def packed(self, nvars: int, width: int) -> tuple[Packing, list[tuple]]:
         """The packing of at least `width` bits per field, and the entries."""
         if self._packing is None or self._packing.width < width:
             if any(g.is_zero() for g in self.divisors):
                 raise ZeroPolynomial("cannot divide by the zero polynomial")
-            pk = packing_for(self.order, nvars, width)
+            pk = packing_for(self.order, nvars, max(width, self._width))
             entries = []
             for g in self.divisors:
-                terms = pk.pack_terms(g.terms)
+                terms = pk.repack(g.packed, g.packing)
                 entries.append(pk.reducer(terms, g.ring.field.inv(terms[0][1])))
-            self._packing, self._entries = pk, entries
+            self._packing, self._entries, self._width = pk, entries, pk.width
         return self._packing, self._entries
 
 
@@ -812,22 +863,22 @@ def _divide(f: Polynomial, table: DivisorTable, with_quotients: bool):
     for g in table.divisors:
         if g.ring is not f.ring:
             f._check(g)
-    width = packing_width(max(f.total_degree(), table.top()))
+    width = f.packing.width
     while True:
-        pk, entries = table.packed(f.ring.nvars, width)
-        quotients = [{} for _ in entries] if with_quotients else None
         try:
+            pk, entries = table.packed(f.ring.nvars, width)
+            quotients = [{} for _ in entries] if with_quotients else None
             return pk, quotients, _reduce_sorted(
-                pk.pack_terms(f.terms), entries, pk, f.ring.p, quotients
+                pk.repack(f.packed, f.packing), entries, pk, f.ring.p, quotients
             )
         except _Overflow:
-            width = 2 * pk.width
+            width = 2 * max(width, table._width)
 
 
-def _unpacked(ring: PolyRing, pk: Packing, terms: list, order: MonomialOrder) -> Polynomial:
-    """The polynomial of a descending packed term list of `order`."""
-    if order == ring.order:
-        return Polynomial(ring, pk.unpack_terms(terms))
+def _in_ring(ring: PolyRing, pk: Packing, terms: list) -> Polynomial:
+    """The polynomial of a descending packed term list of `pk`."""
+    if pk.order == ring.order:
+        return Polynomial(ring, pk, terms)
     return ring.polynomial(pk.unpack_terms(terms))
 
 
@@ -848,10 +899,10 @@ def division(
     pk, quotients, remainder = _divide(f, DivisorTable(divisors, order), True)
     return (
         [
-            _unpacked(ring, pk, sorted([t for t in q.items() if t[1]], reverse=True), order)
+            _in_ring(ring, pk, sorted([t for t in q.items() if t[1]], reverse=True))
             for q in quotients
         ],
-        _unpacked(ring, pk, remainder, order),
+        _in_ring(ring, pk, remainder),
     )
 
 
@@ -874,7 +925,7 @@ def normal_form(
     else:
         table = DivisorTable(divisors, order if order is not None else f.ring.order)
     pk, _, remainder = _divide(f, table, False)
-    return _unpacked(f.ring, pk, remainder, table.order)
+    return _in_ring(f.ring, pk, remainder)
 
 
 # ---------------------------------------------------------------------------

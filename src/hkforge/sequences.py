@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import config
 from .errors import ContainmentError, InfiniteColength
-from .ideals import Ideal, bracket_power, dimension, unit_ideal
+from .ideals import Ideal, bracket_power, dimension, maximal_ideal, unit_ideal
 from .lengths import (
     finite_colength_length,
     gamma_length,
@@ -242,8 +242,6 @@ def vjj_sequence(
 ) -> SequenceReport:
     """len(I^[q] / (J + m*I)^[q]) for e = 0..e_max; finite because I/(J + m*I)
     is spanned by the classes of the generators of I."""
-    from .ideals import maximal_ideal
-
     ring = j_ideal.ring
     _check_nested(j_ideal, i_ideal, hypersurface)
     if d is None:

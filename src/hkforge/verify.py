@@ -155,12 +155,8 @@ def aux_saturation_basis(p: int, m: int) -> tuple[PolyRing, list[Polynomial]]:
     n = data.n
     aux = PolyRing(p, ("t", "s", "x", "y"), Lex())
     t, s, x, y = aux.gens()
-
-    def lift(f: Polynomial) -> Polynomial:
-        return aux.polynomial({(0,) + mon: c for mon, c in f.terms})
-
-    g = lift(data.g)
-    f = lift(data.f)
+    g = aux.rebase(data.g)
+    f = aux.rebase(data.f)
     c = t * x**3 * y - t * x * y**3 - s * x**2 * y**2 + s * x * y**3
     d = m * t * x**2 * y ** (n - 1)
     for j in range(1, n - 2):

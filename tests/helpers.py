@@ -74,3 +74,22 @@ def is_reduced_basis(basis, order) -> bool:
         if any(monomial_divides(lead, mon) for mon, _ in g.terms for lead in others):
             return False
     return True
+
+
+# -- dict-of-tuples reference arithmetic ---------------------------------------
+
+def dict_add(a: dict, b: dict, p: int, sign: int = 1) -> dict:
+    """a + sign * b on {exponent tuple: coefficient} dicts."""
+    out = dict(a)
+    for mon, c in b.items():
+        out[mon] = (out.get(mon, 0) + sign * c) % p
+    return {mon: c for mon, c in out.items() if c}
+
+
+def dict_mul(a: dict, b: dict, p: int) -> dict:
+    out: dict = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            mon = tuple(x + y for x, y in zip(ma, mb))
+            out[mon] = (out.get(mon, 0) + ca * cb) % p
+    return {mon: c for mon, c in out.items() if c}

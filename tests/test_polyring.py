@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hkforge import (
     Block,
@@ -14,9 +16,19 @@ from hkforge import (
     division,
     normal_form,
 )
-from hkforge.polyring import GT, EQ, LT, MILLER_RABIN_BOUND, PrimeField, is_prime
+from hkforge.polyring import GT, EQ, LT, MILLER_RABIN_BOUND, Packing, PrimeField, is_prime
 
-from helpers import random_nonzero_polynomial, random_polynomial
+from helpers import dict_add, dict_mul, random_nonzero_polynomial, random_polynomial
+
+# the orders whose packed layouts the representation tests cover
+FIVE_ORDERS = [
+    Lex(),
+    DegRevLex(),
+    Lex(priority=(2, 0, 1)),
+    DegRevLex(priority=(1, 2, 0)),
+    Block(1, DegRevLex()),
+]
+ORDER_IDS = ["lex", "degrevlex", "lex-permuted", "degrevlex-permuted", "block-degrevlex"]
 
 
 @pytest.fixture
@@ -338,3 +350,148 @@ def test_print_parse_round_trip():
         assert ring.parse(str(f)) == f
     assert str(ring.zero()) == "0"
     assert ring.parse("0").is_zero()
+
+
+# -- exponent vectors at the public entries ---------------------------------------
+
+def test_monomial_refuses_negative_exponents():
+    ring = PolyRing(5, ("x", "y"))
+    with pytest.raises(ValueError):
+        ring.monomial(-1, 2)
+    with pytest.raises(DimensionError):
+        ring.monomial(1)
+
+
+def test_mul_term_refuses_bad_exponent_vectors():
+    ring = PolyRing(5, ("x", "y"))
+    x, y = ring.gens()
+    with pytest.raises(DimensionError):
+        (x + y).mul_term((1,), 1)
+    with pytest.raises(DimensionError):
+        (x + y).mul_term((1, 0, 0), 1)
+    with pytest.raises(ValueError):
+        (x + 1).mul_term((0, -1), 1)
+
+
+# -- the packed representation --------------------------------------------------
+
+@pytest.mark.parametrize("width", [8, 16])
+@pytest.mark.parametrize("order", FIVE_ORDERS, ids=ORDER_IDS)
+def test_elimination_variable_sits_above_the_order_fields(order, width):
+    """In Block(1, O) a t-free monomial packs to the same int as in O."""
+    rng = random.Random(11)
+    inner = Packing(order, 3, width)
+    outer = Packing(Block(1, order), 4, width)
+    for _ in range(50):
+        mon = tuple(rng.randint(0, 60) for _ in range(3))
+        assert outer.pack((0,) + mon) == inner.pack(mon)
+
+
+@pytest.mark.parametrize("order", FIVE_ORDERS, ids=ORDER_IDS)
+def test_rebase_moves_between_a_ring_and_its_elimination_extension(order):
+    rng = random.Random(12)
+    ring = PolyRing(7, ("x", "y", "z"), order)
+    aux = PolyRing(7, ("t", "x", "y", "z"), Block(1, order))
+    t = aux.gen("t")
+    for _ in range(20):
+        f = random_polynomial(rng, ring, max_degree=70, max_terms=5)
+        lifted = aux.rebase(f)
+        assert lifted == aux.polynomial({(0,) + m: c for m, c in f.terms})
+        keys = [aux.order.key(m) for m, _ in lifted.terms]
+        assert keys == sorted(keys, reverse=True)
+        assert ring.rebase(lifted) == f
+        if not f.is_zero():
+            with pytest.raises(ValueError):
+                ring.rebase(lifted * t + 1)
+
+
+def test_rebase_needs_the_same_layout():
+    lex = PolyRing(7, ("x", "y"), Lex())
+    # lex on (t, x, y) is block(1; lex), as `verify.aux_saturation_basis` uses
+    assert lex.rebase(PolyRing(7, ("t", "x", "y"), Lex()).rebase(lex.gen("x"))) == lex.gen("x")
+    ring = PolyRing(7, ("x", "y"), DegRevLex())
+    x, y = ring.gens()
+    for aux in (
+        PolyRing(7, ("t", "x", "y"), DegRevLex()),
+        PolyRing(7, ("x", "y", "t"), Block(1, DegRevLex())),
+        PolyRing(11, ("t", "x", "y"), Block(1, DegRevLex())),
+        PolyRing(7, ("t", "u", "x", "y"), Block(2, DegRevLex())),
+    ):
+        with pytest.raises(RingMismatch):
+            aux.rebase(x + y)
+
+
+def _assert_canonical(f, reference: dict):
+    """f holds exactly `reference`, packed descending under its ring's order."""
+    assert f.as_dict() == reference
+    keys = [f.ring.order.key(m) for m, _ in f.terms]
+    assert keys == sorted(keys, reverse=True) and len(set(keys)) == len(keys)
+    assert [m for m, _ in f.packed] == sorted({m for m, _ in f.packed}, reverse=True)
+    assert all(0 < c < f.ring.p for _, c in f.packed)
+    assert f == f.ring.polynomial(reference)
+    assert hash(f) == hash(f.ring.polynomial(reference))
+
+
+_exponents = st.tuples(*[st.integers(0, 40)] * 3) | st.tuples(*[st.integers(0, 400)] * 3)
+_dicts = st.dictionaries(_exponents, st.integers(1, 6), max_size=4)
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(
+    a=_dicts,
+    b=_dicts,
+    mon=st.tuples(*[st.integers(0, 90)] * 3) | _exponents,
+    c=st.integers(0, 7),
+    k=st.integers(1, 4),
+)
+@pytest.mark.parametrize("order", FIVE_ORDERS, ids=ORDER_IDS)
+def test_packed_arithmetic_matches_the_dict_reference(order, a, b, mon, c, k):
+    """Sum, difference, product, scaling, term shift, Frobenius and moving
+    between orders agree with plain dicts of exponent tuples, also for
+    operands packed at different widths and products that must widen."""
+    p = 7
+    ring = PolyRing(p, ("x", "y", "z"), order)
+    other = PolyRing(p, ring.variables, FIVE_ORDERS[FIVE_ORDERS.index(order) - 1])
+    f, g = ring.polynomial(a), ring.polynomial(b)
+    _assert_canonical(f + g, dict_add(a, b, p))
+    _assert_canonical(f - g, dict_add(a, b, p, -1))
+    _assert_canonical(f + other.polynomial(b), dict_add(a, b, p))
+    product = dict_mul(a, b, p)
+    _assert_canonical(f * g, product)
+    power = {(0, 0, 0): 1}
+    for _ in range(k):
+        power = dict_mul(power, product, p)
+    _assert_canonical((f * g) ** k, power)
+    _assert_canonical(f.scale(c), {m: v * c % p for m, v in a.items() if v * c % p})
+    shifted = {tuple(x + y for x, y in zip(m, mon)): v * c % p for m, v in a.items()}
+    _assert_canonical(f.mul_term(mon, c), {m: v for m, v in shifted.items() if v})
+    # edge^4 fills its width-8 fields to 252, so most products with it widen
+    edge = ring.polynomial({(63, 0, 0): 1, (0, 0, 63): 2})
+    edge4 = {(0, 0, 0): 1}
+    for _ in range(4):
+        edge4 = dict_mul(edge4, edge.as_dict(), p)
+    assert (edge**4).packing.width == 8
+    _assert_canonical(f * edge**4, dict_mul(a, edge4, p))
+    shifted = {tuple(x + y for x, y in zip(m, mon)): v * c % p for m, v in edge4.items()}
+    _assert_canonical((edge**4).mul_term(mon, c), {m: v for m, v in shifted.items() if v})
+    _assert_canonical(f.frobenius(1), {tuple(p * x for x in m): v for m, v in a.items()})
+    moved = f.resorted(other)
+    _assert_canonical(moved, a)
+    assert moved == f and hash(moved) == hash(f)
+    assert (f + g) - g == f and hash((f + g) - g) == hash(f)
+
+
+def test_lex_product_past_its_width_divides_under_degrevlex():
+    """Lex packs no degree field, so x^126 y^126 z^63 fits its width-8
+    fields; under degrevlex its degree 315 does not, so dividing there must
+    repack wider rather than garble the degree field."""
+    lex = PolyRing(5, ("x", "y", "z"), Lex())
+    x, y, z = lex.gens()
+    f = x**63 * y**63 * x**63 * y**63 * z**63 + 2 * y
+    assert f.packing.width == 8
+    g = x**50 - z
+    quotients, remainder = division(f, [g], DegRevLex())
+    assert quotients[0] * g + remainder == f
+    grevlex = PolyRing(5, lex.variables, DegRevLex())
+    assert remainder == normal_form(f.resorted(grevlex), [g.resorted(grevlex)])
+    assert remainder == x**26 * y**126 * z**65 + 2 * y
