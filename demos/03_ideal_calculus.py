@@ -4,7 +4,7 @@ Intersections are computed with one auxiliary variable t: the ideal
 t*I + (1-t)*K in the extended ring contracts to I ∩ K once t is eliminated
 by a block order.  Colons divide the intersection with a principal ideal
 through by its generator, and saturation iterates the colon until the chain
-stabilizes (detected on reduced bases under the ring order).
+stabilizes (detected by containment, since the chain only grows).
 """
 
 from hkforge import (

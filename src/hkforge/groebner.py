@@ -33,8 +33,9 @@ from .polyring import (
 )
 
 
-def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder | None = None) -> Polynomial:
-    """The cancellation combination (lcm/lt(f))*f - (lcm/lt(g))*g.
+def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
+    """The cancellation combination (lcm/lt(f))*f - (lcm/lt(g))*g, under f's
+    ring order.
 
     The lcm is taken of the two leading *terms*, its coefficient being the
     product of the leading coefficients, so S(f, g) of monic inputs matches
@@ -42,10 +43,9 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder | None = Non
     """
     if f.is_zero() or g.is_zero():
         raise ZeroPolynomial("S-polynomial of a zero polynomial")
-    if order is None:
-        order = f.ring.order
-    cf, mf = f.leading_term(order)
-    cg, mg = g.leading_term(order)
+    g = g.resorted(f.ring)
+    cf, mf = f.leading_term()
+    cg, mg = g.leading_term()
     lcm = monomial_lcm(mf, mg)
     tf = monomial_div(lcm, mf)
     tg = monomial_div(lcm, mg)
@@ -54,7 +54,8 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder | None = Non
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """A Groebner basis under `order`; elements monic and lm-descending when reduced."""
+    """A Groebner basis under `order`, the order of the ring its elements
+    share; elements monic and lm-descending when reduced."""
 
     elements: tuple[Polynomial, ...]
     order: MonomialOrder
@@ -63,7 +64,7 @@ class GroebnerBasis:
     _divisors: DivisorTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_divisors", DivisorTable(self.elements, self.order))
+        object.__setattr__(self, "_divisors", DivisorTable(self.elements))
 
     def __iter__(self):
         return iter(self.elements)
@@ -75,10 +76,10 @@ class GroebnerBasis:
         return self.elements[i]
 
     def leading_monomials(self) -> tuple[Monomial, ...]:
-        return tuple(g.leading_monomial(self.order) for g in self.elements)
+        return tuple(g.leading_monomial() for g in self.elements)
 
     def reduce(self, f: Polynomial) -> Polynomial:
-        """Normal form of f against this basis."""
+        """Normal form of f against this basis, in the basis's ring."""
         return normal_form(f, self._divisors)
 
     def contains(self, f: Polynomial) -> bool:
@@ -155,7 +156,8 @@ def _gm_update(packing: Packing, lms: list[int], active: list[int], pairs: list,
 
 
 def buchberger(gens: Sequence[Polynomial], order: MonomialOrder | None = None) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by `gens`.
+    """Reduced Groebner basis of the ideal generated by `gens`, in the ring of
+    the first generator taken under `order` (by default its own order).
 
     Pairs are pruned by the Gebauer-Moeller chain and coprimality criteria and
     taken smallest lcm first under the order (the normal strategy).  The
@@ -165,21 +167,17 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder | None = None) -
     live = [g for g in gens if not g.is_zero()]
     if not live:
         return GroebnerBasis((), order or DegRevLex(), reduced=True)
-    ring = live[0].ring
-    for g in live:
-        live[0]._check(g)
-    if order is None:
-        order = ring.order
+    ring = live[0].ring if order is None else live[0].ring.with_order(order)
+    live = [g.resorted(ring) for g in live]
     width = max(g.packing.width for g in live)
     while True:
-        pk = packing_for(order, ring.nvars, width)
+        pk = packing_for(ring.order, ring.nvars, width)
         try:
             reduced = _packed_buchberger(pk, live, ring.p, ring.field.inv)
             break
         except _Overflow:
             width *= 2
-    work = ring.with_order(order)
-    return GroebnerBasis(tuple(Polynomial(work, pk, t) for t in reduced), order, reduced=True)
+    return GroebnerBasis(tuple(Polynomial(ring, pk, t) for t in reduced), ring.order, reduced=True)
 
 
 def _packed_buchberger(packing: Packing, gens: list[Polynomial], p: int, inv):
@@ -253,7 +251,7 @@ class GroebnerCertificate:
         if not self.ok:
             return False
         for j, k, quots in self.entries:
-            s = s_polynomial(self.basis[j], self.basis[k], self.order)
+            s = s_polynomial(self.basis[j], self.basis[k])
             combo = self.basis[0].ring.zero()
             for a, g in zip(quots, self.basis):
                 combo = combo + a * g
@@ -263,11 +261,11 @@ class GroebnerCertificate:
                 if any(not a.is_zero() for a in quots):
                     return False
                 continue
-            s_lm_key = self.order.key(s.leading_monomial(self.order))
+            s_lm_key = self.order.key(s.leading_monomial())
             for a, g in zip(quots, self.basis):
                 if a.is_zero():
                     continue
-                prod_lm = (a * g).leading_monomial(self.order)
+                prod_lm = (a * g).leading_monomial()
                 if self.order.key(prod_lm) > s_lm_key:
                     return False
         return True
@@ -296,7 +294,9 @@ class GroebnerCertificate:
 def certify_groebner(
     basis: Sequence[Polynomial], order: MonomialOrder | None = None
 ) -> GroebnerCertificate:
-    """Certify that `basis` is a Groebner basis by dividing every S-pair.
+    """Certify that `basis` is a Groebner basis under `order` (by default its
+    ring's order) by dividing every S-pair; the certificate holds the basis
+    moved into the ring under that order.
 
     Returns a full quotient table when all remainders vanish, or a certificate
     with `ok=False` carrying the first failing pair.  Pairs of monomials have
@@ -305,14 +305,13 @@ def certify_groebner(
     basis = tuple(basis)
     if not basis:
         return GroebnerCertificate((), order or DegRevLex(), True, ())
-    ring = basis[0].ring
-    if order is None:
-        order = ring.order
+    ring = basis[0].ring if order is None else basis[0].ring.with_order(order)
+    basis, order = tuple(g.resorted(ring) for g in basis), ring.order
     entries = []
     for k in range(len(basis)):
         for j in range(k):
-            s = s_polynomial(basis[j], basis[k], order)
-            quots, rem = division(s, basis, order)
+            s = s_polynomial(basis[j], basis[k])
+            quots, rem = division(s, basis)
             if not rem.is_zero():
                 return GroebnerCertificate(basis, order, False, tuple(entries), (j, k, rem))
             entries.append((j, k, tuple(quots)))

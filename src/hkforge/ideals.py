@@ -2,15 +2,18 @@
 the auxiliary-variable elimination trick, colon, saturation, and the Krull
 dimension of the quotient.
 
-An Ideal is a generator list plus a cache of reduced Groebner bases, one per
-monomial order.  Intersections go through a fresh elimination variable t with
-a block order t > (ambient order): for ideals I and K, the ideal
-t*I + (1-t)*K contracts to I ∩ K, and the contraction inherits a reduced
-Groebner basis from the elimination basis for free.
+An Ideal is a generator list plus its reduced Groebner basis under the
+ring's order, built the first time an answer needs it.  Intersections go
+through an elimination variable t with a block order t > (ring order): for
+ideals I and K, the ideal t*I + (1-t)*K contracts to I ∩ K, and the
+contraction inherits a reduced Groebner basis from the elimination basis for
+free.  The elimination basis also tells whether I or K is the unit ideal, so
+no basis of either is built for that question.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterable, Sequence
 
@@ -22,13 +25,14 @@ from .errors import (
     ZeroDivisor,
 )
 from .groebner import GroebnerBasis, buchberger
-from .polyring import Block, MonomialOrder, PolyRing, Polynomial, division
+from .polyring import Block, PolyRing, Polynomial, division
 
 
 class Ideal:
-    """Handle on an ideal of a PolyRing: generators plus cached bases."""
+    """Handle on an ideal of a PolyRing: generators plus the cached reduced
+    basis under the ring's order."""
 
-    __slots__ = ("ring", "generators", "_bases")
+    __slots__ = ("ring", "generators", "_basis")
 
     def __init__(self, ring: PolyRing, generators: Iterable[Polynomial]):
         gens = []
@@ -41,26 +45,24 @@ class Ideal:
                 gens.append(g.resorted(ring))
         self.ring = ring
         self.generators: tuple[Polynomial, ...] = tuple(gens)
-        self._bases: dict[MonomialOrder, GroebnerBasis] = {}
+        self._basis: GroebnerBasis | None = None
 
     # -- bases and membership ------------------------------------------------
 
-    def groebner_basis(self, order: MonomialOrder | None = None) -> GroebnerBasis:
-        if order is None:
-            order = self.ring.order
-        cached = self._bases.get(order)
-        if cached is not None:
-            return cached
-        basis = buchberger(self.generators, order)
-        self._bases[order] = basis
-        return basis
+    def groebner_basis(self) -> GroebnerBasis:
+        """The reduced basis under the ring's order, built on first use."""
+        if self._basis is None:
+            # the order argument keeps the ring's order on the zero ideal's empty basis
+            self._basis = buchberger(self.generators, self.ring.order)
+        return self._basis
 
     def seed_basis(self, basis: GroebnerBasis) -> "Ideal":
-        self._bases[basis.order] = basis
+        """Cache `basis`, a reduced basis of this ideal under the ring's order."""
+        self._basis = basis
         return self
 
-    def contains(self, f: Polynomial, order: MonomialOrder | None = None) -> bool:
-        return self.groebner_basis(order).contains(f.resorted(self.ring))
+    def contains(self, f: Polynomial) -> bool:
+        return self.groebner_basis().contains(f.resorted(self.ring))
 
     def __contains__(self, f: Polynomial) -> bool:
         return self.contains(f)
@@ -118,22 +120,6 @@ class Ideal:
         gens = ", ".join(str(g) for g in self.generators) or "0"
         return f"Ideal({gens})"
 
-    # -- conveniences ---------------------------------------------------------
-
-    def bracket(self, e: int) -> "Ideal":
-        return bracket_power(self, e)
-
-    def intersect(self, other: "Ideal") -> "Ideal":
-        return intersect(self, other)
-
-    def colon(self, other: "Ideal | Polynomial") -> "Ideal":
-        if isinstance(other, Polynomial):
-            return colon_element(self, other)
-        return colon_ideal(self, other)
-
-    def saturation(self, other: "Ideal | Polynomial") -> tuple["Ideal", int]:
-        return saturate(self, other)
-
 
 def _product(polys: Sequence[Polynomial]) -> Polynomial:
     out = polys[0]
@@ -151,16 +137,18 @@ def unit_ideal(ring: PolyRing) -> Ideal:
     return Ideal(ring, [ring.one()])
 
 
-def ideal_member(f: Polynomial, ideal: Ideal, order: MonomialOrder | None = None) -> bool:
+def ideal_member(f: Polynomial, ideal: Ideal) -> bool:
     """f lies in the ideal iff its normal form against a Groebner basis is 0."""
-    return ideal.contains(f, order)
+    return ideal.contains(f)
 
 
 def ideal_equal(a: Ideal, b: Ideal) -> bool:
     """Equality via reduced Groebner bases under a's ring order, which are
-    unique for a fixed order."""
+    unique for a fixed order; b is taken into a's ring when its order differs."""
     a._check(b)
-    return a.groebner_basis().elements == b.groebner_basis(a.ring.order).elements
+    if b.ring.order != a.ring.order:
+        b = Ideal(a.ring, b.generators)
+    return a.groebner_basis().elements == b.groebner_basis().elements
 
 
 # ---------------------------------------------------------------------------
@@ -181,20 +169,24 @@ def bracket_power(ideal: Ideal, e: int) -> Ideal:
     if e == 0:
         return ideal
     out = Ideal(ideal.ring, (g.frobenius(e) for g in ideal.generators))
-    for order, basis in ideal._bases.items():
-        if basis.reduced:
-            out._bases[order] = basis.frobenius(e)
+    if ideal._basis is not None and ideal._basis.reduced:
+        out.seed_basis(ideal._basis.frobenius(e))
     return out
 
 
 # ---------------------------------------------------------------------------
 # intersection / colon / saturation
 
-def _fresh_variable(ring: PolyRing) -> str:
+@functools.lru_cache(maxsize=64)
+def _elimination(ring: PolyRing) -> tuple[PolyRing, Polynomial, Polynomial]:
+    """The extension of `ring` by a fresh first variable t under
+    Block(1, ring order), with t and 1 - t in it."""
     name = "t"
     while name in ring.variables:
         name += "t"
-    return name
+    aux = PolyRing(ring.p, (name,) + ring.variables, Block(1, ring.order))
+    t = aux.gen(name)
+    return aux, t, aux.one() - t
 
 
 def intersect(a: Ideal, b: Ideal) -> Ideal:
@@ -203,26 +195,29 @@ def intersect(a: Ideal, b: Ideal) -> Ideal:
     Builds t*I + (1-t)*K in an extended ring ordered with t ahead of the
     ambient order, takes a Groebner basis, and keeps the elements whose leads
     are t-free; those elements are t-free entirely and form a reduced basis of
-    the intersection under the ambient order.
+    the intersection under the ambient order.  Setting t = 1 (t = 0) shows
+    that t (1 - t) lies in the elimination ideal exactly when I (K) is the
+    unit ideal; in a reduced basis that puts 1, t or t - 1 first, and then K
+    or I itself is returned.
     """
     a._check(b)
-    ring = a.ring
-    if a.is_unit():
-        return b
-    if b.is_unit():
+    if a.is_zero():
         return a
-    if a.is_zero() or b.is_zero():
-        return Ideal(ring, [])
-    aux = PolyRing(ring.p, (_fresh_variable(ring),) + ring.variables, Block(1, ring.order))
-    t = aux.gen(aux.variables[0])
-    one_minus_t = aux.one() - t
+    if b.is_zero():
+        return b
+    ring = a.ring
+    aux, t, one_minus_t = _elimination(ring)
     gens = [t * aux.rebase(g) for g in a.generators]
     gens += [one_minus_t * aux.rebase(g) for g in b.generators]
-    basis = buchberger(gens, aux.order)
+    basis = buchberger(gens)
+    if basis[0] == 1 or basis[0] == t:
+        return b
+    if basis[0] == t - 1:
+        return a
     contracted = [ring.rebase(g) for g in basis if not g.leading_monomial()[0]]
-    result = Ideal(ring, contracted)
-    result.seed_basis(GroebnerBasis(tuple(contracted), ring.order, reduced=True))
-    return result
+    return Ideal(ring, contracted).seed_basis(
+        GroebnerBasis(tuple(contracted), ring.order, reduced=True)
+    )
 
 
 def colon_element(ideal: Ideal, u: Polynomial) -> Ideal:
@@ -261,7 +256,8 @@ def saturate(
     """(I : K^infinity): iterate the colon until the chain stabilizes.
 
     Returns (stable ideal, number of colon steps that strictly grew the
-    chain).  Stabilization is detected on reduced bases under the ring order.
+    chain).  The chain only ascends (I ⊆ I : K), so it has stabilized when
+    the current ideal contains the next one.
     The step cap exists only to surface runaway misuse; the chain itself must
     terminate.
     """
@@ -271,7 +267,7 @@ def saturate(
     current = ideal
     for step in range(cap + 1):
         nxt = colon_element(current, divisor) if single else colon_ideal(current, divisor)
-        if ideal_equal(nxt, current):
+        if current.contains_ideal(nxt):
             return current, step
         current = nxt
     raise CapExceeded(
@@ -282,18 +278,19 @@ def saturate(
 # ---------------------------------------------------------------------------
 # dimension
 
-def dimension(ideal: Ideal, order: MonomialOrder | None = None) -> int:
-    """Krull dimension of R/I, read off the initial ideal.
+def dimension(ideal: Ideal) -> int:
+    """Krull dimension of R/I, read off the initial ideal under the ring's
+    order.
 
     dim R/I equals the largest number of variables a subset S can hold while
     containing no leading monomial's support; any Groebner order gives the
-    same answer, and the ring order is the default.
+    same answer.
     """
-    basis = ideal.groebner_basis(order)
+    basis = ideal.groebner_basis()
     nvars = ideal.ring.nvars
     supports = []
     for g in basis:
-        lm = g.leading_monomial(basis.order)
+        lm = g.leading_monomial()
         if not any(lm):
             raise EmptyVariety("the unit ideal defines the empty variety")
         supports.append(frozenset(i for i, e in enumerate(lm) if e))

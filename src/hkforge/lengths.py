@@ -17,6 +17,7 @@ H = (J : m^infinity) ∩ I.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -137,16 +138,18 @@ def gamma_submodule(j_ideal: Ideal, i_ideal: Ideal) -> Ideal:
 # ---------------------------------------------------------------------------
 # subquotient length
 
-def _monomials_of_degree(ring: PolyRing, degree: int) -> list[Monomial]:
+@functools.lru_cache(maxsize=256)
+def _monomials_of_degree(nvars: int, degree: int) -> tuple[Monomial, ...]:
+    """The exponent tuples of total degree `degree`, sorted ascending."""
     if degree == 0:
-        return [(0,) * ring.nvars]
+        return ((0,) * nvars,)
     out = []
-    for combo in itertools.combinations_with_replacement(range(ring.nvars), degree):
-        mon = [0] * ring.nvars
+    for combo in itertools.combinations_with_replacement(range(nvars), degree):
+        mon = [0] * nvars
         for i in combo:
             mon[i] += 1
         out.append(tuple(mon))
-    return sorted(out)
+    return tuple(sorted(out))
 
 
 def nilpotency_exponent(u_ideal: Ideal, j_ideal: Ideal, cap: int) -> int | None:
@@ -155,7 +158,7 @@ def nilpotency_exponent(u_ideal: Ideal, j_ideal: Ideal, cap: int) -> int | None:
     ring = j_ideal.ring
     gens = u_ideal.generators
     for n in range(cap + 1):
-        mons = _monomials_of_degree(ring, n)
+        mons = _monomials_of_degree(ring.nvars, n)
         if all(
             basis.contains(u.mul_term(mon, 1)) for u in gens for mon in mons
         ):
@@ -208,7 +211,7 @@ def subquotient_length(
     ring = j_ideal.ring
     rows = []
     for d in range(n):
-        for mon in _monomials_of_degree(ring, d):
+        for mon in _monomials_of_degree(ring.nvars, d):
             for u in u_ideal.generators:
                 nf = basis.reduce(u.mul_term(mon, 1))
                 if not nf.is_zero():
@@ -231,7 +234,7 @@ def gamma_length(j_ideal: Ideal, i_ideal: Ideal, **kw) -> LengthResult:
 def _monomials_up_to(ring: PolyRing, degree: int) -> list[Monomial]:
     out = []
     for d in range(degree + 1):
-        out.extend(_monomials_of_degree(ring, d))
+        out.extend(_monomials_of_degree(ring.nvars, d))
     return out
 
 

@@ -310,10 +310,7 @@ class PolyRing:
         `Block(1, order)`): t's field sits above the others at the same
         width, so a t-free monomial packs to the same int in both rings."""
         big, small = (f.ring, self) if f.ring.nvars > self.nvars else (self, f.ring)
-        n = small.nvars
-        if big.p != small.p or big.variables[1:] != small.variables or big.order._fields(
-            tuple(range(n + 1))
-        ) != [("lex", 0)] + small.order._fields(tuple(range(1, n + 1))):
+        if not _extends(big, small):
             raise RingMismatch(f"{self!r} does not extend {f.ring!r} or the other way round")
         pk = f.packing
         if big is f.ring and f.packed and f.packed[0][0] >> pk.shifts[0]:
@@ -339,6 +336,19 @@ class PolyRing:
 
     def __repr__(self) -> str:
         return f"PolyRing(p={self.p}, vars={','.join(self.variables)}, order={self.order.describe()})"
+
+
+@functools.lru_cache(maxsize=64)
+def _extends(big: PolyRing, small: PolyRing) -> bool:
+    """Whether `big` is `small` with a first variable compared lex ahead of
+    small's order, so that `PolyRing.rebase` may move polynomials between them."""
+    n = small.nvars
+    return (
+        big.p == small.p
+        and big.variables[1:] == small.variables
+        and big.order._fields(tuple(range(n + 1)))
+        == [("lex", 0)] + small.order._fields(tuple(range(1, n + 1)))
+    )
 
 
 class Polynomial:
@@ -401,21 +411,19 @@ class Polynomial:
     def total_degree(self) -> int:
         return max((sum(m) for m, _ in self.terms), default=-1)
 
-    def leading_term(self, order: MonomialOrder | None = None) -> tuple[int, Monomial]:
-        """(coefficient, monomial) of the maximal term; ZeroPolynomial on 0."""
+    def leading_term(self) -> tuple[int, Monomial]:
+        """(coefficient, monomial) of the maximal term under the ring's order;
+        ZeroPolynomial on 0."""
         if not self.packed:
             raise ZeroPolynomial("the zero polynomial has no leading term")
-        if order is None or order == self.ring.order:
-            m, c = self.packed[0]
-            return c, self.packing.unpack(m)
-        m, c = max(self.terms, key=lambda t: order.key(t[0]))
-        return c, m
+        m, c = self.packed[0]
+        return c, self.packing.unpack(m)
 
-    def leading_monomial(self, order: MonomialOrder | None = None) -> Monomial:
-        return self.leading_term(order)[1]
+    def leading_monomial(self) -> Monomial:
+        return self.leading_term()[1]
 
-    def leading_coefficient(self, order: MonomialOrder | None = None) -> int:
-        return self.leading_term(order)[0]
+    def leading_coefficient(self) -> int:
+        return self.leading_term()[0]
 
     def is_monomial(self) -> bool:
         return len(self.packed) == 1
@@ -430,17 +438,9 @@ class Polynomial:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _check(self, other: "Polynomial") -> None:
-        if not self.ring.compatible(other.ring):
-            raise RingMismatch(f"{self.ring!r} vs {other.ring!r}")
-
     def _coerce(self, other) -> "Polynomial | None":
         if isinstance(other, Polynomial):
-            if other.ring is not self.ring:
-                self._check(other)
-                if other.ring.order != self.ring.order:
-                    other = other.resorted(self.ring)
-            return other
+            return other.resorted(self.ring)
         if isinstance(other, int):
             return self.ring.constant(other)
         return None
@@ -549,8 +549,9 @@ class Polynomial:
         return self.ring.polynomial([(tuple(q * a for a in m), c) for m, c in self.terms])
 
     def resorted(self, ring: PolyRing) -> "Polynomial":
-        """The same polynomial, re-normalized into a compatible ring."""
-        if ring == self.ring:
+        """The same polynomial, re-normalized into a compatible ring: the way
+        to take it to another monomial order (see `PolyRing.with_order`)."""
+        if ring is self.ring or ring == self.ring:
             return self
         if not self.ring.compatible(ring):
             raise RingMismatch(f"{self.ring!r} vs {ring!r}")
@@ -694,15 +695,14 @@ class Packing:
         return tuple((unpack(m), c) for m, c in terms)
 
     def repack(self, terms: list[tuple[int, int]], src: "Packing") -> list[tuple[int, int]]:
-        """Descending terms of packing `src` in this one.  Widening always
-        fits; another layout raises `_Overflow` when a degree does not."""
+        """Descending terms of packing `src`, of the same layout and no wider,
+        in this one; widening keeps their order."""
         if src == self:
             return terms
-        mons = src.unpack_terms(terms)
-        widening = src.layout[1] == self.layout[1] and src.width <= self.width
-        if not widening and any(sum(m) > self.mask for m, _ in mons):
-            raise _Overflow
-        return self.pack_terms(mons)
+        if src.layout[1] != self.layout[1] or src.width > self.width:
+            raise ValueError(f"cannot repack width-{src.width} terms of another layout")
+        pack, unpack = self.pack, src.unpack
+        return [(pack(unpack(m)), c) for m, c in terms]
 
     def plain_max(self, a: int, b: int) -> int:
         """Field-wise max of two plain ints (SWAR: a guard bit survives
@@ -823,19 +823,18 @@ def _reduce_sorted(
 
 
 class DivisorTable:
-    """Divisors under one order, packed on first use and kept for reuse.
+    """Divisors of one ring, packed under its order on first use and kept for
+    reuse.
 
     A `GroebnerBasis` holds one, so that repeated normal forms against it
-    pack the basis once.  Divisors already packed under the order are taken
-    as they are; the table is packed again, wider, only when a dividend or a
-    product does not fit.
+    pack the basis once.  The table is packed again, wider, only when a
+    dividend or a product does not fit.
     """
 
-    __slots__ = ("divisors", "order", "_width", "_packing", "_entries")
+    __slots__ = ("divisors", "_width", "_packing", "_entries")
 
-    def __init__(self, divisors: Sequence[Polynomial], order: MonomialOrder):
+    def __init__(self, divisors: Sequence[Polynomial]):
         self.divisors = tuple(divisors)
-        self.order = order
         self._width = max((g.packing.width for g in self.divisors), default=0)
         self._packing: Packing | None = None
         self._entries: list[tuple] = []
@@ -843,30 +842,29 @@ class DivisorTable:
     def __len__(self) -> int:
         return len(self.divisors)
 
-    def packed(self, nvars: int, width: int) -> tuple[Packing, list[tuple]]:
+    def packed(self, width: int) -> tuple[Packing, list[tuple]]:
         """The packing of at least `width` bits per field, and the entries."""
         if self._packing is None or self._packing.width < width:
             if any(g.is_zero() for g in self.divisors):
                 raise ZeroPolynomial("cannot divide by the zero polynomial")
-            pk = packing_for(self.order, nvars, max(width, self._width))
+            ring = self.divisors[0].ring
+            pk = packing_for(ring.order, ring.nvars, max(width, self._width))
             entries = []
             for g in self.divisors:
                 terms = pk.repack(g.packed, g.packing)
-                entries.append(pk.reducer(terms, g.ring.field.inv(terms[0][1])))
+                entries.append(pk.reducer(terms, ring.field.inv(terms[0][1])))
             self._packing, self._entries, self._width = pk, entries, pk.width
         return self._packing, self._entries
 
 
 def _divide(f: Polynomial, table: DivisorTable, with_quotients: bool):
-    """Run the core on f, repacking wider on overflow; returns (packing,
-    packed quotient dicts or None, packed remainder)."""
-    for g in table.divisors:
-        if g.ring is not f.ring:
-            f._check(g)
+    """Run the core on f, a polynomial of the table's order, repacking wider
+    on overflow; returns (packing, packed quotient dicts or None, packed
+    remainder)."""
     width = f.packing.width
     while True:
         try:
-            pk, entries = table.packed(f.ring.nvars, width)
+            pk, entries = table.packed(width)
             quotients = [{} for _ in entries] if with_quotients else None
             return pk, quotients, _reduce_sorted(
                 pk.repack(f.packed, f.packing), entries, pk, f.ring.p, quotients
@@ -875,17 +873,11 @@ def _divide(f: Polynomial, table: DivisorTable, with_quotients: bool):
             width = 2 * max(width, table._width)
 
 
-def _in_ring(ring: PolyRing, pk: Packing, terms: list) -> Polynomial:
-    """The polynomial of a descending packed term list of `pk`."""
-    if pk.order == ring.order:
-        return Polynomial(ring, pk, terms)
-    return ring.polynomial(pk.unpack_terms(terms))
-
-
 def division(
-    f: Polynomial, divisors: Sequence[Polynomial], order: MonomialOrder | None = None
+    f: Polynomial, divisors: Sequence[Polynomial]
 ) -> tuple[list[Polynomial], Polynomial]:
-    """Divide f by the list of divisors; return (quotients, remainder).
+    """Divide f by the list of divisors under f's ring order; return
+    (quotients, remainder), all in f's ring.
 
     Guarantees: f == sum(q_i * g_i) + r exactly; no term of r is divisible by
     any leading monomial of the divisors; for every nonzero quotient term t,
@@ -894,38 +886,35 @@ def division(
     deterministic function of the inputs.
     """
     ring = f.ring
-    if order is None:
-        order = ring.order
-    pk, quotients, remainder = _divide(f, DivisorTable(divisors, order), True)
+    if not divisors:
+        return [], f
+    table = DivisorTable([g.resorted(ring) for g in divisors])
+    pk, quotients, remainder = _divide(f, table, True)
     return (
         [
-            _in_ring(ring, pk, sorted([t for t in q.items() if t[1]], reverse=True))
+            Polynomial(ring, pk, sorted([t for t in q.items() if t[1]], reverse=True))
             for q in quotients
         ],
-        _in_ring(ring, pk, remainder),
+        Polynomial(ring, pk, remainder),
     )
 
 
-def normal_form(
-    f: Polynomial,
-    divisors: "Sequence[Polynomial] | DivisorTable",
-    order: MonomialOrder | None = None,
-) -> Polynomial:
-    """Remainder of f on division by `divisors` (no quotients are formed).
+def normal_form(f: Polynomial, divisors: "Sequence[Polynomial] | DivisorTable") -> Polynomial:
+    """Remainder of f on division by `divisors` under f's ring order (no
+    quotients are formed).
 
-    `divisors` may be a `DivisorTable`, which brings its own order and keeps
-    its packing from one call to the next.
+    `divisors` may be a `DivisorTable`, which keeps its packing from one call
+    to the next; f is then first moved into the ring of its divisors.
     """
     if not divisors:
         return f
     if isinstance(divisors, DivisorTable):
-        if order is not None and order != divisors.order:
-            raise ValueError(f"divisor table is for {divisors.order!r}, not {order!r}")
+        f = f.resorted(divisors.divisors[0].ring)
         table = divisors
     else:
-        table = DivisorTable(divisors, order if order is not None else f.ring.order)
+        table = DivisorTable([g.resorted(f.ring) for g in divisors])
     pk, _, remainder = _divide(f, table, False)
-    return _in_ring(f.ring, pk, remainder)
+    return Polynomial(f.ring, pk, remainder)
 
 
 # ---------------------------------------------------------------------------

@@ -65,10 +65,11 @@ def random_monomial_ideal(
 
 def is_reduced_basis(basis, order) -> bool:
     """Every element monic, and no term of one element divisible by the lead
-    of another."""
-    leads = [g.leading_monomial(order) for g in basis]
+    of another, under `order`."""
+    basis = [g.resorted(g.ring.with_order(order)) for g in basis]
+    leads = [g.leading_monomial() for g in basis]
     for idx, g in enumerate(basis):
-        if g.leading_coefficient(order) != 1:
+        if g.leading_coefficient() != 1:
             return False
         others = leads[:idx] + leads[idx + 1 :]
         if any(monomial_divides(lead, mon) for mon, _ in g.terms for lead in others):

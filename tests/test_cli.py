@@ -383,6 +383,39 @@ def test_main_verify_construction(capsys):
     assert capsys.readouterr().out == VERIFY_CONSTRUCTION_3_4
 
 
+UNIT_IDEAL_SESSION = """\
+ring p=3 vars=x,y order=degrevlex;
+ideal A = x, x + 1;
+ideal B = y^2, x*y;
+ideal C = x^2, x*y;
+ideal M = x, y;
+intersect A B;
+intersect B A;
+intersect A A;
+colon C M;
+saturate C M;
+saturate C x;
+saturate B A;
+"""
+
+
+def test_main_unit_ideal_session_golden_bytes(tmp_path, capsys):
+    """A = (x, x + 1) is the unit ideal without a constant generator: an
+    intersection with it prints the other argument's generators."""
+    path = tmp_path / "unit.hk"
+    path.write_text(UNIT_IDEAL_SESSION)
+    assert main(["run", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        '{"generators": ["y^2", "x*y"]}\n'
+        '{"generators": ["y^2", "x*y"]}\n'
+        '{"generators": ["x", "x + 1"]}\n'
+        '{"generators": ["x"]}\n'
+        '{"exponent": 1, "generators": ["x"]}\n'
+        '{"exponent": 2, "generators": ["1"]}\n'
+        '{"exponent": 0, "generators": ["y^2", "x*y"]}\n'
+    )
+
+
 @pytest.mark.parametrize(
     "target",
     [["construction", "--m", "4"], ["katzman", "--e", "1"]],

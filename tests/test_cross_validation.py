@@ -96,10 +96,11 @@ def test_permuted_orders_match_sympy(order, sympy_order):
 def eliminated_part(basis, order, inner):
     """The elements of a block(1; ...) basis free of the first variable, moved
     into `inner` (the ring of the remaining variables)."""
+    moved = [g.resorted(g.ring.with_order(order)) for g in basis]
     return [
         inner.polynomial({m[1:]: c for m, c in g.terms})
-        for g in basis
-        if g.leading_monomial(order)[0] == 0
+        for g in moved
+        if g.leading_monomial()[0] == 0
     ]
 
 

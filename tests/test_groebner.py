@@ -202,6 +202,22 @@ def test_basis_reduce_widens_its_cached_packing():
     assert basis.reduce(big.frobenius(3)).is_zero()
 
 
+def test_order_argument_resorts_into_the_ring_under_that_order():
+    """`buchberger(gens, order)` is `buchberger` on the generators taken into
+    their ring under `order`."""
+    rng = random.Random(41)
+    lex = PolyRing(5, ("x", "y", "z"), Lex())
+    for order in (DegRevLex(), Block(1, DegRevLex()), Lex(priority=(2, 0, 1))):
+        ring = lex.with_order(order)
+        for _ in range(4):
+            gens = [random_nonzero_polynomial(rng, lex, max_degree=3) for _ in range(3)]
+            basis = buchberger(gens, order)
+            resorted = buchberger([g.resorted(ring) for g in gens])
+            assert basis == resorted and basis.order == order
+            assert all(g.ring == ring for g in basis)
+            assert buchberger(gens, Lex()) == buchberger(gens)
+
+
 # -- certification ----------------------------------------------------------------
 
 def test_explicit_elimination_vector_certifies():
@@ -211,6 +227,21 @@ def test_explicit_elimination_vector_certifies():
     cert = certify_groebner(entries, aux.order)
     assert cert.ok
     assert cert.check()
+
+
+def test_certify_takes_the_order_positionally():
+    """`certify_groebner(elements, ring.order)`, as the benchmark calls it,
+    and a basis certified under an order other than its ring's."""
+    ring = PolyRing(3, ("s", "x", "y"), Lex())
+    s, x, y = ring.gens()
+    ideal = Ideal(ring, [x**3 - s * y, y**2 - x, s * x * y])
+    elements = ideal.groebner_basis().elements
+    cert = certify_groebner(elements, ring.order)
+    assert cert.ok and cert.check() and cert.order == ring.order
+    drl = buchberger(elements, DegRevLex())
+    cert = certify_groebner([g.resorted(ring) for g in drl], DegRevLex())
+    assert cert.ok and cert.check() and cert.basis == drl.elements
+    assert not certify_groebner(elements, DegRevLex()).ok
 
 
 def test_certify_counterexample_reports_first_failing_pair():

@@ -79,7 +79,7 @@ def test_bracket_transports_reduced_bases(f3xy):
         ideal = Ideal(f3xy, gens)
         ideal.groebner_basis()  # populate the cache
         bracketed = bracket_power(ideal, 1)
-        transported = bracketed._bases[f3xy.order]
+        transported = bracketed._basis
         fresh = buchberger([g.frobenius(1) for g in gens], f3xy.order)
         assert list(transported) == list(fresh)
 
@@ -140,6 +140,20 @@ def test_intersections_are_contained_in_both(f3xy):
         meet = intersect(a, b)
         assert a.contains_ideal(meet)
         assert b.contains_ideal(meet)
+
+
+def test_intersect_reads_the_unit_ideal_off_the_elimination_basis(f3xy):
+    """(x, x + 1) is the unit ideal with no constant generator; intersecting
+    with it returns the other argument itself, and builds no basis of it."""
+    x, y = f3xy.gens()
+    unit = Ideal(f3xy, [x, x + 1])
+    other = Ideal(f3xy, [y**2, x * y])
+    assert intersect(unit, other) is other
+    assert intersect(other, unit) is other
+    assert unit._basis is None and other._basis is None
+    assert intersect(unit, unit) is unit
+    copy = Ideal(f3xy, [x + 1, x])
+    assert intersect(unit, copy) is copy and intersect(copy, unit) is unit
 
 
 # -- colon ---------------------------------------------------------------------------
@@ -303,4 +317,5 @@ def test_dimension_does_not_depend_on_the_order(construction54):
         assert ideal.ring.order == Lex()
         if ideal.is_unit():
             continue
-        assert dimension(ideal) == dimension(ideal, DegRevLex())
+        drl = ideal.ring.with_order(DegRevLex())
+        assert dimension(ideal) == dimension(Ideal(drl, ideal.generators))

@@ -90,7 +90,7 @@ def test_explicit_basis_matches_computed_leads():
     explicit = construction_basis(data)
     assert len(explicit) == data.n
     computed = set(data.e.groebner_basis().leading_monomials())
-    assert computed == {g.leading_monomial(data.ring.order) for g in explicit}
+    assert computed == {g.leading_monomial() for g in explicit}
     assert certify_groebner(explicit, data.ring.order).ok
 
 
@@ -164,6 +164,29 @@ def test_katzman_larger_instances(p, e):
     """The torsion stays exactly one-dimensional out to n = p^(e+1) = 125."""
     report = verify_katzman(p, e, slow=True)
     assert report.ok, report.to_json()
+
+
+@pytest.mark.parametrize(
+    "verify,args,calls",
+    [(verify_construction, (3, 4), 31), (verify_katzman, (3, 1), 19)],
+    ids=["construction-3-4", "katzman-3-1"],
+)
+def test_ideal_layer_builds_a_pinned_number_of_bases(monkeypatch, verify, args, calls):
+    """Every Groebner basis the ideal layer builds goes through
+    `ideals.buchberger`; the count is deterministic, so building bases only to
+    answer yes/no questions again shows up here."""
+    from hkforge import ideals
+
+    count = [0]
+    original = ideals.buchberger
+
+    def counted(*a, **kw):
+        count[0] += 1
+        return original(*a, **kw)
+
+    monkeypatch.setattr(ideals, "buchberger", counted)
+    assert verify(*args).ok
+    assert count[0] == calls
 
 
 def test_claim_report_json_shape():
