@@ -260,6 +260,10 @@ def saturate(
     the current ideal contains the next one.
     The step cap exists only to surface runaway misuse; the chain itself must
     terminate.
+    An ideal K stays one chain, with no split into variables as in
+    `lengths.gamma_submodule`: callers print the chain's step count
+    (`verify_construction` claim 6) and the chain's own generators (the
+    session language's `saturate` statement).
     """
     if cap is None:
         cap = config.DEFAULT_SATURATION_CAP

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import config
 from .errors import CapExceeded, ContainmentError
-from .ideals import Ideal, intersect, maximal_ideal, saturate
+from .ideals import Ideal, intersect, saturate
 from .linalg import in_row_span, matrix_dtype, rank, rank_of_rows
 from .polyring import Monomial, PolyRing, Polynomial, monomial_mul
 
@@ -122,14 +122,30 @@ def finite_colength_length(ideal: Ideal) -> LengthResult:
 def gamma_submodule(j_ideal: Ideal, i_ideal: Ideal) -> Ideal:
     """H with Gamma_m(I/J) = H/J, namely H = (J : m^infinity) ∩ I.
 
-    Needs J <= I.  When J already has finite colength the whole quotient is
-    m-power torsion and H = I without any saturation work.
+    Needs J <= I.  J : m^infinity is the intersection of the parts
+    J : v^infinity over the variables v, because the ideal of the k-th powers
+    of the N variables lies between m^(N(k-1)+1) and m^k.  A generator c*v^k
+    of J puts v^k into J, so 1 lies in J : v^infinity and that part is the
+    unit ideal; it is skipped without building any basis.  Each other part is
+    the single-element colon chain `saturate(J, v)`.  When every variable is
+    skipped, J is m-primary and H = I.  Finite colength alone does not make
+    J m-primary: (x, y + 1) has colength 1 and no m-torsion.
     """
     if not i_ideal.contains_ideal(j_ideal):
         raise ContainmentError("gamma_submodule requires J <= I")
-    if finite_colength_length(j_ideal).finite:
+    held = set()
+    for g in j_ideal.generators:
+        support = [i for i, e in enumerate(g.leading_monomial()) if e]
+        if g.is_monomial() and len(support) == 1:
+            held.add(support[0])
+    parts = [
+        saturate(j_ideal, v)[0]
+        for i, v in enumerate(j_ideal.ring.gens())
+        if i not in held
+    ]
+    if not parts:
         return i_ideal
-    sat, _ = saturate(j_ideal, maximal_ideal(j_ideal.ring))
+    sat = functools.reduce(intersect, parts)
     if i_ideal.is_unit():
         return sat
     return intersect(sat, i_ideal)

@@ -269,17 +269,13 @@ def lf_sequences(
     Returns (l, f) with l = [l_(-1), l_0, ..., l_(e_max - 1)] and
     f = [f_0, ..., f_e_max], where l_(-1) measures Gamma_m(R/K) (the bracket
     with exponent -1 is read as the whole ring) and f_n = l_(-1) + ... +
-    l_(n-1)."""
-    ring = k_ideal.ring
-    one = unit_ideal(ring)
-    l_values = [gamma_length(_bracket(k_ideal, 0, hypersurface), one).expect()]
-    for e in range(e_max):
-        l_values.append(
-            gamma_length(
-                _bracket(k_ideal, e + 1, hypersurface),
-                _bracket(k_ideal, e, hypersurface),
-            ).expect()
-        )
+    l_(n-1).  Each bracket level is built once, as one ideal that serves as J
+    in l_(e-1) and as I in l_e, so its basis is built once too."""
+    levels = [_bracket(k_ideal, e, hypersurface) for e in range(e_max + 1)]
+    l_values = [gamma_length(levels[0], unit_ideal(k_ideal.ring)).expect()]
+    l_values += [
+        gamma_length(levels[e + 1], levels[e]).expect() for e in range(e_max)
+    ]
     f_values = []
     total = 0
     for value in l_values:

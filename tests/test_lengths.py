@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hkforge import (
     ContainmentError,
+    DegRevLex,
     Ideal,
     Lex,
     PolyRing,
@@ -13,8 +16,10 @@ from hkforge import (
     gamma_length,
     gamma_submodule,
     ideal_equal,
+    intersect,
     maximal_ideal,
     oracle_quotient_dimension,
+    saturate,
     subquotient_length,
     unit_ideal,
 )
@@ -115,16 +120,73 @@ def test_gamma_submodule_requires_containment(f5xy):
         gamma_submodule(Ideal(f5xy, [x]), Ideal(f5xy, [y]))
 
 
+def test_gamma_ignores_torsion_away_from_the_origin(f5xy):
+    """Finite colength is not m-primary: the point (0, -1) carries no
+    m-torsion, so only the part of R/J at the origin is measured."""
+    x, y = f5xy.gens()
+    one = unit_ideal(f5xy)
+    assert gamma_length(Ideal(f5xy, [x, y + 1]), one).expect() == 0
+    # J = (x^2, y) ∩ (x^2, y + 1); saturating drops the component at the
+    # origin, and H/J is that component, of length 2
+    j_ideal = Ideal(f5xy, [x**2, y * (y + 1)])
+    assert ideal_equal(gamma_submodule(j_ideal, one), Ideal(f5xy, [x**2, y + 1]))
+    assert gamma_length(j_ideal, one).expect() == 2
+
+
 def test_gamma_fast_path_matches_saturation_route(f5xy):
     """For m-primary J the shortcut H = I must agree with the saturation formula."""
-    from hkforge.ideals import intersect, saturate
-
     rng = random.Random(73)
     for _ in range(5):
         j_ideal, i_ideal = random_primary_pair(rng, f5xy, max_degree=3)
         h = gamma_submodule(j_ideal, i_ideal)
         sat, _ = saturate(j_ideal, maximal_ideal(f5xy))
         assert ideal_equal(h, intersect(sat, i_ideal))
+
+
+def _is_pure_power(term_dict) -> bool:
+    return len(term_dict) == 1 and sum(1 for e in next(iter(term_dict)) if e) == 1
+
+
+_mixed_gens = st.lists(
+    st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * 3), st.integers(1, 6), min_size=1, max_size=3
+    ).filter(lambda d: not _is_pure_power(d)),
+    min_size=1,
+    max_size=2,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=12, deadline=None)
+@given(
+    mixed=_mixed_gens,
+    extra=_mixed_gens,
+    variables=st.permutations(range(3)),
+    powers=st.lists(st.tuples(st.integers(1, 3), st.integers(0, 5)), min_size=2, max_size=2),
+    unit_i=st.booleans(),
+)
+@pytest.mark.parametrize("held", [0, 1, 2])
+@pytest.mark.parametrize("order", [Lex(), DegRevLex()], ids=["lex", "degrevlex"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_gamma_submodule_matches_the_m_colon_chain(
+    p, order, held, mixed, extra, variables, powers, unit_i
+):
+    """Saturating one variable at a time, and skipping each variable that J
+    holds a pure power c*v^k of, gives the same H as the m-colon chain.
+    `held` is the number of such variables; for p = 3 half the coefficients
+    c are 2."""
+    ring = PolyRing(p, ("s", "x", "y"), order)
+    gens = ring.gens()
+    pure = [
+        gens[v] ** k * (1 + c % (p - 1))
+        for v, (k, c) in zip(variables[:held], powers)
+    ]
+    j_ideal = Ideal(ring, pure + [ring.polynomial(d) for d in mixed])
+    if unit_i:
+        i_ideal = unit_ideal(ring)
+    else:
+        i_ideal = j_ideal + Ideal(ring, [ring.polynomial(d) for d in extra])
+    chain, _ = saturate(j_ideal, maximal_ideal(ring))
+    assert ideal_equal(gamma_submodule(j_ideal, i_ideal), intersect(chain, i_ideal))
 
 
 # -- subquotient lengths ------------------------------------------------------------------
