@@ -3,13 +3,14 @@
 Three measurement routes, kept deliberately independent of each other:
 
 * standard-monomial counting for finite-colength ideals (the initial ideal
-  must contain a pure power of every variable; the count is taken over the
-  resulting finite exponent box);
+  must contain a pure power of every variable; the staircase is counted by a
+  sweep over the exponents of the leads, with no grid);
 * subquotient measurement for (U + J)/J: find the least n with m^n * U <= J,
   then take the rank over F_p of the normal forms of all small multiples of
-  the generators of U;
-* a brute-force oracle that never looks at Groebner bases: Gaussian
-  elimination on raw multiples of the generators, degree-bounded.
+  the generators of U, one sparse row each, keyed by packed monomial;
+* a brute-force oracle that never looks at Groebner bases: sparse Gaussian
+  elimination (`linalg.row_reduce`) on one row per raw generator multiple up
+  to a degree bound, its columns the monomials coded in a fixed radix.
 
 Gamma_m is realized on ideals: Gamma_m(I/J) = H/J for
 H = (J : m^infinity) ∩ I.
@@ -19,15 +20,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import config
-from .errors import CapExceeded, ContainmentError
+from .errors import ContainmentError
 from .ideals import Ideal, intersect, saturate
-from .linalg import in_row_span, matrix_dtype, rank, rank_of_rows
-from .polyring import Monomial, PolyRing, Polynomial, monomial_mul
+from .linalg import rank_of_rows, reduce_row, row_reduce
+from .polyring import Monomial, PolyRing, Polynomial
 
 __all__ = [
     "LengthResult",
@@ -65,41 +65,26 @@ class LengthResult:
 # ---------------------------------------------------------------------------
 # standard monomials
 
-def _pure_power_bounds(lms: list[Monomial], nvars: int) -> list[int] | None:
-    """Minimal pure-power exponents per variable among `lms`, or None if some
-    variable has no pure power (infinite colength)."""
-    bounds: list[int | None] = [None] * nvars
-    for lm in lms:
-        support = [i for i, e in enumerate(lm) if e]
-        if len(support) == 1:
-            i = support[0]
-            if bounds[i] is None or lm[i] < bounds[i]:
-                bounds[i] = lm[i]
-    if any(b is None for b in bounds):
-        return None
-    return bounds
-
-
 def count_standard_monomials(lms: list[Monomial], nvars: int) -> int | None:
     """Number of monomials outside the monomial ideal generated by `lms`,
-    or None when that number is infinite."""
-    if any(not any(lm) for lm in lms):
-        return 0  # the unit ideal
-    bounds = _pure_power_bounds(lms, nvars)
-    if bounds is None:
-        return None
-    volume = 1
-    for b in bounds:
-        volume *= b
-    if volume > 1 << 28:
-        raise CapExceeded(
-            f"standard-monomial box has {volume} cells; exponents are too large"
-        )
-    grid = np.zeros(tuple(bounds), dtype=bool)
-    for lm in lms:
-        # slices past the box are empty, so out-of-box generators are no-ops
-        grid[tuple(slice(e, None) for e in lm)] = True
-    return int(grid.size - grid.sum())
+    or None when that number is infinite.
+
+    Sweeps the last variable: the distinct last exponents of the leads split
+    its range into runs, and every slice in a run is the staircase of the
+    same leads (those whose last exponent is at most the run's start), so one
+    count in the other variables, times the run's length, covers the run.
+    """
+    if nvars == 0:
+        return 0 if lms else 1
+    cuts = sorted({0, *(lm[-1] for lm in lms)})
+    total = 0
+    for lo, hi in zip(cuts, [*cuts[1:], None]):
+        count = count_standard_monomials([lm[:-1] for lm in lms if lm[-1] <= lo], nvars - 1)
+        if count == 0:
+            return total  # the slices only shrink as the last exponent grows
+        if count is None or hi is None:
+            return None
+        total += (hi - lo) * count
 
 
 def finite_colength_length(ideal: Ideal) -> LengthResult:
@@ -225,17 +210,17 @@ def subquotient_length(
         )
     basis = j_ideal.groebner_basis()
     ring = j_ideal.ring
-    rows = []
+    nfs = []
     for d in range(n):
         for mon in _monomials_of_degree(ring.nvars, d):
             for u in u_ideal.generators:
                 nf = basis.reduce(u.mul_term(mon, 1))
                 if not nf.is_zero():
-                    rows.append(nf.as_dict())
-    columns = sorted(
-        {m for row in rows for m in row}, key=ring.order.key, reverse=True
-    )
-    return LengthResult(rank_of_rows(rows, columns, ring.p), True, "subquotient")
+                    nfs.append(nf)
+    # the columns are packed monomials, so every row takes the widest packing
+    pk = max((nf.packing for nf in nfs), key=lambda k: k.width, default=None)
+    rows = [dict(pk.repack(nf.packed, nf.packing)) for nf in nfs]
+    return LengthResult(rank_of_rows(rows, ring.p), True, "subquotient")
 
 
 def gamma_length(j_ideal: Ideal, i_ideal: Ideal, **kw) -> LengthResult:
@@ -254,18 +239,32 @@ def _monomials_up_to(ring: PolyRing, degree: int) -> list[Monomial]:
     return out
 
 
-def _span_matrix(ideal: Ideal, degree_bound: int, columns: dict[Monomial, int]):
-    """One row per generator multiple of degree <= bound, in `columns`."""
-    shifts = [
-        (g, mon)
-        for g in ideal.generators
-        for mon in _monomials_up_to(ideal.ring, degree_bound - g.total_degree())
-    ]
-    matrix = np.zeros((len(shifts), len(columns)), dtype=matrix_dtype(ideal.ring.p))
-    for r, (g, mon) in enumerate(shifts):
-        for m, c in g.terms:
-            matrix[r, columns[monomial_mul(m, mon)]] = c
-    return matrix
+def _code(mon: Monomial, radix: int) -> int:
+    """`mon` as a numeral in base `radix`, last variable most significant.
+    While every exponent stays below the radix, a product's code is the sum
+    of its factors' codes."""
+    code = 0
+    for e in reversed(mon):
+        code = code * radix + e
+    return code
+
+
+def _span_rows(ideal: Ideal, degree_bound: int) -> list[dict[int, int]]:
+    """One sparse row per generator multiple of degree <= bound, its columns
+    the `_code`s of the monomials at radix bound + 1."""
+    ring = ideal.ring
+    radix = degree_bound + 1
+    # monomials come by ascending degree, so those of degree <= d are a prefix
+    shifts = [_code(mon, radix) for mon in _monomials_up_to(ring, degree_bound)]
+    rows = []
+    for g in ideal.generators:
+        room = degree_bound - g.total_degree()
+        if room < 0:
+            continue
+        terms = [(_code(m, radix), c) for m, c in g.terms]
+        for shift in shifts[: math.comb(ring.nvars + room, room)]:
+            rows.append({code + shift: c for code, c in terms})
+    return rows
 
 
 def oracle_quotient_dimension(ideal: Ideal, degree_bound: int) -> int:
@@ -277,10 +276,8 @@ def oracle_quotient_dimension(ideal: Ideal, degree_bound: int) -> int:
     """
     if degree_bound < 0:
         raise ValueError("degree bound must be non-negative")
-    mons = _monomials_up_to(ideal.ring, degree_bound)
-    columns = {m: i for i, m in enumerate(mons)}
-    matrix = _span_matrix(ideal, degree_bound, columns)
-    return len(mons) - rank(matrix, ideal.ring.p)
+    monomials = math.comb(ideal.ring.nvars + degree_bound, degree_bound)
+    return monomials - rank_of_rows(_span_rows(ideal, degree_bound), ideal.ring.p)
 
 
 def oracle_ideal_member(
@@ -293,16 +290,13 @@ def oracle_ideal_member(
     if f.is_zero():
         return True
     base = f.total_degree()
+    p = ideal.ring.p
     previous = None
     for round_ in range(max_rounds):
         bound = base + slack + round_
-        mons = _monomials_up_to(ideal.ring, bound)
-        columns = {m: i for i, m in enumerate(mons)}
-        matrix = _span_matrix(ideal, bound, columns)
-        vec = np.zeros(len(mons), dtype=matrix_dtype(ideal.ring.p))
-        for m, c in f.terms:
-            vec[columns[m]] = c
-        answer = in_row_span(matrix, vec, ideal.ring.p)
+        echelon = row_reduce(_span_rows(ideal, bound), p)
+        row = {_code(m, bound + 1): c for m, c in f.terms}
+        answer = not reduce_row(row, echelon, p)
         if answer:
             return True
         if previous is not None and previous == answer:

@@ -1,4 +1,6 @@
+import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from hkforge import (
     subquotient_length,
     unit_ideal,
 )
+from hkforge.lengths import count_standard_monomials
 from hkforge.verify import build_construction
 
 from helpers import random_monomial_ideal, random_primary_pair
@@ -60,6 +63,50 @@ def test_missing_pure_power_is_infinite():
 
 def test_unit_ideal_has_length_zero(f5xy):
     assert finite_colength_length(unit_ideal(f5xy)).value == 0
+
+
+def _brute_force_staircase(lms, nvars):
+    """Monomials outside the monomial ideal of `lms`, counted one by one in
+    the box under the least pure powers; None when some variable has none."""
+    if any(not any(lm) for lm in lms):
+        return 0
+    bounds = []
+    for i in range(nvars):
+        powers = [lm[i] for lm in lms if lm[i] and not any(lm[:i] + lm[i + 1:])]
+        if not powers:
+            return None
+        bounds.append(min(powers))
+    return sum(
+        not any(all(m >= e for m, e in zip(mon, lm)) for lm in lms)
+        for mon in itertools.product(*map(range, bounds))
+    )
+
+
+def test_staircase_count_matches_brute_force():
+    rng = random.Random(2024)
+    for trial in range(300):
+        nvars = rng.randint(1, 4)
+        lms = [tuple(rng.randint(0, 4) for _ in range(nvars)) for _ in range(rng.randint(0, 5))]
+        # most trials get a pure power of every variable, some miss one
+        for i in range(nvars):
+            if rng.random() < 0.9:
+                lms.append(tuple(rng.randint(1, 5) if j == i else 0 for j in range(nvars)))
+        lms = [lm for lm in lms if any(lm)] if trial % 25 else lms + [(0,) * nvars]
+        rng.shuffle(lms)
+        assert count_standard_monomials(lms, nvars) == _brute_force_staircase(lms, nvars), lms
+
+
+def test_staircase_count_of_a_huge_box_is_exact_and_fast():
+    lms = [(2**14, 0, 0), (0, 2**14, 0), (0, 0, 2**12), (3, 5, 7), (0, 9000, 100)]
+    start = time.perf_counter()
+    count = count_standard_monomials(lms, 3)
+    elapsed = time.perf_counter() - start
+    outside_one = (2**14 - 3) * (2**14 - 5) * (2**12 - 7)
+    # the monomials both leads cut off: x^3 y^9000 z^100 and above
+    outside_both = (2**14 - 3) * (2**14 - 9000) * (2**12 - 100)
+    outside_two = 2**14 * (2**14 - 9000) * (2**12 - 100)
+    assert count == 2**40 - outside_one - outside_two + outside_both
+    assert elapsed < 0.1
 
 
 # -- the brute-force oracle ----------------------------------------------------------

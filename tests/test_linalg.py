@@ -1,6 +1,9 @@
 import random
+import subprocess
+import sys
 
 import numpy as np
+import pytest
 
 from hkforge import Ideal, PolyRing, finite_colength_length, oracle_quotient_dimension, subquotient_length
 from hkforge.linalg import in_row_span, rank, rank_of_rows
@@ -34,7 +37,7 @@ def test_rank_exact_beyond_int64_products():
         r2 = [rng.randrange(p) for _ in range(4)]
         k = rng.randrange(p)
         rows = [r1, r2, [(a + k * b) % p for a, b in zip(r1, r2)]]
-        assert rank_of_rows([dict(enumerate(r)) for r in rows], [0, 1, 2, 3], p) == 2
+        assert rank_of_rows([dict(enumerate(r)) for r in rows], p) == 2
 
 
 def test_length_routes_agree_beyond_int64_products():
@@ -68,3 +71,56 @@ def test_in_row_span_exact_beyond_int64_products():
     matrix = np.array([[1, p - 2, 0], [0, 0, 1]], dtype=object)
     assert in_row_span(matrix, np.array([p - 2, (p - 2) ** 2 % p, 5], dtype=object), p)
     assert not in_row_span(matrix, np.array([p - 2, (p - 2) ** 2 % p + 1, 5], dtype=object), p)
+
+
+def _random_matrix(rng, p, nrows, ncols, density):
+    """Rows of residues, a `density` share of them nonzero, with a zero row
+    and repeats of earlier rows mixed in."""
+    rows = [
+        [rng.randrange(1, p) if rng.random() < density else 0 for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+    rows.append([0] * ncols)
+    rows += [list(rows[rng.randrange(nrows)]) for _ in range(2)]
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("p", [2, 3, 31, 2**31 - 1, BIG_P])
+def test_kernel_agrees_with_sympy_domain_matrix(p):
+    pytest.importorskip("sympy")
+    from sympy import GF
+    from sympy.polys.matrices import DomainMatrix
+
+    field = GF(p)
+
+    def sympy_rank(rows):
+        return DomainMatrix([[field(v) for v in row] for row in rows], (len(rows), len(rows[0])), field).rank()
+
+    rng = random.Random(p)
+    for trial in range(24):
+        density = (0.15, 0.5, 1.0)[trial % 3]
+        ncols = rng.randint(1, 9)
+        rows = _random_matrix(rng, p, rng.randint(1, 7), ncols, density)
+        expected = sympy_rank(rows)
+        assert rank(np.array(rows, dtype=object), p) == expected
+        assert rank_of_rows([{c: v for c, v in enumerate(r) if v} for r in rows], p) == expected
+        picks = [rng.randrange(p) for _ in rows]
+        inside = [sum(k * r[c] for k, r in zip(picks, rows)) % p for c in range(ncols)]
+        outside = [rng.randrange(p) for _ in range(ncols)]
+        matrix = np.array(rows, dtype=object)
+        assert in_row_span(matrix, np.array(inside, dtype=object), p)
+        assert in_row_span(matrix, np.array(outside, dtype=object), p) == (
+            sympy_rank(rows + [outside]) == expected
+        )
+
+
+def test_import_leaves_numpy_out():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, hkforge; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
