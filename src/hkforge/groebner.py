@@ -114,29 +114,35 @@ def _spoly_terms(packing: Packing, fi: tuple, fj: tuple, lcm: int, p: int) -> li
 def _gm_update(packing: Packing, lms: list[int], active: list[int], pairs: list, h: int):
     """Gebauer-Moeller pair update on adding element index h.
 
-    `lms` holds the plain leading monomials without a degree field, and
-    `pairs` is a heap of (packed lcm, i, j, plain lcm).  Applies the standard
-    chain and coprimality criteria to prune the pair set, then retires active
-    elements whose lead became divisible by lm(h).
+    `lms` holds the plain leading monomials without a degree field, `active`
+    the basis indices in ascending order, and `pairs` is a heap of (packed
+    lcm, i, j, plain lcm).  New pairs (g, h) are grouped by lcm.  Criterion
+    F: a class yields one pair, none if it holds a coprime pair.  Criterion
+    M: a class whose lcm another class's lcm (coprime ones included) properly
+    divides yields none.  Criterion B: an old pair (i, j) goes when lm(h)
+    divides its lcm and lcm(i, h), lcm(h, j) both differ from it.  Two
+    departures from the published order of deletions (Gebauer & Moeller, JSC
+    1988) keep the same pairs: classes are visited in ascending order, not by
+    degree, as every monomial order refines divisibility; and a class keeps
+    its smallest g.  Active elements whose lead lm(h) divides then retire.
     """
-    guard, lcm_of = packing.guard, packing.plain_max
+    guard, lcm_of, flip = packing.guard, packing.plain_max, packing.flip
     mh = lms[h]
-    candidates = sorted(active)
-    lcms = [lcm_of(mh, lms[ig]) for ig in candidates]
-    surviving = []  # lcms of the candidates kept so far, coprime ones included
+    classes: dict[int, int] = {}  # plain lcm -> smallest g, or -1 if coprime
+    for ig in active:
+        lcm = lcm_of(mh, lms[ig])
+        if mh + lms[ig] == lcm:
+            classes[lcm] = -1
+        else:
+            classes.setdefault(lcm, ig)
+    minimal: list[int] = []
     new_pairs = []
-    for pos, ig in enumerate(candidates):
-        lcm_hg = lcms[pos]
-        if mh + lms[ig] == lcm_hg:
-            # coprime leads: S-pair reduces to zero, but it may still justify
-            # dropping other pairs, so handle after the divisibility pass
-            surviving.append(lcm_hg)
-        elif not any(m != lcm_hg and not (lcm_hg - m) & guard for m in surviving) and not any(
-            m != lcm_hg and not (lcm_hg - m) & guard for m in lcms[pos + 1 :]
-        ):
-            # no other pair's lcm properly divides this one's
-            surviving.append(lcm_hg)
-            new_pairs.append((ig, lcm_hg))
+    for packed, lcm in sorted((packing.with_degree(lcm) ^ flip, lcm) for lcm in classes):
+        if any(not (lcm - m) & guard for m in minimal):
+            continue
+        minimal.append(lcm)
+        if classes[lcm] >= 0:
+            new_pairs.append((packed, classes[lcm], h, lcm))
 
     kept = [
         pair
@@ -145,9 +151,7 @@ def _gm_update(packing: Packing, lms: list[int], active: list[int], pairs: list,
         or lcm_of(lms[pair[1]], mh) == pair[3]
         or lcm_of(mh, lms[pair[2]]) == pair[3]
     ]
-    flip = packing.flip
-    for ig, lcm in new_pairs:
-        kept.append((packing.with_degree(lcm) ^ flip, ig, h, lcm))
+    kept += new_pairs
     heapq.heapify(kept)
 
     still_active = [ig for ig in active if (lms[ig] - mh) & guard]
@@ -159,8 +163,8 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder | None = None) -
     """Reduced Groebner basis of the ideal generated by `gens`, in the ring of
     the first generator taken under `order` (by default its own order).
 
-    Pairs are pruned by the Gebauer-Moeller chain and coprimality criteria and
-    taken smallest lcm first under the order (the normal strategy).  The
+    Pairs are pruned by the Gebauer-Moeller criteria M, F and B and taken
+    smallest lcm first under the order (the normal strategy).  The
     result is the unique reduced basis: monic elements, no term of one
     divisible by the lead of another, sorted lead-descending.
     """

@@ -238,16 +238,18 @@ def colon_element(ideal: Ideal, u: Polynomial) -> Ideal:
     return Ideal(ideal.ring, quotients)
 
 
-def colon_ideal(ideal: Ideal, divisor: Ideal) -> Ideal:
-    """(I : K) as the intersection of the element colons over generators of K."""
+def _colon_generators(ideal: Ideal, divisor: Ideal) -> tuple[Polynomial, ...]:
+    """The generators k of K, whose element colons (I : k) make up (I : K)."""
     ideal._check(divisor)
     if divisor.is_zero():
         raise ZeroDivisor("colon by the zero ideal")
-    parts = [colon_element(ideal, k) for k in divisor.generators]
-    out = parts[0]
-    for part in parts[1:]:
-        out = intersect(out, part)
-    return out
+    return divisor.generators
+
+
+def colon_ideal(ideal: Ideal, divisor: Ideal) -> Ideal:
+    """(I : K) as the intersection of the element colons over generators of K."""
+    parts = (colon_element(ideal, k) for k in _colon_generators(ideal, divisor))
+    return functools.reduce(intersect, parts)
 
 
 def saturate(
@@ -257,7 +259,10 @@ def saturate(
 
     Returns (stable ideal, number of colon steps that strictly grew the
     chain).  The chain only ascends (I ⊆ I : K), so it has stabilized when
-    the current ideal contains the next one.
+    the current ideal contains the next one.  For an ideal K the next ideal
+    is the intersection of the parts I : k over the generators k, and
+    I ⊆ I : K ⊆ I : k, so the chain has also stabilized as soon as one part
+    lies in I; the remaining parts and the intersections are then skipped.
     The step cap exists only to surface runaway misuse; the chain itself must
     terminate.
     An ideal K stays one chain, with no split into variables as in
@@ -267,11 +272,18 @@ def saturate(
     """
     if cap is None:
         cap = config.DEFAULT_SATURATION_CAP
-    single = isinstance(divisor, Polynomial) or isinstance(divisor, int)
+    single = isinstance(divisor, (Polynomial, int))
+    elements = [divisor] if single else _colon_generators(ideal, divisor)
     current = ideal
     for step in range(cap + 1):
-        nxt = colon_element(current, divisor) if single else colon_ideal(current, divisor)
-        if current.contains_ideal(nxt):
+        parts = []
+        for k in elements:
+            part = colon_element(current, k)
+            if current.contains_ideal(part):
+                return current, step
+            parts.append(part)
+        nxt = functools.reduce(intersect, parts)
+        if len(parts) > 1 and current.contains_ideal(nxt):
             return current, step
         current = nxt
     raise CapExceeded(

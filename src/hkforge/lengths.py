@@ -181,6 +181,10 @@ def subquotient_length(
     standard-monomial coordinates of J.  "difference": when both colengths
     are finite, additivity gives len(R/J) - len(R/U) directly.  "auto" takes
     the difference route when available.
+
+    The difference route gives the global length, over all of V(J); the
+    rank route sees only the origin.  They agree when (U + J)/J is supported
+    at the origin, as for every `gamma_length` call.
     """
     if method not in {"auto", "rank", "difference"}:
         raise ValueError(f"unknown method {method!r}")

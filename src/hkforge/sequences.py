@@ -339,13 +339,6 @@ class SandwichRecord:
         )
 
 
-def _finite_quotient(i_full: Ideal, j_full: Ideal) -> bool:
-    """Whether I <= (J : m^infinity), i.e. len(I/J) < infinity."""
-    if finite_colength_length(j_full).finite:
-        return True
-    return nilpotency_exponent(i_full, j_full, config.DEFAULT_NILPOTENCY_CAP) is not None
-
-
 def check_sandwich(
     j_ideal: Ideal,
     i_ideal: Ideal,
@@ -354,8 +347,12 @@ def check_sandwich(
 ) -> SandwichRecord:
     """Compute the three quantities at level n and return them as a record."""
     j_full, i_full = _check_nested(j_ideal, i_ideal, hypersurface)
-    if not _finite_quotient(i_full, j_full):
-        raise InfiniteColength("check_sandwich needs len(I/J) finite")
+    cap = config.DEFAULT_NILPOTENCY_CAP
+    if nilpotency_exponent(i_full, j_full, cap) is None:
+        raise InfiniteColength(
+            "check_sandwich needs len(I/J) finite: I/J must be supported at the origin,"
+            f" with m^n I <= J for some n <= {cap}"
+        )
 
     def layer(j: int) -> int:
         return subquotient_length(

@@ -16,10 +16,12 @@ from hkforge import (
     normal_form,
     s_polynomial,
 )
+from hkforge.groebner import _gm_update
 from hkforge.lengths import oracle_ideal_member
+from hkforge.polyring import packing_for
 from hkforge.verify import aux_saturation_basis
 
-from helpers import is_reduced_basis, random_nonzero_polynomial, random_polynomial
+from helpers import is_reduced_basis, random_monomial, random_nonzero_polynomial, random_polynomial
 
 
 @pytest.fixture
@@ -118,6 +120,29 @@ def test_all_zero_input_gives_empty_basis():
         assert len(basis) == 0 and basis.reduced
 
 
+def _random_term_monomial(rng, ring, max_degree):
+    while True:
+        mon = random_monomial(rng, ring, max_degree)
+        if any(mon):
+            return mon
+
+
+def _random_binomial(rng, ring, max_degree):
+    """m1 - c*m2 with two distinct non-constant monomials."""
+    while True:
+        m1, m2 = (_random_term_monomial(rng, ring, max_degree) for _ in range(2))
+        if m1 != m2:
+            return ring.polynomial({m1: 1, m2: ring.p - rng.randint(1, ring.p - 1)})
+
+
+def _random_monomial_heavy(rng, ring, max_degree):
+    """A monomial most of the time, else a binomial: the leads then share
+    variables often, so equal-lcm classes and coprime pairs occur."""
+    if rng.random() < 0.6:
+        return ring.polynomial({_random_term_monomial(rng, ring, max_degree): 1})
+    return _random_binomial(rng, ring, max_degree)
+
+
 def test_buchberger_output_certifies_randomized():
     rng = random.Random(29)
     ring = PolyRing(3, ("x", "y"), Lex())
@@ -127,6 +152,51 @@ def test_buchberger_output_certifies_randomized():
         cert = certify_groebner(list(basis), basis.order)
         assert cert.ok
         assert cert.check()
+
+
+@pytest.mark.parametrize(
+    "variables,order,make",
+    [
+        (("x", "y", "z"), DegRevLex(), random_nonzero_polynomial),
+        (("x", "y", "z"), DegRevLex(), _random_binomial),
+        (("t", "x", "y"), Block(1, DegRevLex()), _random_binomial),
+        (("x", "y", "z"), DegRevLex(), _random_monomial_heavy),
+        (("t", "x", "y"), Block(1, DegRevLex()), _random_monomial_heavy),
+    ],
+    ids=["degrevlex", "degrevlex-binomial", "block-binomial", "degrevlex-monomial", "block-monomial"],
+)
+def test_buchberger_output_certifies_in_three_variables(variables, order, make):
+    rng = random.Random(29)
+    ring = PolyRing(3, variables, order)
+    for _ in range(20):
+        gens = [make(rng, ring, 3) for _ in range(rng.randint(2, 5))]
+        basis = buchberger(gens)
+        cert = certify_groebner(list(basis), basis.order)
+        assert cert.ok
+        assert cert.check()
+
+
+def test_pair_update_keeps_one_pair_per_lcm_class():
+    """Criterion F: the new pairs of an equal-lcm class give one S-pair, with
+    the smallest index, and none when the class holds a coprime pair."""
+    pk = packing_for(DegRevLex(), 4, 4)
+
+    def pairs_after(leads):
+        lms = [(pk.pack(m) ^ pk.flip) & pk.exponents for m in leads]
+        active, pairs = [], []
+        for h in range(len(lms)):
+            active, pairs = _gm_update(pk, lms, active, pairs, h)
+        return sorted((i, j) for _, i, j, _ in pairs)
+
+    # x*z and y*z both meet x*y in x*y*z; (0, 1) has that lcm too and stays by
+    # criterion B.  Without criterion F, (1, 2) was formed as well.
+    assert pairs_after([(1, 0, 1, 0), (0, 1, 1, 0), (1, 1, 0, 0)]) == [(0, 1), (0, 2)]
+    # z*w, x*z*w and y*z*w all meet x*y in x*y*z*w, and z*w is coprime to x*y,
+    # so adding x*y forms no pair; (1, 2) went earlier by criterion M.
+    assert pairs_after([(0, 0, 1, 1), (1, 0, 1, 1), (0, 1, 1, 1), (1, 1, 0, 0)]) == [
+        (0, 1),
+        (0, 2),
+    ]
 
 
 def test_reduced_basis_is_unique_under_permutation_and_scaling():

@@ -24,7 +24,7 @@ from hkforge import (
 from hkforge.lengths import oracle_ideal_member
 from hkforge.verify import build_construction
 
-from helpers import random_nonzero_polynomial
+from helpers import random_monomial, random_nonzero_polynomial
 
 
 @pytest.fixture
@@ -235,6 +235,67 @@ def test_saturation_is_stable_under_further_colon(f3xy):
         u = random_nonzero_polynomial(rng, f3xy, max_degree=2)
         stable, _ = saturate(ideal, u)
         assert ideal_equal(colon_element(stable, u), stable)
+
+
+def test_saturate_runs_the_full_step_when_no_part_lies_in_i(f3xy):
+    """(xy) : x = (y) and (xy) : y = (x) lie outside (xy), but their
+    intersection is (xy) again: the chain is stable, found only after the
+    intersection."""
+    x, y = f3xy.gens()
+    ideal = Ideal(f3xy, [x * y])
+    stable, steps = saturate(ideal, maximal_ideal(f3xy))
+    assert stable is ideal and steps == 0
+
+
+def test_saturate_stops_at_the_first_part_that_lies_in_i(f3xy, monkeypatch):
+    """(y) : x = (y) already lies in (y), so (y) : (x, y) needs no second part
+    and no intersection."""
+    from hkforge import ideals
+
+    x, y = f3xy.gens()
+    ideal = Ideal(f3xy, [y])
+    calls = []
+    colon = ideals.colon_element
+    monkeypatch.setattr(ideals, "colon_element", lambda i, u: calls.append(u) or colon(i, u))
+    assert saturate(ideal, maximal_ideal(f3xy)) == (ideal, 0)
+    assert calls == [x]
+
+
+def _colon_chain(ideal, divisor):
+    """I : K^infinity by the plain chain of full colons."""
+    current, steps = ideal, 0
+    while True:
+        nxt = colon_ideal(current, divisor)
+        if current.contains_ideal(nxt):
+            return current, steps
+        current, steps = nxt, steps + 1
+
+
+def test_saturate_by_an_ideal_matches_the_full_colon_chain(f3xy):
+    """The early stop on a part that lies in I keeps the step count and the
+    ideal of the full chain."""
+    rng = random.Random(71)
+    x, y = f3xy.gens()
+    divisors = [
+        maximal_ideal(f3xy),
+        Ideal(f3xy, [x**2, y]),
+        Ideal(f3xy, [x * y, y**2 + x]),
+    ]
+    steps_seen = set()
+    for _ in range(10):
+        gens = [
+            random_nonzero_polynomial(rng, f3xy, max_degree=2)
+            * f3xy.monomial(*random_monomial(rng, f3xy, 4))
+            for _ in range(rng.randint(2, 3))
+        ]
+        ideal = Ideal(f3xy, gens)
+        for divisor in divisors:
+            stable, steps = saturate(ideal, divisor)
+            expected, expected_steps = _colon_chain(ideal, divisor)
+            assert steps == expected_steps
+            assert ideal_equal(stable, expected)
+            steps_seen.add(steps)
+    assert {0, 2, 4} <= steps_seen
 
 
 def test_saturation_cap_diagnostic(f3xy):

@@ -16,6 +16,7 @@ from hkforge import (
     maximal_ideal,
     rjj_sequence,
     sjj_sequence,
+    unit_ideal,
     vjj_sequence,
     window_bound_check,
 )
@@ -273,6 +274,16 @@ def test_sandwich_rejects_infinite_quotient(f3xy):
     x, y = f3xy.gens()
     with pytest.raises(InfiniteColength):
         check_sandwich(Ideal(f3xy, [x**2]), Ideal(f3xy, [x]), 1)
+
+
+def test_sandwich_rejects_finite_colength_off_the_origin(f3xy):
+    """J = (x, y + 1) has colength 1, but its one point is (0, -1), so
+    m^n * I <= J for no n.  Reading finite colength of J as I <= J : m^infinity
+    mixed the global length (lower 9) with the local one (middle 0) and
+    reported holds = False."""
+    x, y = f3xy.gens()
+    with pytest.raises(InfiniteColength, match="supported at the origin"):
+        check_sandwich(Ideal(f3xy, [x, y + 1]), unit_ideal(f3xy), 1)
 
 
 # -- report formats ----------------------------------------------------------------------------

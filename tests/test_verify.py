@@ -180,7 +180,7 @@ def _rjj_of_katzman_pair() -> bool:
 @pytest.mark.parametrize(
     "run,calls",
     [
-        (lambda: verify_construction(3, 4).ok, 24),
+        (lambda: verify_construction(3, 4).ok, 20),
         (lambda: verify_katzman(3, 1).ok, 12),
         (_rjj_of_katzman_pair, 14),
     ],
@@ -203,6 +203,41 @@ def test_ideal_layer_builds_a_pinned_number_of_bases(monkeypatch, run, calls):
     monkeypatch.setattr(ideals, "buchberger", counted)
     assert run()
     assert count[0] == calls
+
+
+@pytest.mark.parametrize(
+    "run,spairs,zeros",
+    [
+        (lambda: verify_construction(3, 4).ok, 579, 429),
+        (_rjj_of_katzman_pair, 236, 176),
+    ],
+    ids=["construction-3-4", "rjj-katzman-3-1"],
+)
+def test_buchberger_forms_a_pinned_number_of_spairs(monkeypatch, run, spairs, zeros):
+    """S-pairs formed and S-pairs that reduce to zero, over every Buchberger
+    call of a run.  The counts are deterministic, so a pair criterion that
+    stops pruning fails here.  Before criterion F (one pair per equal-lcm
+    class, none when the class holds a coprime pair) and the early stop of the
+    ideal-divisor saturation, the runs formed 833 and 270 S-pairs, of which
+    647 and 210 reduced to zero."""
+    from hkforge import groebner
+
+    count = {"spairs": 0, "zeros": 0}
+    spoly, reduce = groebner._spoly_terms, groebner._reduce_sorted
+
+    def counted_spoly(*a):
+        count["spairs"] += 1
+        return spoly(*a)
+
+    def counted_reduce(*a):
+        rem = reduce(*a)
+        count["zeros"] += not rem
+        return rem
+
+    monkeypatch.setattr(groebner, "_spoly_terms", counted_spoly)
+    monkeypatch.setattr(groebner, "_reduce_sorted", counted_reduce)
+    assert run()
+    assert (count["spairs"], count["zeros"]) == (spairs, zeros)
 
 
 def test_claim_report_json_shape():
