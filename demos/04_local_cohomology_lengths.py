@@ -5,8 +5,8 @@ Three independent measurement routes are shown side by side:
 * standard-monomial counting (finite colength only): count the monomials
   outside the initial ideal, a finite box once every variable appears to a
   pure power;
-* the subquotient route for (U + J)/J: nilpotency search then linear algebra
-  on normal forms;
+* the subquotient route for (U + J)/J: the span of U's normal forms mod J,
+  closed under the variables by sparse linear algebra;
 * a Groebner-free brute-force oracle: Gaussian elimination on raw generator
   multiples, degree by degree.
 """

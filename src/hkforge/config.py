@@ -6,8 +6,10 @@ import os
 # e = 6 are almost never what anyone wants interactively.
 DEFAULT_BRACKET_CAP = 6
 
-# Upper bound on the power of the irrelevant maximal ideal searched when
-# measuring a subquotient.  All worked instances need single-digit exponents.
+# Upper bound on the levels of the span closure that measures a subquotient
+# (for m-torsion at most the nilpotency exponent + 1), and on the power of the
+# irrelevant maximal ideal that `check_sandwich` searches.  All worked
+# instances need single digits.
 DEFAULT_NILPOTENCY_CAP = 64
 
 # Saturation terminates by the ascending chain condition; the cap only guards

@@ -5,9 +5,9 @@ Three measurement routes, kept deliberately independent of each other:
 * standard-monomial counting for finite-colength ideals (the initial ideal
   must contain a pure power of every variable; the staircase is counted by a
   sweep over the exponents of the leads, with no grid);
-* subquotient measurement for (U + J)/J: find the least n with m^n * U <= J,
-  then take the rank over F_p of the normal forms of all small multiples of
-  the generators of U, one sparse row each, keyed by packed monomial;
+* subquotient measurement for (U + J)/J: the span of the normal forms of
+  U's generators modulo J, closed under multiplication by the variables, one
+  sparse row per normal form keyed by packed monomial;
 * a brute-force oracle that never looks at Groebner bases: sparse Gaussian
   elimination (`linalg.row_reduce`) on one row per raw generator multiple up
   to a degree bound, its columns the monomials coded in a fixed radix.
@@ -176,15 +176,15 @@ def subquotient_length(
 ) -> LengthResult:
     """len((U + J)/J) for J <= U, when finite.
 
-    "rank": find the least n with m^n U <= J, then rank over F_p of the
-    normal forms of {mu * u : deg mu < n, u generator of U} in the
-    standard-monomial coordinates of J.  "difference": when both colengths
-    are finite, additivity gives len(R/J) - len(R/U) directly.  "auto" takes
-    the difference route when available.
-
-    The difference route gives the global length, over all of V(J); the
-    rank route sees only the origin.  They agree when (U + J)/J is supported
-    at the origin, as for every `gamma_length` call.
+    "rank": the span of the normal forms of U's generators against J's basis,
+    closed under the variables.  A normal form that the echelon of the rows
+    kept so far does not reduce to zero is kept, and its products with the
+    variables make the next level.  If f lies in the span of earlier rows,
+    x_i * f lies in that of their x_i-multiples, queued already, so the first
+    level that adds nothing ends the closure; at most `nilpotency_cap` + 1
+    levels run.  "difference": when both colengths are finite, len(R/J) -
+    len(R/U).  "auto" takes the difference route when available.  Both routes
+    give the global length, over all of V(J): 1 for U = R, J = (x, y + 1).
     """
     if method not in {"auto", "rank", "difference"}:
         raise ValueError(f"unknown method {method!r}")
@@ -204,27 +204,26 @@ def subquotient_length(
             )
 
     cap = nilpotency_cap if nilpotency_cap is not None else config.DEFAULT_NILPOTENCY_CAP
-    n = nilpotency_exponent(u_ideal, j_ideal, cap)
-    if n is None:
-        return LengthResult(
-            None,
-            False,
-            "subquotient",
-            f"possibly infinite length: no n <= {cap} with m^n U <= J",
-        )
     basis = j_ideal.groebner_basis()
     ring = j_ideal.ring
-    nfs = []
-    for d in range(n):
-        for mon in _monomials_of_degree(ring.nvars, d):
-            for u in u_ideal.generators:
-                nf = basis.reduce(u.mul_term(mon, 1))
-                if not nf.is_zero():
-                    nfs.append(nf)
-    # the columns are packed monomials, so every row takes the widest packing
-    pk = max((nf.packing for nf in nfs), key=lambda k: k.width, default=None)
-    rows = [dict(pk.repack(nf.packed, nf.packing)) for nf in nfs]
-    return LengthResult(rank_of_rows(rows, ring.p), True, "subquotient")
+    steps = [tuple(int(i == j) for j in range(ring.nvars)) for i in range(ring.nvars)]
+    # the columns are packed monomials under the widest packing seen so far
+    pk, kept, echelon = None, [], {}
+    level = [basis.reduce(u) for u in u_ideal.generators]
+    for _ in range(cap + 1):
+        start = len(kept)
+        for nf in filter(None, level):
+            if pk is None or nf.packing.width > pk.width:
+                pk = nf.packing
+                echelon = row_reduce([dict(pk.repack(f.packed, f.packing)) for f in kept], ring.p)
+            row = reduce_row(dict(pk.repack(nf.packed, nf.packing)), echelon, ring.p)
+            if row:
+                echelon.update(row_reduce([row], ring.p))
+                kept.append(nf)
+        if len(kept) == start:
+            return LengthResult(len(kept), True, "subquotient")
+        level = [basis.reduce(nf.mul_term(step, 1)) for nf in kept[start:] for step in steps]
+    return LengthResult(None, False, "subquotient", f"possibly infinite: not closed by level {cap}")
 
 
 def gamma_length(j_ideal: Ideal, i_ideal: Ideal, **kw) -> LengthResult:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hkforge import (
     ContainmentError,
     DegRevLex,
+    GroebnerBasis,
     Ideal,
     Lex,
     PolyRing,
@@ -264,6 +265,52 @@ def test_rank_and_difference_methods_agree(f5xy):
         by_rank = subquotient_length(i_ideal, j_ideal, method="rank").expect()
         by_diff = subquotient_length(i_ideal, j_ideal, method="difference").expect()
         assert by_rank == by_diff
+
+
+def test_rank_route_reduces_each_kept_form_once_per_variable(f5xy, monkeypatch):
+    """The closure makes one normal form against J's basis per generator of U
+    and one per variable for each of the `length` forms it keeps, and no pass
+    over a box of monomial multiples."""
+    reduce, counted = GroebnerBasis.reduce, []
+
+    def counting_reduce(basis, f):
+        counted.append(basis)
+        return reduce(basis, f)
+
+    monkeypatch.setattr(GroebnerBasis, "reduce", counting_reduce)
+    rng = random.Random(79)
+    for _ in range(10):
+        j_ideal, i_ideal = random_primary_pair(rng, f5xy, max_degree=3)
+        basis = j_ideal.groebner_basis()
+        counted.clear()
+        length = subquotient_length(i_ideal, j_ideal, method="rank").expect()
+        made = sum(b is basis for b in counted)
+        assert made == len(i_ideal.generators) + f5xy.nvars * length
+
+
+def test_rank_and_difference_agree_off_the_origin(f5xy):
+    """R/(x, y + 1) has length 1 at the point (0, -1); the rank route
+    measures the whole span, as the difference route does."""
+    x, y = f5xy.gens()
+    j_ideal = Ideal(f5xy, [x, y + 1])
+    for method in ("rank", "difference"):
+        result = subquotient_length(unit_ideal(f5xy), j_ideal, method=method)
+        assert result.expect() == 1
+
+
+def test_rank_route_widens_its_columns_mid_closure(f5xy):
+    """x * y^k outgrows 8-bit exponent fields near k = 255, so the echelon
+    is rebuilt under the wider packing partway through the closure."""
+    x, y = f5xy.gens()
+    result = subquotient_length(Ideal(f5xy, [x]), Ideal(f5xy, [x**2]), nilpotency_cap=300)
+    assert not result.finite
+    assert "infinite" in result.note
+    # x * y^300 packs at 16 bits, so the normal form x of the last generator
+    # arrives wider than the row x kept from the first, and must reduce to 0
+    u_ideal = Ideal(f5xy, [x, y**3, x + x * y**300])
+    j_ideal = Ideal(f5xy, [x**2, y**3])
+    assert subquotient_length(u_ideal, j_ideal, method="rank").expect() == 3
+    assert subquotient_length(u_ideal, j_ideal, method="difference").expect() == 3
 
 
 def test_additivity_of_length(f5xy):

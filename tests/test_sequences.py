@@ -178,6 +178,14 @@ def test_vjj_frozen_values(f3xy):
     assert vjj_sequence(j2, i2, 2, d=2).raw_values() == [1, 9, 81]
 
 
+def test_vjj_katzman_to_e_max_three():
+    """(x^3, y^3) <= (x, y)^3 mod g at p = 3: the first three entries are the
+    e_max = 2 answer, and the fourth comes from the same span closure."""
+    ring, g, j_ideal, i_ideal = katzman_pair()
+    report = vjj_sequence(j_ideal, i_ideal, 3, hypersurface=g)
+    assert report.raw_values() == [2, 7, 19, 55]
+
+
 # -- l_e / f_e ------------------------------------------------------------------------
 
 def test_lf_of_unit_ideal_vanishes(f3xy):
