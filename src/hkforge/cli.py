@@ -47,10 +47,8 @@ from .polyring import (
     tokenize_expression,
 )
 from .sequences import (
-    SequenceReport,
-    _entry,
+    _report,
     check_sandwich,
-    default_scaling_exponent,
     f_difference_sequence,
     hk_function,
     lf_sequences,
@@ -154,14 +152,8 @@ def _seq(state: _RunState, kind: str, ideals: tuple, e_max: int, d: int | None, 
     if state.json_mode:
         return _json({"kind": "lf", "l": l_values, "f": f_values})
     ring = ideals[0].ring
-    if d is None:
-        d = default_scaling_exponent(ring, mod)
-    le, fe = (
-        SequenceReport(
-            row_kind, ring.p, d, tuple(_entry(e, ring.p, raw, d) for e, raw in enumerate(raws))
-        )
-        for row_kind, raws in (("le", l_values[1:]), ("fe", f_values))
-    )
+    le = _report("le", ring, d, mod, l_values[1:])
+    fe = _report("fe", ring, le.d, mod, f_values)
     return "\n".join([le.to_csv(), *fe.csv_rows()])
 
 

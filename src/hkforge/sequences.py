@@ -6,18 +6,29 @@ sandwich inequality that pins the f-difference between two length sums.
 
 Everything is reported as exact integers and rationals over a finite window;
 no limits are asserted anywhere.  Quotient-ring computations (modulo one named
-hypersurface) are supported by adjoining the hypersurface polynomial to every
-ideal after bracketing, which leaves all lengths unchanged.
+hypersurface g) are supported by adjoining g to every ideal after bracketing,
+which leaves all lengths unchanged.
+
+Every sequence reads its ideals from a ladder, the Frobenius levels
+I^[p^e] + (g), e = 0..e_max, of one ideal I.  A level is made on first read
+and then kept, so each level and its Groebner basis are built once per call:
+the containment check J <= I runs on level 0 of the two ladders, which the
+e = 0 entry then reuses, and the l/f sequences, the f-difference and the
+sandwich read their layers off the same levels.  The ladder refuses an e_max
+outside 0..`config.bracket_cap()` before any basis is built.  One report
+builder turns the raw lengths into entries scaled by q^d, with the default d
+and the meta.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import config
-from .errors import ContainmentError, InfiniteColength
+from .errors import CapExceeded, ContainmentError, InfiniteColength
 from .ideals import Ideal, bracket_power, dimension, maximal_ideal, unit_ideal
 from .lengths import (
     finite_colength_length,
@@ -107,24 +118,57 @@ class SequenceReport:
         return json.dumps(payload, sort_keys=True)
 
 
-def _entry(e: int, p: int, raw: int, d: int) -> SequenceEntry:
-    q = p**e
-    return SequenceEntry(e, q, raw, Fraction(raw, q**d))
+class _Ladder:
+    """The levels I^[p^e] + (g), e = 0..e_max, of one ideal I (I^[p^e] with
+    no hypersurface g), each made on first read and then kept.
 
-
-def _with_hypersurface(ideal: Ideal, hypersurface: Polynomial | None) -> Ideal:
-    if hypersurface is None:
-        return ideal
-    return ideal + Ideal(ideal.ring, [hypersurface])
-
-
-def _bracket(ideal: Ideal, e: int, hypersurface: Polynomial | None) -> Ideal:
-    """Bracket power in the ambient ring, re-adjoining the hypersurface.
-
-    Over R = A/(g) the bracket of (an ideal containing g) corresponds to
-    bracketing the other generators and adding g back, not to g^(p^e).
+    Over A/(g) the bracket of an ideal holding g brackets the other generators
+    and adds g back, not g^(p^e).  With no hypersurface, level 0 is I itself
+    and `bracket_power` hands each later level the reduced basis that level 0
+    has built by then; an eager list would make the levels before that.
     """
-    return _with_hypersurface(bracket_power(ideal, e), hypersurface)
+
+    def __init__(self, ideal: Ideal, e_max: int, hypersurface: Polynomial | None):
+        if e_max < 0:
+            raise ValueError(f"the top Frobenius exponent must be non-negative, got {e_max}")
+        cap = config.bracket_cap()
+        if e_max > cap:
+            raise CapExceeded(f"bracket exponent {e_max} exceeds cap {cap}")
+        self.ideal = ideal
+        self.e_max = e_max
+        self.hypersurface = hypersurface
+        self._levels: list[Ideal] = []
+
+    def __getitem__(self, e: int) -> Ideal:
+        while len(self._levels) <= e:
+            level = bracket_power(self.ideal, len(self._levels))
+            if self.hypersurface is not None:
+                level += Ideal(level.ring, [self.hypersurface])
+            self._levels.append(level)
+        return self._levels[e]
+
+    def __iter__(self):
+        return (self[e] for e in range(self.e_max + 1))
+
+
+def _nested_ladders(
+    j_ideal: Ideal, i_ideal: Ideal, e_max: int, hypersurface: Polynomial | None
+) -> tuple[_Ladder, _Ladder]:
+    """The ladders of J and I, once level 0 shows J + (g) <= I + (g)."""
+    j, i = _Ladder(j_ideal, e_max, hypersurface), _Ladder(i_ideal, e_max, hypersurface)
+    if not i[0].contains_ideal(j[0]):
+        raise ContainmentError("the sequence needs J <= I")
+    return j, i
+
+
+def _lf(ladder: _Ladder) -> tuple[list[int], list[int]]:
+    """The (l, f) of `lf_sequences`, read off one ladder: each level serves as
+    J in l_(e-1) and as I in l_e."""
+    l_values = [gamma_length(ladder[0], unit_ideal(ladder.ideal.ring)).expect()]
+    l_values += [
+        gamma_length(upper, lower).expect() for lower, upper in itertools.pairwise(ladder)
+    ]
+    return l_values, list(itertools.accumulate(l_values))
 
 
 def default_scaling_exponent(ring: PolyRing, hypersurface: Polynomial | None = None) -> int:
@@ -133,18 +177,26 @@ def default_scaling_exponent(ring: PolyRing, hypersurface: Polynomial | None = N
     return dimension(Ideal(ring, gens))
 
 
-def _check_nested(j_ideal: Ideal, i_ideal: Ideal, hypersurface: Polynomial | None) -> tuple[Ideal, Ideal]:
-    j_full = _with_hypersurface(j_ideal, hypersurface)
-    i_full = _with_hypersurface(i_ideal, hypersurface)
-    if not i_full.contains_ideal(j_full):
-        raise ContainmentError("the sequence needs J <= I")
-    return j_full, i_full
-
-
-def _meta(ring: PolyRing, hypersurface: Polynomial | None, **ideals: Ideal) -> dict:
+def _report(
+    kind: str,
+    ring: PolyRing,
+    d: int | None,
+    hypersurface: Polynomial | None,
+    raws: list[int],
+    **ideals: Ideal,
+) -> SequenceReport:
+    """The report whose entry e holds raws[e] scaled by q^d, q = p^e, with
+    the ring, the named ideals and the hypersurface as its meta; d defaults
+    to the dimension of the ambient quotient."""
+    if d is None:
+        d = default_scaling_exponent(ring, hypersurface)
+    p = ring.p
+    entries = tuple(
+        SequenceEntry(e, p**e, raw, Fraction(raw, p ** (e * d))) for e, raw in enumerate(raws)
+    )
     meta = {
         "ring": {
-            "p": ring.p,
+            "p": p,
             "variables": list(ring.variables),
             "order": ring.order.describe(),
         },
@@ -154,7 +206,7 @@ def _meta(ring: PolyRing, hypersurface: Polynomial | None, **ideals: Ideal) -> d
     }
     if hypersurface is not None:
         meta["hypersurface"] = str(hypersurface)
-    return meta
+    return SequenceReport(kind, p, d, entries, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -167,19 +219,15 @@ def hk_function(
     hypersurface: Polynomial | None = None,
 ) -> SequenceReport:
     """len(R/I^[q]) for q = p^e, e = 0..e_max, scaled by q^d."""
-    ring = ideal.ring
-    if d is None:
-        d = default_scaling_exponent(ring, hypersurface)
-    entries = []
-    for e in range(e_max + 1):
-        bracketed = _bracket(ideal, e, hypersurface)
-        length = finite_colength_length(bracketed)
+    raws = []
+    for e, level in enumerate(_Ladder(ideal, e_max, hypersurface)):
+        length = finite_colength_length(level)
         if not length.finite:
             raise InfiniteColength(
                 f"R/I^[p^{e}] does not have finite length: {length.note}"
             )
-        entries.append(_entry(e, ring.p, length.value, d))
-    return SequenceReport("hk", ring.p, d, tuple(entries), _meta(ring, hypersurface, I=ideal))
+        raws.append(length.value)
+    return _report("hk", ideal.ring, d, hypersurface, raws, I=ideal)
 
 
 def rjj_sequence(
@@ -190,19 +238,9 @@ def rjj_sequence(
     hypersurface: Polynomial | None = None,
 ) -> SequenceReport:
     """len(Gamma_m(I^[q]/J^[q])) for e = 0..e_max, scaled by q^d."""
-    ring = j_ideal.ring
-    _check_nested(j_ideal, i_ideal, hypersurface)
-    if d is None:
-        d = default_scaling_exponent(ring, hypersurface)
-    entries = []
-    for e in range(e_max + 1):
-        raw = gamma_length(
-            _bracket(j_ideal, e, hypersurface), _bracket(i_ideal, e, hypersurface)
-        ).expect()
-        entries.append(_entry(e, ring.p, raw, d))
-    return SequenceReport(
-        "rjj", ring.p, d, tuple(entries), _meta(ring, hypersurface, J=j_ideal, I=i_ideal)
-    )
+    j, i = _nested_ladders(j_ideal, i_ideal, e_max, hypersurface)
+    raws = [gamma_length(j_e, i_e).expect() for j_e, i_e in zip(j, i)]
+    return _report("rjj", j_ideal.ring, d, hypersurface, raws, J=j_ideal, I=i_ideal)
 
 
 def sjj_sequence(
@@ -215,22 +253,13 @@ def sjj_sequence(
     """len of the image of (Gamma_m(I/J))^[q] inside R/J^[q], e = 0..e_max.
 
     The torsion submodule H is computed once from the unbracketed pair; each
-    entry then measures (H^[q] + J^[q]) / J^[q].
+    entry then measures H^[q] / J^[q], the image of H^[q] in R/J^[q] because
+    H holds J.
     """
-    ring = j_ideal.ring
-    j_full, i_full = _check_nested(j_ideal, i_ideal, hypersurface)
-    if d is None:
-        d = default_scaling_exponent(ring, hypersurface)
-    h = gamma_submodule(j_full, i_full)
-    entries = []
-    for e in range(e_max + 1):
-        j_e = _bracket(j_ideal, e, hypersurface)
-        u = _bracket(h, e, hypersurface) + j_e
-        raw = subquotient_length(u, j_e).expect()
-        entries.append(_entry(e, ring.p, raw, d))
-    return SequenceReport(
-        "sjj", ring.p, d, tuple(entries), _meta(ring, hypersurface, J=j_ideal, I=i_ideal)
-    )
+    j, i = _nested_ladders(j_ideal, i_ideal, e_max, hypersurface)
+    h = _Ladder(gamma_submodule(j[0], i[0]), e_max, hypersurface)
+    raws = [subquotient_length(h_e, j_e).expect() for h_e, j_e in zip(h, j)]
+    return _report("sjj", j_ideal.ring, d, hypersurface, raws, J=j_ideal, I=i_ideal)
 
 
 def vjj_sequence(
@@ -242,20 +271,10 @@ def vjj_sequence(
 ) -> SequenceReport:
     """len(I^[q] / (J + m*I)^[q]) for e = 0..e_max; finite because I/(J + m*I)
     is spanned by the classes of the generators of I."""
-    ring = j_ideal.ring
-    _check_nested(j_ideal, i_ideal, hypersurface)
-    if d is None:
-        d = default_scaling_exponent(ring, hypersurface)
-    k_ideal = j_ideal + maximal_ideal(ring) * i_ideal
-    entries = []
-    for e in range(e_max + 1):
-        raw = subquotient_length(
-            _bracket(i_ideal, e, hypersurface), _bracket(k_ideal, e, hypersurface)
-        ).expect()
-        entries.append(_entry(e, ring.p, raw, d))
-    return SequenceReport(
-        "vjj", ring.p, d, tuple(entries), _meta(ring, hypersurface, J=j_ideal, I=i_ideal)
-    )
+    _, i = _nested_ladders(j_ideal, i_ideal, e_max, hypersurface)
+    k = _Ladder(j_ideal + maximal_ideal(j_ideal.ring) * i_ideal, e_max, hypersurface)
+    raws = [subquotient_length(i_e, k_e).expect() for i_e, k_e in zip(i, k)]
+    return _report("vjj", j_ideal.ring, d, hypersurface, raws, J=j_ideal, I=i_ideal)
 
 
 def lf_sequences(
@@ -269,19 +288,8 @@ def lf_sequences(
     Returns (l, f) with l = [l_(-1), l_0, ..., l_(e_max - 1)] and
     f = [f_0, ..., f_e_max], where l_(-1) measures Gamma_m(R/K) (the bracket
     with exponent -1 is read as the whole ring) and f_n = l_(-1) + ... +
-    l_(n-1).  Each bracket level is built once, as one ideal that serves as J
-    in l_(e-1) and as I in l_e, so its basis is built once too."""
-    levels = [_bracket(k_ideal, e, hypersurface) for e in range(e_max + 1)]
-    l_values = [gamma_length(levels[0], unit_ideal(k_ideal.ring)).expect()]
-    l_values += [
-        gamma_length(levels[e + 1], levels[e]).expect() for e in range(e_max)
-    ]
-    f_values = []
-    total = 0
-    for value in l_values:
-        total += value
-        f_values.append(total)
-    return l_values, f_values
+    l_(n-1)."""
+    return _lf(_Ladder(k_ideal, e_max, hypersurface))
 
 
 def f_difference_sequence(
@@ -292,18 +300,10 @@ def f_difference_sequence(
     hypersurface: Polynomial | None = None,
 ) -> SequenceReport:
     """f_n(J) - f_n(I) for n = 0..e_max, scaled by q^d; signed."""
-    ring = j_ideal.ring
-    _check_nested(j_ideal, i_ideal, hypersurface)
-    if d is None:
-        d = default_scaling_exponent(ring, hypersurface)
-    _, f_j = lf_sequences(j_ideal, e_max, hypersurface)
-    _, f_i = lf_sequences(i_ideal, e_max, hypersurface)
-    entries = [
-        _entry(n, ring.p, f_j[n] - f_i[n], d) for n in range(e_max + 1)
-    ]
-    return SequenceReport(
-        "fdiff", ring.p, d, tuple(entries), _meta(ring, hypersurface, J=j_ideal, I=i_ideal)
-    )
+    j, i = _nested_ladders(j_ideal, i_ideal, e_max, hypersurface)
+    (_, f_j), (_, f_i) = _lf(j), _lf(i)
+    raws = [a - b for a, b in zip(f_j, f_i)]
+    return _report("fdiff", j_ideal.ring, d, hypersurface, raws, J=j_ideal, I=i_ideal)
 
 
 # ---------------------------------------------------------------------------
@@ -346,25 +346,16 @@ def check_sandwich(
     hypersurface: Polynomial | None = None,
 ) -> SandwichRecord:
     """Compute the three quantities at level n and return them as a record."""
-    j_full, i_full = _check_nested(j_ideal, i_ideal, hypersurface)
+    j, i = _nested_ladders(j_ideal, i_ideal, n, hypersurface)
     cap = config.DEFAULT_NILPOTENCY_CAP
-    if nilpotency_exponent(i_full, j_full, cap) is None:
+    if nilpotency_exponent(i[0], j[0], cap) is None:
         raise InfiniteColength(
             "check_sandwich needs len(I/J) finite: I/J must be supported at the origin,"
             f" with m^n I <= J for some n <= {cap}"
         )
-
-    def layer(j: int) -> int:
-        return subquotient_length(
-            _bracket(i_ideal, j, hypersurface), _bracket(j_ideal, j, hypersurface)
-        ).expect()
-
-    lower = layer(n)
-    upper = sum(layer(j) for j in range(n + 1))
-    _, f_j = lf_sequences(j_ideal, n, hypersurface)
-    _, f_i = lf_sequences(i_ideal, n, hypersurface)
-    middle = f_j[n] - f_i[n]
-    return SandwichRecord(n, lower, middle, upper)
+    layers = [subquotient_length(i_e, j_e).expect() for j_e, i_e in zip(j, i)]
+    (_, f_j), (_, f_i) = _lf(j), _lf(i)
+    return SandwichRecord(n, layers[n], f_j[n] - f_i[n], sum(layers))
 
 
 def window_bound_check(report: SequenceReport) -> dict:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from hkforge import (
+    CapExceeded,
     ContainmentError,
     Ideal,
     InfiniteColength,
@@ -91,12 +92,47 @@ def test_rjj_requires_containment(f3xy):
 
 
 @pytest.mark.parametrize(
-    "builder", [sjj_sequence, vjj_sequence, f_difference_sequence]
+    "builder", [sjj_sequence, vjj_sequence, f_difference_sequence, check_sandwich]
 )
 def test_other_sequences_require_containment(f3xy, builder):
     x, y = f3xy.gens()
     with pytest.raises(ContainmentError):
-        builder(Ideal(f3xy, [x]), Ideal(f3xy, [y]), 1, d=2)
+        builder(Ideal(f3xy, [x]), Ideal(f3xy, [y]), 1)
+
+
+_ENTRY_POINTS = {
+    "hk": lambda j, i, e: hk_function(i, e),
+    "rjj": rjj_sequence,
+    "sjj": sjj_sequence,
+    "vjj": vjj_sequence,
+    "lf": lambda j, i, e: lf_sequences(i, e),
+    "fdiff": f_difference_sequence,
+    "sandwich": check_sandwich,
+}
+
+
+@pytest.mark.parametrize("kind", list(_ENTRY_POINTS))
+def test_top_exponent_out_of_range_fails_before_any_basis(f3xy, monkeypatch, kind):
+    """A negative e_max (n for the sandwich) and one above the bracket cap are
+    refused before any Groebner basis is built."""
+    from hkforge import ideals
+
+    builds = [0]
+    original = ideals.buchberger
+
+    def counted(*a, **kw):
+        builds[0] += 1
+        return original(*a, **kw)
+
+    monkeypatch.setattr(ideals, "buchberger", counted)
+    monkeypatch.setenv("HKFORGE_EMAX_CAP", "1")
+    x, y = f3xy.gens()
+    run = _ENTRY_POINTS[kind]
+    with pytest.raises(ValueError):
+        run(Ideal(f3xy, [x**2, y**2]), maximal_ideal(f3xy) ** 2, -1)
+    with pytest.raises(CapExceeded):
+        run(Ideal(f3xy, [x**2, y**2]), maximal_ideal(f3xy) ** 2, 2)
+    assert builds[0] == 0
 
 
 def test_rjj_primary_pair_equals_hk_difference(f3xy):

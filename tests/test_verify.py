@@ -2,7 +2,17 @@ import json
 
 import pytest
 
-from hkforge import Ideal, Lex, PolyRing, ideal_equal, rjj_sequence
+from hkforge import (
+    Ideal,
+    Lex,
+    PolyRing,
+    check_sandwich,
+    f_difference_sequence,
+    ideal_equal,
+    rjj_sequence,
+    sjj_sequence,
+    vjj_sequence,
+)
 from hkforge.groebner import certify_groebner
 from hkforge.verify import (
     PreconditionError,
@@ -166,15 +176,33 @@ def test_katzman_larger_instances(p, e):
     assert report.ok, report.to_json()
 
 
-def _rjj_of_katzman_pair() -> bool:
-    """rjj of (x^3, y^3) <= (x, y)^3 modulo g at p = 3, levels 0 and 1."""
-    ring = PolyRing(3, ("s", "x", "y"), Lex())
-    s, x, y = ring.gens()
-    g = x * y * (x - y) * (x + y - s * y)
-    report = rjj_sequence(
-        Ideal(ring, [x**3, y**3]), Ideal(ring, [x, y]) ** 3, 1, hypersurface=g
-    )
-    return report.raw_values() == [1, 1]
+def _katzman_pair_run(sequence, raws):
+    """A run of `sequence` on (x^3, y^3) <= (x, y)^3 modulo g at p = 3, levels
+    0 and 1, that checks its raw values."""
+
+    def run() -> bool:
+        ring = PolyRing(3, ("s", "x", "y"), Lex())
+        s, x, y = ring.gens()
+        g = x * y * (x - y) * (x + y - s * y)
+        report = sequence(
+            Ideal(ring, [x**3, y**3]), Ideal(ring, [x, y]) ** 3, 1, hypersurface=g
+        )
+        return report.raw_values() == raws
+
+    return run
+
+
+_rjj_of_katzman_pair = _katzman_pair_run(rjj_sequence, [1, 1])
+
+
+def _sandwich_without_hypersurface() -> bool:
+    """check_sandwich((x^2, y^2), (x, y)^2, 1) over F_3[x, y]: with no
+    hypersurface, level 1 of each ladder inherits level 0's basis, so only
+    level 0 builds bases."""
+    ring = PolyRing(3, ("x", "y"))
+    x, y = ring.gens()
+    record = check_sandwich(Ideal(ring, [x**2, y**2]), Ideal(ring, [x, y]) ** 2, 1)
+    return (record.lower, record.middle, record.upper) == (9, 9, 10)
 
 
 @pytest.mark.parametrize(
@@ -182,15 +210,28 @@ def _rjj_of_katzman_pair() -> bool:
     [
         (lambda: verify_construction(3, 4).ok, 20),
         (lambda: verify_katzman(3, 1).ok, 12),
-        (_rjj_of_katzman_pair, 14),
+        (_rjj_of_katzman_pair, 13),
+        (_katzman_pair_run(sjj_sequence, [1, 0]), 10),
+        (_katzman_pair_run(vjj_sequence, [2, 7]), 5),
+        (_katzman_pair_run(f_difference_sequence, [1, 2]), 17),
+        (_sandwich_without_hypersurface, 4),
     ],
-    ids=["construction-3-4", "katzman-3-1", "rjj-katzman-3-1"],
+    ids=[
+        "construction-3-4",
+        "katzman-3-1",
+        "rjj-katzman-3-1",
+        "sjj-katzman-3-1",
+        "vjj-katzman-3-1",
+        "fdiff-katzman-3-1",
+        "sandwich-f3-1",
+    ],
 )
 def test_ideal_layer_builds_a_pinned_number_of_bases(monkeypatch, run, calls):
     """Every Groebner basis the ideal layer builds goes through
     `ideals.buchberger`; the count is deterministic, so building bases only to
-    answer yes/no questions, or saturating a variable that J already holds a
-    power of, again shows up here."""
+    answer yes/no questions, saturating a variable that J already holds a
+    power of, or building a Frobenius level of a sequence twice, again shows
+    up here."""
     from hkforge import ideals
 
     count = [0]
@@ -209,7 +250,7 @@ def test_ideal_layer_builds_a_pinned_number_of_bases(monkeypatch, run, calls):
     "run,spairs,zeros",
     [
         (lambda: verify_construction(3, 4).ok, 579, 429),
-        (_rjj_of_katzman_pair, 236, 176),
+        (_rjj_of_katzman_pair, 232, 172),
     ],
     ids=["construction-3-4", "rjj-katzman-3-1"],
 )
