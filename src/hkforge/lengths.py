@@ -13,7 +13,9 @@ Three measurement routes, kept deliberately independent of each other:
   to a degree bound, its columns the monomials coded in a fixed radix.
 
 Gamma_m is realized on ideals: Gamma_m(I/J) = H/J for
-H = (J : m^infinity) ∩ I.
+H = (J : m^infinity) ∩ I.  `gamma_submodule` builds H; `gamma_length`
+measures it without building it, as len(S/J) - len((S + I)/I) for
+S = J : m^infinity, by the exact sequence 0 -> H/J -> S/J -> (S + I)/I -> 0.
 """
 
 from __future__ import annotations
@@ -104,20 +106,18 @@ def finite_colength_length(ideal: Ideal) -> LengthResult:
 # ---------------------------------------------------------------------------
 # local cohomology submodule
 
-def gamma_submodule(j_ideal: Ideal, i_ideal: Ideal) -> Ideal:
-    """H with Gamma_m(I/J) = H/J, namely H = (J : m^infinity) ∩ I.
+def _m_saturation(j_ideal: Ideal) -> Ideal | None:
+    """J : m^infinity, or None when J holds a pure power of every variable
+    (then J is m-primary and the saturation is the unit ideal).
 
-    Needs J <= I.  J : m^infinity is the intersection of the parts
-    J : v^infinity over the variables v, because the ideal of the k-th powers
-    of the N variables lies between m^(N(k-1)+1) and m^k.  A generator c*v^k
-    of J puts v^k into J, so 1 lies in J : v^infinity and that part is the
-    unit ideal; it is skipped without building any basis.  Each other part is
-    the single-element colon chain `saturate(J, v)`.  When every variable is
-    skipped, J is m-primary and H = I.  Finite colength alone does not make
-    J m-primary: (x, y + 1) has colength 1 and no m-torsion.
+    J : m^infinity is the intersection of the parts J : v^infinity over the
+    variables v, because the ideal of the k-th powers of the N variables lies
+    between m^(N(k-1)+1) and m^k.  A generator c*v^k of J puts v^k into J, so
+    1 lies in J : v^infinity and that part is the unit ideal; it is skipped
+    without building any basis.  Each other part is the single-element colon
+    chain `saturate(J, v)`.  Finite colength alone does not make J m-primary:
+    (x, y + 1) has colength 1 and no m-torsion.
     """
-    if not i_ideal.contains_ideal(j_ideal):
-        raise ContainmentError("gamma_submodule requires J <= I")
     held = set()
     for g in j_ideal.generators:
         support = [i for i, e in enumerate(g.leading_monomial()) if e]
@@ -128,9 +128,20 @@ def gamma_submodule(j_ideal: Ideal, i_ideal: Ideal) -> Ideal:
         for i, v in enumerate(j_ideal.ring.gens())
         if i not in held
     ]
-    if not parts:
+    return functools.reduce(intersect, parts) if parts else None
+
+
+def gamma_submodule(j_ideal: Ideal, i_ideal: Ideal) -> Ideal:
+    """H with Gamma_m(I/J) = H/J, namely H = (J : m^infinity) ∩ I.
+
+    Needs J <= I.  The saturation is `_m_saturation`; when J is m-primary,
+    H = I, and when I is the unit ideal, H is the saturation itself.
+    """
+    if not i_ideal.contains_ideal(j_ideal):
+        raise ContainmentError("gamma_submodule requires J <= I")
+    sat = _m_saturation(j_ideal)
+    if sat is None:
         return i_ideal
-    sat = functools.reduce(intersect, parts)
     if i_ideal.is_unit():
         return sat
     return intersect(sat, i_ideal)
@@ -177,11 +188,7 @@ def subquotient_length(
     """len((U + J)/J) for J <= U, when finite.
 
     "rank": the span of the normal forms of U's generators against J's basis,
-    closed under the variables.  A normal form that the echelon of the rows
-    kept so far does not reduce to zero is kept, and its products with the
-    variables make the next level.  If f lies in the span of earlier rows,
-    x_i * f lies in that of their x_i-multiples, queued already, so the first
-    level that adds nothing ends the closure; at most `nilpotency_cap` + 1
+    closed under the variables (`_span_closure`); at most `nilpotency_cap` + 1
     levels run.  "difference": when both colengths are finite, len(R/J) -
     len(R/U).  "auto" takes the difference route when available.  Both routes
     give the global length, over all of V(J): 1 for U = R, J = (x, y + 1).
@@ -204,12 +211,29 @@ def subquotient_length(
             )
 
     cap = nilpotency_cap if nilpotency_cap is not None else config.DEFAULT_NILPOTENCY_CAP
+    length = _span_closure(u_ideal.generators, j_ideal, cap)
+    if length is None:
+        return LengthResult(None, False, "subquotient", f"possibly infinite: not closed by level {cap}")
+    return LengthResult(length, True, "subquotient")
+
+
+def _span_closure(gens: tuple[Polynomial, ...], j_ideal: Ideal, cap: int) -> int | None:
+    """dim over F_p of the span of the normal forms of `gens` modulo J's
+    basis, closed under the variables: len((U + J)/J) for U = (gens).  None
+    when the closure has not ended after `cap` + 1 levels.
+
+    A normal form that the echelon of the rows kept so far does not reduce to
+    zero is kept, and its products with the variables make the next level.
+    If f lies in the span of earlier rows, x_i * f lies in that of their
+    x_i-multiples, queued already, so the first level that adds nothing ends
+    the closure.
+    """
     basis = j_ideal.groebner_basis()
     ring = j_ideal.ring
     steps = [tuple(int(i == j) for j in range(ring.nvars)) for i in range(ring.nvars)]
     # the columns are packed monomials under the widest packing seen so far
     pk, kept, echelon = None, [], {}
-    level = [basis.reduce(u) for u in u_ideal.generators]
+    level = [basis.reduce(u) for u in gens]
     for _ in range(cap + 1):
         start = len(kept)
         for nf in filter(None, level):
@@ -221,15 +245,38 @@ def subquotient_length(
                 echelon.update(row_reduce([row], ring.p))
                 kept.append(nf)
         if len(kept) == start:
-            return LengthResult(len(kept), True, "subquotient")
+            return len(kept)
         level = [basis.reduce(nf.mul_term(step, 1)) for nf in kept[start:] for step in steps]
-    return LengthResult(None, False, "subquotient", f"possibly infinite: not closed by level {cap}")
+    return None
 
 
 def gamma_length(j_ideal: Ideal, i_ideal: Ideal, **kw) -> LengthResult:
-    """len(Gamma_m(I/J)); always finite for Noetherian inputs."""
-    h = gamma_submodule(j_ideal, i_ideal)
-    return subquotient_length(h, j_ideal, **kw)
+    """len(Gamma_m(I/J)); always finite for Noetherian inputs.
+
+    Needs J <= I.  Gamma_m(I/J) = H/J with H = S ∩ I, S = J : m^infinity,
+    and the exact sequence 0 -> (S ∩ I)/J -> S/J -> (S + I)/I -> 0 gives
+
+        len(H/J) = len(S/J) - len((S + I)/I),
+
+    so the elimination basis of H is never built.  len(S/J) comes from
+    `subquotient_length` with the keyword arguments `kw`, and the result keeps
+    its method and note; the nilpotency cap bounds that closure, of S/J, not
+    one of H/J.  len((S + I)/I) is the span closure of S's generators modulo
+    I's basis, which the containment check has built; (S + I)/I is a quotient
+    of S/J, so that closure keeps at most len(S/J) rows and ends within
+    len(S/J) + 1 levels.  When J is m-primary, S is the unit ideal and the
+    length is that of I/J.
+    """
+    if not i_ideal.contains_ideal(j_ideal):
+        raise ContainmentError("gamma_submodule requires J <= I")
+    sat = _m_saturation(j_ideal)
+    if sat is None:
+        return subquotient_length(i_ideal, j_ideal, **kw)
+    whole = subquotient_length(sat, j_ideal, **kw)
+    if not whole.finite:
+        return whole
+    image = _span_closure(sat.generators, i_ideal, whole.value)
+    return LengthResult(whole.value - image, True, whole.method)
 
 
 # ---------------------------------------------------------------------------

@@ -28,13 +28,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import config
-from .errors import CapExceeded, ContainmentError, InfiniteColength
-from .ideals import Ideal, bracket_power, dimension, maximal_ideal, unit_ideal
+from .errors import CapExceeded, ContainmentError, EmptyVariety, InfiniteColength
+from .ideals import Ideal, bracket_power, maximal_ideal, unit_ideal
 from .lengths import (
+    _m_saturation,
     finite_colength_length,
     gamma_length,
     gamma_submodule,
-    nilpotency_exponent,
     subquotient_length,
 )
 from .polyring import PolyRing, Polynomial
@@ -172,9 +172,14 @@ def _lf(ladder: _Ladder) -> tuple[list[int], list[int]]:
 
 
 def default_scaling_exponent(ring: PolyRing, hypersurface: Polynomial | None = None) -> int:
-    """Dimension of the ambient quotient: nvars, less one per hypersurface."""
-    gens = [] if hypersurface is None else [hypersurface]
-    return dimension(Ideal(ring, gens))
+    """Dimension of the ambient quotient, with no Groebner basis: nvars, less
+    one for a nonconstant hypersurface g (Krull's principal ideal theorem);
+    g = 0 cuts nothing, and a nonzero constant g leaves the empty variety."""
+    if hypersurface is None or hypersurface.is_zero():
+        return ring.nvars
+    if hypersurface.total_degree() == 0:
+        raise EmptyVariety("the unit ideal defines the empty variety")
+    return ring.nvars - 1
 
 
 def _report(
@@ -347,11 +352,11 @@ def check_sandwich(
 ) -> SandwichRecord:
     """Compute the three quantities at level n and return them as a record."""
     j, i = _nested_ladders(j_ideal, i_ideal, n, hypersurface)
-    cap = config.DEFAULT_NILPOTENCY_CAP
-    if nilpotency_exponent(i[0], j[0], cap) is None:
+    sat = _m_saturation(j[0])
+    if sat is not None and not sat.contains_ideal(i[0]):
         raise InfiniteColength(
             "check_sandwich needs len(I/J) finite: I/J must be supported at the origin,"
-            f" with m^n I <= J for some n <= {cap}"
+            " that is I <= J : m^infinity"
         )
     layers = [subquotient_length(i_e, j_e).expect() for j_e, i_e in zip(j, i)]
     (_, f_j), (_, f_i) = _lf(j), _lf(i)

@@ -237,6 +237,46 @@ def test_gamma_submodule_matches_the_m_colon_chain(
     assert ideal_equal(gamma_submodule(j_ideal, i_ideal), intersect(chain, i_ideal))
 
 
+@settings(derandomize=True, database=None, max_examples=10, deadline=None)
+@given(
+    mixed=_mixed_gens,
+    extra=_mixed_gens,
+    variables=st.permutations(range(3)),
+    powers=st.lists(st.tuples(st.integers(1, 3), st.integers(0, 5)), min_size=2, max_size=2),
+    unit_i=st.booleans(),
+    off_origin=st.booleans(),
+    method=st.sampled_from(["auto", "rank", "difference"]),
+)
+@pytest.mark.parametrize("held", [0, 1, 2])
+@pytest.mark.parametrize("order", [Lex(), DegRevLex()], ids=["lex", "degrevlex"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_gamma_length_matches_the_length_of_the_gamma_submodule(
+    p, order, held, mixed, extra, variables, powers, unit_i, off_origin, method
+):
+    """len(S/J) - len((S + I)/I), S = J : m^infinity, is the whole
+    LengthResult of measuring H = S ∩ I over J: value, finiteness, method and
+    note.  J holds f * m for each mixed form f, so f is m-torsion mod J unless
+    the pure powers already kill it.  With `off_origin` J holds
+    f * m * (x, y + 1) instead, so V(J) also holds the line x = 0, y = -1 off
+    the origin, as (x, y + 1) does, and f * (x, y + 1) is the torsion."""
+    ring = PolyRing(p, ("s", "x", "y"), order)
+    gens = ring.gens()
+    _, x, y = gens
+    pure = [
+        gens[v] ** k * (1 + c % (p - 1))
+        for v, (k, c) in zip(variables[:held], powers)
+    ]
+    cofactors = (x, y + 1) if off_origin else (ring.one(),)
+    forms = [ring.polynomial(d) * v * u for d in mixed for v in gens for u in cofactors]
+    j_ideal = Ideal(ring, pure + forms)
+    if unit_i:
+        i_ideal = unit_ideal(ring)
+    else:
+        i_ideal = j_ideal + Ideal(ring, [ring.polynomial(d) for d in extra])
+    expected = subquotient_length(gamma_submodule(j_ideal, i_ideal), j_ideal, method=method)
+    assert gamma_length(j_ideal, i_ideal, method=method) == expected
+
+
 # -- subquotient lengths ------------------------------------------------------------------
 
 def test_torsion_of_construction_quotient_is_one():

@@ -11,6 +11,7 @@ from hkforge import (
     Lex,
     PolyRing,
     check_sandwich,
+    default_scaling_exponent,
     f_difference_sequence,
     hk_function,
     lf_sequences,
@@ -75,6 +76,25 @@ def test_hk_rejects_infinite_colength():
 def test_hk_default_scaling_exponent(f3xy):
     report = hk_function(maximal_ideal(f3xy), 1)
     assert report.d == 2
+
+
+def test_default_scaling_exponent_builds_no_basis(monkeypatch):
+    """nvars with no hypersurface or g = 0, nvars - 1 for a nonconstant g
+    (Krull's principal ideal theorem), and the empty variety for a nonzero
+    constant g, all without a Groebner basis."""
+    from hkforge import EmptyVariety, ideals
+
+    def no_basis(*a, **kw):
+        raise AssertionError("default_scaling_exponent built a Groebner basis")
+
+    monkeypatch.setattr(ideals, "buchberger", no_basis)
+    ring, g, _, _ = katzman_pair()
+    assert default_scaling_exponent(ring) == 3
+    assert default_scaling_exponent(ring, ring.zero()) == 3
+    assert default_scaling_exponent(ring, g) == 2
+    assert default_scaling_exponent(ring, ring.gens()[0] + 1) == 2
+    with pytest.raises(EmptyVariety):
+        default_scaling_exponent(ring, ring.constant(2))
 
 
 # -- rjj ---------------------------------------------------------------------------

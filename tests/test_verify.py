@@ -4,6 +4,7 @@ import pytest
 
 from hkforge import (
     Ideal,
+    InfiniteColength,
     Lex,
     PolyRing,
     check_sandwich,
@@ -205,16 +206,29 @@ def _sandwich_without_hypersurface() -> bool:
     return (record.lower, record.middle, record.upper) == (9, 9, 10)
 
 
+def _sandwich_of_katzman_pair_refused() -> bool:
+    """check_sandwich on the Katzman pair modulo g at p = 3, n = 1: I/J is not
+    supported at the origin (s is free), so it raises once level 0 of both
+    ladders and the s-saturation of J + (g) are built."""
+    ring = PolyRing(3, ("s", "x", "y"), Lex())
+    s, x, y = ring.gens()
+    g = x * y * (x - y) * (x + y - s * y)
+    with pytest.raises(InfiniteColength, match="supported at the origin"):
+        check_sandwich(Ideal(ring, [x**3, y**3]), Ideal(ring, [x, y]) ** 3, 1, hypersurface=g)
+    return True
+
+
 @pytest.mark.parametrize(
     "run,calls",
     [
         (lambda: verify_construction(3, 4).ok, 20),
-        (lambda: verify_katzman(3, 1).ok, 12),
-        (_rjj_of_katzman_pair, 13),
-        (_katzman_pair_run(sjj_sequence, [1, 0]), 10),
-        (_katzman_pair_run(vjj_sequence, [2, 7]), 5),
-        (_katzman_pair_run(f_difference_sequence, [1, 2]), 17),
+        (lambda: verify_katzman(3, 1).ok, 11),
+        (_rjj_of_katzman_pair, 10),
+        (_katzman_pair_run(sjj_sequence, [1, 0]), 9),
+        (_katzman_pair_run(vjj_sequence, [2, 7]), 4),
+        (_katzman_pair_run(f_difference_sequence, [1, 2]), 14),
         (_sandwich_without_hypersurface, 4),
+        (_sandwich_of_katzman_pair_refused, 5),
     ],
     ids=[
         "construction-3-4",
@@ -224,6 +238,7 @@ def _sandwich_without_hypersurface() -> bool:
         "vjj-katzman-3-1",
         "fdiff-katzman-3-1",
         "sandwich-f3-1",
+        "sandwich-katzman-3-1-refused",
     ],
 )
 def test_ideal_layer_builds_a_pinned_number_of_bases(monkeypatch, run, calls):
@@ -250,7 +265,7 @@ def test_ideal_layer_builds_a_pinned_number_of_bases(monkeypatch, run, calls):
     "run,spairs,zeros",
     [
         (lambda: verify_construction(3, 4).ok, 579, 429),
-        (_rjj_of_katzman_pair, 232, 172),
+        (_rjj_of_katzman_pair, 164, 122),
     ],
     ids=["construction-3-4", "rjj-katzman-3-1"],
 )
