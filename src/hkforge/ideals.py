@@ -8,7 +8,9 @@ through an elimination variable t with a block order t > (ring order): for
 ideals I and K, the ideal t*I + (1-t)*K contracts to I ∩ K, and the
 contraction inherits a reduced Groebner basis from the elimination basis for
 free.  The elimination basis also tells whether I or K is the unit ideal, so
-no basis of either is built for that question.
+no basis of either is built for that question.  Saturation by an ideal runs
+the colon chain, which counts its steps; saturation by one variable without a
+step count goes through homogenization instead, with no elimination.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .errors import (
     ZeroDivisor,
 )
 from .groebner import GroebnerBasis, buchberger
-from .polyring import Block, PolyRing, Polynomial, division
+from .polyring import Block, DegRevLex, PolyRing, Polynomial, division
 
 
 class Ideal:
@@ -266,7 +268,8 @@ def saturate(
     The step cap exists only to surface runaway misuse; the chain itself must
     terminate.
     An ideal K stays one chain, with no split into variables as in
-    `lengths.gamma_submodule`: callers print the chain's step count
+    `lengths._m_saturation`, and a variable is not sent to the homogenized
+    `_saturate_variable`: callers print the chain's step count
     (`verify_construction` claim 6) and the chain's own generators (the
     session language's `saturate` statement).
     """
@@ -289,6 +292,61 @@ def saturate(
     raise CapExceeded(
         f"saturation did not stabilize within {cap} steps; raise the cap if this is intended"
     )
+
+
+@functools.lru_cache(maxsize=64)
+def _graded(ring: PolyRing, i: int, homogenize: bool) -> PolyRing:
+    """`ring` under degrevlex with variable i compared last, extended by a
+    fresh first variable h when `homogenize` is set."""
+    variables = ring.variables
+    if homogenize:
+        name = "h"
+        while name in variables:
+            name += "h"
+        variables = (name,) + variables
+        i += 1
+    priority = tuple(j for j in range(len(variables)) if j != i) + (i,)
+    return PolyRing(ring.p, variables, DegRevLex(priority))
+
+
+def _saturate_variable(ideal: Ideal, i: int) -> Ideal:
+    """I : v^infinity for v the i-th variable, by homogenization (Bayer).
+
+    The reduced degrevlex basis of I homogenizes by a fresh variable h to a
+    basis of the homogenization I^h (Cox, Little & O'Shea, ch. 8 §4).  Under
+    degrevlex with v last, the elements of a Groebner basis of a homogeneous
+    ideal, each divided by the largest power of v it holds, form a Groebner
+    basis of its saturation by v (Bayer & Stillman, Invent. Math. 1987);
+    h = 1 then gives I : v^infinity, because f * v^k lies in I exactly when
+    f^h * v^k lies in I^h.  When every generator is homogeneous, I is its own
+    homogenization and h is left out.  Unlike `saturate`, this builds no
+    colon chain and no elimination basis, so there is no step count.  h is
+    the largest variable of the order; placed next to v, it made the bases of
+    the Katzman levels slower.
+    """
+    ring = ideal.ring
+    homogeneous = all(len({sum(m) for m, _ in g.terms}) == 1 for g in ideal.generators)
+    graded = _graded(ring, i, not homogeneous)
+    if homogeneous:
+        gens = ideal.generators
+    else:
+        if ring.order == DegRevLex():
+            reduced = ideal.groebner_basis()
+        else:
+            reduced = buchberger(ideal.generators, DegRevLex())
+        gens = []
+        for g in reduced:
+            d = g.total_degree()
+            gens.append(graded.polynomial([((d - sum(m),) + m, c) for m, c in g.terms]))
+    off = graded.nvars - ring.nvars
+    v = off + i
+    parts, grew = [], False
+    for g in buchberger(gens, graded.order):
+        k = min(m[v] for m, _ in g.terms)
+        grew = grew or k > 0
+        parts.append(ring.polynomial([(m[off:v] + (m[v] - k,) + m[v + 1 :], c) for m, c in g.terms]))
+    # no element holds v: I is saturated, and keeps whatever basis it has built
+    return Ideal(ring, parts) if grew else ideal
 
 
 # ---------------------------------------------------------------------------

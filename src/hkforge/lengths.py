@@ -16,6 +16,10 @@ Gamma_m is realized on ideals: Gamma_m(I/J) = H/J for
 H = (J : m^infinity) ∩ I.  `gamma_submodule` builds H; `gamma_length`
 measures it without building it, as len(S/J) - len((S + I)/I) for
 S = J : m^infinity, by the exact sequence 0 -> H/J -> S/J -> (S + I)/I -> 0.
+S is the intersection of the saturations J : v^infinity by single variables,
+each taken by homogenization (`ideals._saturate_variable`), not by a colon
+chain.  J <= S holds by construction and is not checked, since the check
+would build S's basis under the ring's order.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 
 from . import config
 from .errors import ContainmentError
-from .ideals import Ideal, intersect, saturate
+from .ideals import Ideal, _saturate_variable, intersect
 from .linalg import rank_of_rows, reduce_row, row_reduce
 from .polyring import Monomial, PolyRing, Polynomial
 
@@ -114,20 +118,17 @@ def _m_saturation(j_ideal: Ideal) -> Ideal | None:
     variables v, because the ideal of the k-th powers of the N variables lies
     between m^(N(k-1)+1) and m^k.  A generator c*v^k of J puts v^k into J, so
     1 lies in J : v^infinity and that part is the unit ideal; it is skipped
-    without building any basis.  Each other part is the single-element colon
-    chain `saturate(J, v)`.  Finite colength alone does not make J m-primary:
-    (x, y + 1) has colength 1 and no m-torsion.
+    without building any basis.  Each other part is `_saturate_variable(J, i)`,
+    two Buchberger bases by homogenization and no elimination; only the
+    intersection of two or more parts eliminates.  Finite colength alone does
+    not make J m-primary: (x, y + 1) has colength 1 and no m-torsion.
     """
     held = set()
     for g in j_ideal.generators:
         support = [i for i, e in enumerate(g.leading_monomial()) if e]
         if g.is_monomial() and len(support) == 1:
             held.add(support[0])
-    parts = [
-        saturate(j_ideal, v)[0]
-        for i, v in enumerate(j_ideal.ring.gens())
-        if i not in held
-    ]
+    parts = [_saturate_variable(j_ideal, i) for i in range(j_ideal.ring.nvars) if i not in held]
     return functools.reduce(intersect, parts) if parts else None
 
 
@@ -193,10 +194,23 @@ def subquotient_length(
     len(R/U).  "auto" takes the difference route when available.  Both routes
     give the global length, over all of V(J): 1 for U = R, J = (x, y + 1).
     """
-    if method not in {"auto", "rank", "difference"}:
-        raise ValueError(f"unknown method {method!r}")
+    _check_method(method)
     if not u_ideal.contains_ideal(j_ideal):
         raise ContainmentError("subquotient_length requires J <= U")
+    return _subquotient_length(u_ideal, j_ideal, method, nilpotency_cap)
+
+
+def _check_method(method: str) -> None:
+    if method not in {"auto", "rank", "difference"}:
+        raise ValueError(f"unknown method {method!r}")
+
+
+def _subquotient_length(
+    u_ideal: Ideal, j_ideal: Ideal, method: str = "auto", nilpotency_cap: int | None = None
+) -> LengthResult:
+    """`subquotient_length` for a caller that knows J <= U, without the check:
+    it would build U's basis under the ring's order, which only the
+    difference route needs."""
     if method != "rank":
         len_j = finite_colength_length(j_ideal)
         if len_j.finite:
@@ -250,7 +264,13 @@ def _span_closure(gens: tuple[Polynomial, ...], j_ideal: Ideal, cap: int) -> int
     return None
 
 
-def gamma_length(j_ideal: Ideal, i_ideal: Ideal, **kw) -> LengthResult:
+def gamma_length(
+    j_ideal: Ideal,
+    i_ideal: Ideal,
+    *,
+    method: str = "auto",
+    nilpotency_cap: int | None = None,
+) -> LengthResult:
     """len(Gamma_m(I/J)); always finite for Noetherian inputs.
 
     Needs J <= I.  Gamma_m(I/J) = H/J with H = S ∩ I, S = J : m^infinity,
@@ -258,21 +278,35 @@ def gamma_length(j_ideal: Ideal, i_ideal: Ideal, **kw) -> LengthResult:
 
         len(H/J) = len(S/J) - len((S + I)/I),
 
-    so the elimination basis of H is never built.  len(S/J) comes from
-    `subquotient_length` with the keyword arguments `kw`, and the result keeps
-    its method and note; the nilpotency cap bounds that closure, of S/J, not
-    one of H/J.  len((S + I)/I) is the span closure of S's generators modulo
-    I's basis, which the containment check has built; (S + I)/I is a quotient
-    of S/J, so that closure keeps at most len(S/J) rows and ends within
+    so the elimination basis of H is never built.  len(S/J) is measured as by
+    `subquotient_length` with `method` and `nilpotency_cap`, and the result
+    keeps its method and note; the nilpotency cap bounds that closure, of S/J,
+    not one of H/J.  J <= S holds by construction, so that measurement skips
+    the containment check, which would build S's basis under the ring's order.
+    len((S + I)/I) is the span closure of S's generators modulo I's basis,
+    which the containment check J <= I has built; (S + I)/I is a quotient of
+    S/J, so that closure keeps at most len(S/J) rows and ends within
     len(S/J) + 1 levels.  When J is m-primary, S is the unit ideal and the
     length is that of I/J.
     """
+    _check_method(method)
     if not i_ideal.contains_ideal(j_ideal):
         raise ContainmentError("gamma_submodule requires J <= I")
-    sat = _m_saturation(j_ideal)
+    return _gamma_length(j_ideal, i_ideal, _m_saturation(j_ideal), method, nilpotency_cap)
+
+
+def _gamma_length(
+    j_ideal: Ideal,
+    i_ideal: Ideal,
+    sat: Ideal | None,
+    method: str = "auto",
+    nilpotency_cap: int | None = None,
+) -> LengthResult:
+    """`gamma_length` for a caller that knows J <= I and holds
+    sat = `_m_saturation(j_ideal)`."""
     if sat is None:
-        return subquotient_length(i_ideal, j_ideal, **kw)
-    whole = subquotient_length(sat, j_ideal, **kw)
+        return _subquotient_length(i_ideal, j_ideal, method, nilpotency_cap)
+    whole = _subquotient_length(sat, j_ideal, method, nilpotency_cap)
     if not whole.finite:
         return whole
     image = _span_closure(sat.generators, i_ideal, whole.value)

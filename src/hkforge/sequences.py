@@ -14,14 +14,16 @@ I^[p^e] + (g), e = 0..e_max, of one ideal I.  A level is made on first read
 and then kept, so each level and its Groebner basis are built once per call:
 the containment check J <= I runs on level 0 of the two ladders, which the
 e = 0 entry then reuses, and the l/f sequences, the f-difference and the
-sandwich read their layers off the same levels.  The ladder refuses an e_max
-outside 0..`config.bracket_cap()` before any basis is built.  One report
-builder turns the raw lengths into entries scaled by q^d, with the default d
-and the meta.
+sandwich read their layers off the same levels.  The ladder also keeps level
+0's J : m^infinity, which the sandwich's support guard and the first torsion
+layer l_(-1) share.  The ladder refuses an e_max outside
+0..`config.bracket_cap()` before any basis is built.  One report builder turns
+the raw lengths into entries scaled by q^d, with the default d and the meta.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -31,6 +33,7 @@ from . import config
 from .errors import CapExceeded, ContainmentError, EmptyVariety, InfiniteColength
 from .ideals import Ideal, bracket_power, maximal_ideal, unit_ideal
 from .lengths import (
+    _gamma_length,
     _m_saturation,
     finite_colength_length,
     gamma_length,
@@ -150,6 +153,11 @@ class _Ladder:
     def __iter__(self):
         return (self[e] for e in range(self.e_max + 1))
 
+    @functools.cached_property
+    def saturation(self) -> Ideal | None:
+        """`_m_saturation` of level 0, made on first read and then kept."""
+        return _m_saturation(self[0])
+
 
 def _nested_ladders(
     j_ideal: Ideal, i_ideal: Ideal, e_max: int, hypersurface: Polynomial | None
@@ -164,7 +172,8 @@ def _nested_ladders(
 def _lf(ladder: _Ladder) -> tuple[list[int], list[int]]:
     """The (l, f) of `lf_sequences`, read off one ladder: each level serves as
     J in l_(e-1) and as I in l_e."""
-    l_values = [gamma_length(ladder[0], unit_ideal(ladder.ideal.ring)).expect()]
+    unit = unit_ideal(ladder.ideal.ring)
+    l_values = [_gamma_length(ladder[0], unit, ladder.saturation).expect()]
     l_values += [
         gamma_length(upper, lower).expect() for lower, upper in itertools.pairwise(ladder)
     ]
@@ -352,7 +361,7 @@ def check_sandwich(
 ) -> SandwichRecord:
     """Compute the three quantities at level n and return them as a record."""
     j, i = _nested_ladders(j_ideal, i_ideal, n, hypersurface)
-    sat = _m_saturation(j[0])
+    sat = j.saturation
     if sat is not None and not sat.contains_ideal(i[0]):
         raise InfiniteColength(
             "check_sandwich needs len(I/J) finite: I/J must be supported at the origin,"

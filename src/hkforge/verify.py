@@ -31,6 +31,7 @@ from .errors import CapExceeded, EngineError
 from .groebner import certify_groebner
 from .ideals import (
     Ideal,
+    _saturate_variable,
     bracket_power,
     colon_element,
     ideal_equal,
@@ -279,7 +280,7 @@ def verify_katzman(p: int, e: int, slow: bool = False) -> ClaimReport:
 
     witness_ideal = Ideal(ring, [x ** (p * q), y ** (p * q), x * y * (x - y)])
     witness = x**q * y ** ((p - 1) * q)
-    sat_witness, _ = saturate(witness_ideal, s)
+    sat_witness = _saturate_variable(witness_ideal, ring.variables.index("s"))
     stepwise = all(
         not witness_ideal.contains(s**k * witness) for k in range(3)
     )

@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hkforge import (
+    Block,
     CapExceeded,
     DegRevLex,
     EmptyVariety,
@@ -21,6 +24,7 @@ from hkforge import (
     saturate,
     unit_ideal,
 )
+from hkforge.ideals import _saturate_variable
 from hkforge.lengths import oracle_ideal_member
 from hkforge.verify import build_construction
 
@@ -296,6 +300,66 @@ def test_saturate_by_an_ideal_matches_the_full_colon_chain(f3xy):
             assert ideal_equal(stable, expected)
             steps_seen.add(steps)
     assert {0, 2, 4} <= steps_seen
+
+
+_gen_dicts = st.lists(
+    st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), st.integers(1, 6), min_size=1, max_size=3),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=10, deadline=None)
+@given(dicts=_gen_dicts, i=st.integers(0, 2))
+@pytest.mark.parametrize(
+    "order", [Lex(), DegRevLex(), Block(1, DegRevLex())], ids=["lex", "degrevlex", "block"]
+)
+@pytest.mark.parametrize("p", [2, 3, 2**61 - 1], ids=["2", "3", "2^61-1"])
+def test_saturate_variable_matches_the_colon_chain(p, order, dicts, i):
+    """The homogenized saturation by the i-th variable equals the colon
+    chain's on four ideals made from the same forms: the forms, their leading
+    forms (all homogeneous, so no h), the forms with the i-th variable set to
+    1 (the result is I itself), and the forms plus 1 (the unit ideal)."""
+    ring = PolyRing(p, ("s", "x", "y"), order)
+    forms = [ring.polynomial(d) for d in dicts]
+    tops = [
+        ring.polynomial({m: c for m, c in d.items() if sum(m) == max(map(sum, d))})
+        for d in dicts
+    ]
+    free = [ring.polynomial([(m[:i] + (0,) + m[i + 1 :], c) for m, c in d.items()]) for d in dicts]
+    v = ring.gens()[i]
+    for gens in (forms, tops, free, forms + [ring.one()]):
+        ideal = Ideal(ring, gens)
+        assert ideal_equal(_saturate_variable(ideal, i), saturate(ideal, v)[0])
+    free_ideal = Ideal(ring, free)
+    assert _saturate_variable(free_ideal, i) is free_ideal
+
+
+@pytest.mark.parametrize(
+    "gens,bases",
+    [(lambda x, y: [x**2 * y, x * y**2], 1), (lambda x, y: [x**2 * y + x, x * y**2], 2)],
+    ids=["homogeneous", "mixed"],
+)
+def test_saturate_variable_skips_h_on_homogeneous_generators(monkeypatch, gens, bases):
+    """Homogeneous generators go straight to the basis with y last; others
+    first build the degrevlex basis that h homogenizes."""
+    from hkforge import ideals
+
+    ring = PolyRing(3, ("x", "y"), Lex())
+    x, y = ring.gens()
+    count = [0]
+    original = ideals.buchberger
+
+    def counted(*a, **kw):
+        count[0] += 1
+        return original(*a, **kw)
+
+    monkeypatch.setattr(ideals, "buchberger", counted)
+    ideal = Ideal(ring, gens(x, y))
+    sat = _saturate_variable(ideal, 1)
+    assert count[0] == bases
+    monkeypatch.undo()
+    assert ideal_equal(sat, saturate(ideal, y)[0])
 
 
 def test_saturation_cap_diagnostic(f3xy):

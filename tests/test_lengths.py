@@ -26,7 +26,7 @@ from hkforge import (
     subquotient_length,
     unit_ideal,
 )
-from hkforge.lengths import count_standard_monomials
+from hkforge.lengths import _m_saturation, count_standard_monomials
 from hkforge.verify import build_construction
 
 from helpers import random_monomial_ideal, random_primary_pair
@@ -424,3 +424,73 @@ def test_gamma_length_primary_case_matches_oracle(f5xy):
             i_ideal, bound
         )
         assert value == by_oracle
+
+
+# -- Frobenius flatness -------------------------------------------------------------------
+#
+# Over A = F_p[x_1..x_d] Frobenius is flat (Kunz), so bracketing commutes with
+# m-saturation and len Gamma_m(I^[p]/J^[p]) = p^d * len Gamma_m(I/J).  These are
+# checks on the whole stack only; the engine never uses them as a shortcut.
+
+_binomials = st.lists(
+    st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * 3), st.integers(1, 2), min_size=1, max_size=2
+    ).filter(lambda d: any(any(m[:2]) for m in d)),
+    min_size=1,
+    max_size=2,
+)
+
+
+def _flat_pair(p, nvars, base, torsion, extra):
+    """J = (base) + t * m for each t in `torsion`, and I = J + (torsion) +
+    (extra), from monomials and binomials over F_p in the first `nvars` of
+    x, y, z; each t is m-torsion modulo J."""
+    ring = PolyRing(p, ("x", "y", "z")[:nvars])
+
+    def polys(dicts):
+        return [ring.polynomial({m[:nvars]: c for m, c in d.items()}) for d in dicts]
+
+    j_ideal = Ideal(ring, polys(base) + [t * v for t in polys(torsion) for v in ring.gens()])
+    return j_ideal, j_ideal + Ideal(ring, polys(torsion) + polys(extra))
+
+
+def _assert_frobenius_flat(j_ideal, i_ideal):
+    p, d = j_ideal.ring.p, j_ideal.ring.nvars
+    sat, sat_p = _m_saturation(j_ideal), _m_saturation(bracket_power(j_ideal, 1))
+    assert (sat is None) == (sat_p is None)
+    if sat is not None:
+        assert ideal_equal(sat_p, bracket_power(sat, 1))
+    torsion = gamma_length(j_ideal, i_ideal).expect()
+    assert gamma_length(bracket_power(j_ideal, 1), bracket_power(i_ideal, 1)).expect() == p**d * torsion
+    return torsion
+
+
+@settings(derandomize=True, database=None, max_examples=12, deadline=None)
+@given(base=_binomials, torsion=_binomials, extra=_binomials)
+@pytest.mark.parametrize("nvars", [2, 3])
+@pytest.mark.parametrize("p", [2, 3])
+def test_frobenius_commutes_with_m_saturation_and_torsion_length(p, nvars, base, torsion, extra):
+    """Monomials and binomials with coefficients 1 and 2 (at p = 2 a
+    coefficient 2 drops its term)."""
+    _assert_frobenius_flat(*_flat_pair(p, nvars, base, torsion, extra))
+
+
+def test_frobenius_flatness_on_a_monomial_pair():
+    """J = xy * m inside I = (xy) over F_3[x, y]: S = (xy), and the one
+    torsion class xy becomes 3^2 of them after bracketing."""
+    ring = PolyRing(3, ("x", "y"))
+    x, y = ring.gens()
+    j_ideal = Ideal(ring, [x**2 * y, x * y**2])
+    assert ideal_equal(_m_saturation(j_ideal), Ideal(ring, [x * y]))
+    assert _assert_frobenius_flat(j_ideal, Ideal(ring, [x * y])) == 1
+
+
+def test_frobenius_flatness_on_a_binomial_pair():
+    """J = (x^2 + yz) + (x + y) * m inside I = J + (x + y) over F_2[x, y, z]:
+    two lines with an embedded point at the origin, S = (x + y, y^2 + yz),
+    torsion 1, and 2^3 after bracketing."""
+    ring = PolyRing(2, ("x", "y", "z"))
+    x, y, z = ring.gens()
+    j_ideal = Ideal(ring, [x**2 + y * z] + [(x + y) * v for v in ring.gens()])
+    assert ideal_equal(_m_saturation(j_ideal), Ideal(ring, [x + y, y**2 + y * z]))
+    assert _assert_frobenius_flat(j_ideal, j_ideal + Ideal(ring, [x + y])) == 1

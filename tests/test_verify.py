@@ -206,6 +206,16 @@ def _sandwich_without_hypersurface() -> bool:
     return (record.lower, record.middle, record.upper) == (9, 9, 10)
 
 
+def _sandwich_off_the_m_primary_case() -> bool:
+    """check_sandwich((x^2, xy), (x), 1) over F_3[x, y]: J is not m-primary
+    but I/J is finite, so J : m^infinity is built once, for the guard, and
+    the first torsion layer of J reuses it."""
+    ring = PolyRing(3, ("x", "y"))
+    x, y = ring.gens()
+    record = check_sandwich(Ideal(ring, [x**2, x * y]), Ideal(ring, [x]), 1)
+    return (record.lower, record.middle, record.upper) == (9, 10, 10)
+
+
 def _sandwich_of_katzman_pair_refused() -> bool:
     """check_sandwich on the Katzman pair modulo g at p = 3, n = 1: I/J is not
     supported at the origin (s is free), so it raises once level 0 of both
@@ -221,14 +231,15 @@ def _sandwich_of_katzman_pair_refused() -> bool:
 @pytest.mark.parametrize(
     "run,calls",
     [
-        (lambda: verify_construction(3, 4).ok, 20),
-        (lambda: verify_katzman(3, 1).ok, 11),
-        (_rjj_of_katzman_pair, 10),
-        (_katzman_pair_run(sjj_sequence, [1, 0]), 9),
+        (lambda: verify_construction(3, 4).ok, 19),
+        (lambda: verify_katzman(3, 1).ok, 10),
+        (_rjj_of_katzman_pair, 8),
+        (_katzman_pair_run(sjj_sequence, [1, 0]), 8),
         (_katzman_pair_run(vjj_sequence, [2, 7]), 4),
         (_katzman_pair_run(f_difference_sequence, [1, 2]), 14),
         (_sandwich_without_hypersurface, 4),
-        (_sandwich_of_katzman_pair_refused, 5),
+        (_sandwich_off_the_m_primary_case, 9),
+        (_sandwich_of_katzman_pair_refused, 4),
     ],
     ids=[
         "construction-3-4",
@@ -238,6 +249,7 @@ def _sandwich_of_katzman_pair_refused() -> bool:
         "vjj-katzman-3-1",
         "fdiff-katzman-3-1",
         "sandwich-f3-1",
+        "sandwich-f3-x2-xy-1",
         "sandwich-katzman-3-1-refused",
     ],
 )
@@ -245,8 +257,8 @@ def test_ideal_layer_builds_a_pinned_number_of_bases(monkeypatch, run, calls):
     """Every Groebner basis the ideal layer builds goes through
     `ideals.buchberger`; the count is deterministic, so building bases only to
     answer yes/no questions, saturating a variable that J already holds a
-    power of, or building a Frobenius level of a sequence twice, again shows
-    up here."""
+    power of, building a Frobenius level of a sequence twice, or saturating
+    level 0 twice in a sandwich, again shows up here."""
     from hkforge import ideals
 
     count = [0]
@@ -264,8 +276,8 @@ def test_ideal_layer_builds_a_pinned_number_of_bases(monkeypatch, run, calls):
 @pytest.mark.parametrize(
     "run,spairs,zeros",
     [
-        (lambda: verify_construction(3, 4).ok, 579, 429),
-        (_rjj_of_katzman_pair, 164, 122),
+        (lambda: verify_construction(3, 4).ok, 515, 382),
+        (_rjj_of_katzman_pair, 83, 64),
     ],
     ids=["construction-3-4", "rjj-katzman-3-1"],
 )
@@ -275,7 +287,8 @@ def test_buchberger_forms_a_pinned_number_of_spairs(monkeypatch, run, spairs, ze
     stops pruning fails here.  Before criterion F (one pair per equal-lcm
     class, none when the class holds a coprime pair) and the early stop of the
     ideal-divisor saturation, the runs formed 833 and 270 S-pairs, of which
-    647 and 210 reduced to zero."""
+    647 and 210 reduced to zero; before J : v^infinity by homogenization, 579
+    and 164, of which 429 and 122."""
     from hkforge import groebner
 
     count = {"spairs": 0, "zeros": 0}
