@@ -8,9 +8,11 @@ through an elimination variable t with a block order t > (ring order): for
 ideals I and K, the ideal t*I + (1-t)*K contracts to I ∩ K, and the
 contraction inherits a reduced Groebner basis from the elimination basis for
 free.  The elimination basis also tells whether I or K is the unit ideal, so
-no basis of either is built for that question.  Saturation by an ideal runs
-the colon chain, which counts its steps; saturation by one variable without a
-step count goes through homogenization instead, with no elimination.
+no basis of either is built for that question.  `saturate` runs the colon
+chain, which counts its steps.  Saturation by one variable goes through
+homogenization instead, with no elimination, and `_saturation_steps` reads
+the chain's step count off a known saturation by a walk of normal forms;
+`verify_construction` uses both and builds no chain.
 """
 
 from __future__ import annotations
@@ -269,9 +271,10 @@ def saturate(
     terminate.
     An ideal K stays one chain, with no split into variables as in
     `lengths._m_saturation`, and a variable is not sent to the homogenized
-    `_saturate_variable`: callers print the chain's step count
-    (`verify_construction` claim 6) and the chain's own generators (the
-    session language's `saturate` statement).
+    `_saturate_variable`: the session language's `saturate` statement prints
+    the chain's own generators.  `verify_construction` claim 6 takes its
+    saturations from `_saturate_variable` and `lengths._m_saturation`, and
+    their step counts from `_saturation_steps`, with no chain.
     """
     if cap is None:
         cap = config.DEFAULT_SATURATION_CAP
@@ -289,9 +292,44 @@ def saturate(
         if len(parts) > 1 and current.contains_ideal(nxt):
             return current, step
         current = nxt
-    raise CapExceeded(
+    raise _unstable(cap)
+
+
+def _unstable(cap: int) -> CapExceeded:
+    return CapExceeded(
         f"saturation did not stabilize within {cap} steps; raise the cap if this is intended"
     )
+
+
+def _saturation_steps(
+    ideal: Ideal,
+    sat: Ideal | None,
+    multipliers: Sequence[Polynomial],
+    cap: int | None = None,
+) -> int:
+    """The step count of `saturate(I, K)`, for sat = I : K^infinity (None for
+    the unit ideal) and K generated by `multipliers`, with no colon.
+
+    The chain I : K^n stops growing at the least n with I : K^n = sat, that
+    is with K^n * sat <= I.  Level 0 holds the nonzero normal forms of sat's
+    generators modulo I's basis, and level n + 1 those of k * f for each
+    multiplier k and each f of level n.  A normal form depends only on the
+    class modulo I, so level n lists the distinct nonzero normal forms of the
+    products of n multipliers with a generator of sat, and it is empty exactly
+    when K^n * sat <= I.  Raises `CapExceeded` as the chain does when level
+    `cap` is not empty.
+    """
+    if cap is None:
+        cap = config.DEFAULT_SATURATION_CAP
+    basis = ideal.groebner_basis()
+    gens = sat.generators if sat is not None else (ideal.ring.one(),)
+    level = dict.fromkeys(filter(None, map(basis.reduce, gens)))
+    for step in range(cap + 1):
+        if not level:
+            return step
+        products = (basis.reduce(k * f) for f in level for k in multipliers)
+        level = dict.fromkeys(filter(None, products))
+    raise _unstable(cap)
 
 
 @functools.lru_cache(maxsize=64)

@@ -30,8 +30,8 @@ import math
 from dataclasses import dataclass
 
 from . import config
-from .errors import ContainmentError
-from .ideals import Ideal, _saturate_variable, intersect
+from .errors import CapExceeded, ContainmentError
+from .ideals import Ideal, _saturate_variable, _saturation_steps, intersect
 from .linalg import rank_of_rows, reduce_row, row_reduce
 from .polyring import Monomial, PolyRing, Polynomial
 
@@ -166,17 +166,12 @@ def _monomials_of_degree(nvars: int, degree: int) -> tuple[Monomial, ...]:
 
 
 def nilpotency_exponent(u_ideal: Ideal, j_ideal: Ideal, cap: int) -> int | None:
-    """Least n <= cap with m^n * U <= J, or None if the cap is exhausted."""
-    basis = j_ideal.groebner_basis()
-    ring = j_ideal.ring
-    gens = u_ideal.generators
-    for n in range(cap + 1):
-        mons = _monomials_of_degree(ring.nvars, n)
-        if all(
-            basis.contains(u.mul_term(mon, 1)) for u in gens for mon in mons
-        ):
-            return n
-    return None
+    """Least n <= cap with m^n * U <= J, or None if the cap is exhausted: the
+    walk of `ideals._saturation_steps` with the variables as multipliers."""
+    try:
+        return _saturation_steps(j_ideal, u_ideal, j_ideal.ring.gens(), cap)
+    except CapExceeded:
+        return None
 
 
 def subquotient_length(

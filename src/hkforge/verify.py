@@ -32,14 +32,14 @@ from .groebner import certify_groebner
 from .ideals import (
     Ideal,
     _saturate_variable,
+    _saturation_steps,
     bracket_power,
     colon_element,
     ideal_equal,
     maximal_ideal,
-    saturate,
     unit_ideal,
 )
-from .lengths import gamma_length
+from .lengths import _gamma_length, _m_saturation, gamma_length
 from .polyring import Lex, PolyRing, Polynomial, is_prime
 
 __all__ = [
@@ -197,22 +197,24 @@ def verify_construction(p: int, m: int) -> ClaimReport:
         f"f outside: {f_outside}, colon equals (s,x,y): {colon_is_max}",
     )
 
-    record(
-        "5: (h : s) = h",
-        ideal_equal(colon_element(data.h, s), data.h),
-        "h is s-saturated",
-    )
+    # buchberger's bases are reduced, so no element of the basis that
+    # saturates h at s holds s, and h comes back itself, unless h : s != h
+    s_index = ring.variables.index("s")
+    record("5: (h : s) = h", _saturate_variable(data.h, s_index) is data.h, "h is s-saturated")
 
-    sat_s, steps_s = saturate(data.e, s)
-    sat_m, steps_m = saturate(data.e, m_ideal)
-    claim6 = ideal_equal(sat_s, data.h) and ideal_equal(sat_m, data.h)
+    sat_s = _saturate_variable(data.e, s_index)
+    sat_m = _m_saturation(data.e)
+    steps_s = _saturation_steps(data.e, sat_s, [s])
+    steps_m = _saturation_steps(data.e, sat_m, m_ideal.generators)
+    # sat_m is None only for an m-primary e, whose m-saturation is the unit ideal
+    claim6 = ideal_equal(sat_s, data.h) and sat_m is not None and ideal_equal(sat_m, data.h)
     record(
         "6: e : s^inf = e : m^inf = h",
         claim6,
         f"s-saturation in {steps_s} step(s), m-saturation in {steps_m} step(s)",
     )
 
-    torsion = gamma_length(data.e, unit_ideal(ring))
+    torsion = _gamma_length(data.e, unit_ideal(ring), sat_m)
     record(
         "7: len Gamma_m(A/e) = 1",
         torsion.finite and torsion.value == 1,

@@ -24,8 +24,8 @@ from hkforge import (
     saturate,
     unit_ideal,
 )
-from hkforge.ideals import _saturate_variable
-from hkforge.lengths import oracle_ideal_member
+from hkforge.ideals import _saturate_variable, _saturation_steps
+from hkforge.lengths import _m_saturation, oracle_ideal_member
 from hkforge.verify import build_construction
 
 from helpers import random_monomial, random_nonzero_polynomial
@@ -277,7 +277,10 @@ def _colon_chain(ideal, divisor):
 
 def test_saturate_by_an_ideal_matches_the_full_colon_chain(f3xy):
     """The early stop on a part that lies in I keeps the step count and the
-    ideal of the full chain."""
+    ideal of the full chain.  The homogenized saturations equal the chain's
+    stable ideals, and the normal-form walk of `_saturation_steps` counts the
+    chain's steps from them: by the ideal divisors, all of radical (x, y), so
+    that `_m_saturation` is their saturation, and by each variable."""
     rng = random.Random(71)
     x, y = f3xy.gens()
     divisors = [
@@ -293,12 +296,20 @@ def test_saturate_by_an_ideal_matches_the_full_colon_chain(f3xy):
             for _ in range(rng.randint(2, 3))
         ]
         ideal = Ideal(f3xy, gens)
+        sat_m = _m_saturation(ideal)
         for divisor in divisors:
             stable, steps = saturate(ideal, divisor)
             expected, expected_steps = _colon_chain(ideal, divisor)
             assert steps == expected_steps
             assert ideal_equal(stable, expected)
+            assert ideal_equal(sat_m or unit_ideal(f3xy), stable)
+            assert _saturation_steps(ideal, sat_m, divisor.generators) == steps
             steps_seen.add(steps)
+        for i, v in enumerate((x, y)):
+            stable, steps = saturate(ideal, v)
+            sat_v = _saturate_variable(ideal, i)
+            assert ideal_equal(sat_v, stable)
+            assert _saturation_steps(ideal, sat_v, [v]) == steps
     assert {0, 2, 4} <= steps_seen
 
 
@@ -362,10 +373,46 @@ def test_saturate_variable_skips_h_on_homogeneous_generators(monkeypatch, gens, 
     assert ideal_equal(sat, saturate(ideal, y)[0])
 
 
+@settings(derandomize=True, database=None, max_examples=10, deadline=None)
+@given(dicts=_gen_dicts, i=st.integers(0, 2))
+@pytest.mark.parametrize("order", [Lex(), DegRevLex()], ids=["lex", "degrevlex"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_saturate_variable_returns_the_ideal_itself_exactly_when_v_is_no_zero_divisor(
+    p, order, dicts, i
+):
+    """`_saturate_variable(I, i) is I` exactly when I : v = I, the test of
+    claim 5 of `verify_construction`: the basis it divides by powers of v is
+    reduced, so an element that holds v shows I : v != I.  Drawn from the
+    same forms: the forms, the forms with v set to 1 (saturated), and the
+    forms times v (unsaturated unless zero)."""
+    ring = PolyRing(p, ("s", "x", "y"), order)
+    v = ring.gens()[i]
+    forms = [ring.polynomial(d) for d in dicts]
+    free = [ring.polynomial([(m[:i] + (0,) + m[i + 1 :], c) for m, c in d.items()]) for d in dicts]
+    shifted = [v * f for f in forms]
+    for gens, saturated in ((forms, None), (free, True), (shifted, not Ideal(ring, forms).generators)):
+        ideal = Ideal(ring, gens)
+        itself = _saturate_variable(ideal, i) is ideal
+        assert itself == ideal_equal(colon_element(ideal, v), ideal)
+        assert saturated is None or itself == saturated
+
+
 def test_saturation_cap_diagnostic(f3xy):
+    """(x^4, y^4) : m^infinity is the unit ideal, for which `_m_saturation`
+    gives None; x^3 y^3 lies outside (x^4, y^4), so the chain and the walk
+    take 7 steps, and both raise at a lower cap."""
     x, y = f3xy.gens()
+    ideal, m = Ideal(f3xy, [x**4, y**4]), maximal_ideal(f3xy)
     with pytest.raises(CapExceeded, match="stabilize"):
-        saturate(Ideal(f3xy, [x**4, y**4]), maximal_ideal(f3xy), cap=2)
+        saturate(ideal, m, cap=2)
+    assert _m_saturation(ideal) is None
+    stable, steps = saturate(ideal, m)
+    assert stable.is_unit() and steps == 7
+    assert _saturation_steps(ideal, None, m.generators) == 7
+    assert _saturation_steps(ideal, None, m.generators, cap=7) == 7
+    for cap in (2, 6):
+        with pytest.raises(CapExceeded, match="stabilize"):
+            _saturation_steps(ideal, None, m.generators, cap=cap)
 
 
 # -- dimension ------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from hkforge import (
     subquotient_length,
     unit_ideal,
 )
-from hkforge.lengths import _m_saturation, count_standard_monomials
+from hkforge.lengths import _m_saturation, count_standard_monomials, nilpotency_exponent
 from hkforge.verify import build_construction
 
 from helpers import random_monomial_ideal, random_primary_pair
@@ -351,6 +351,38 @@ def test_rank_route_widens_its_columns_mid_closure(f5xy):
     j_ideal = Ideal(f5xy, [x**2, y**3])
     assert subquotient_length(u_ideal, j_ideal, method="rank").expect() == 3
     assert subquotient_length(u_ideal, j_ideal, method="difference").expect() == 3
+
+
+def _brute_force_nilpotency(u_ideal, j_ideal, cap):
+    """Least n <= cap with every monomial of degree n times every generator
+    of U in J, or None."""
+    nvars = j_ideal.ring.nvars
+    for n in range(cap + 1):
+        mons = [
+            tuple(combo.count(i) for i in range(nvars))
+            for combo in itertools.combinations_with_replacement(range(nvars), n)
+        ]
+        if all(j_ideal.contains(u.mul_term(mon, 1)) for u in u_ideal.generators for mon in mons):
+            return n
+    return None
+
+
+def test_nilpotency_exponent_matches_the_monomial_definition(f5xy):
+    x, y = f5xy.gens()
+    ring3 = PolyRing(3, ("x", "y", "z"))
+    a, b, c = ring3.gens()
+    pairs = [
+        (unit_ideal(f5xy), Ideal(f5xy, [x**2, y**3]), 4),
+        (Ideal(f5xy, [x]), Ideal(f5xy, [x**2, x * y]), 1),
+        (Ideal(f5xy, [x**2, y**3]), Ideal(f5xy, [x**2, y**3]), 0),
+        (unit_ideal(f5xy), Ideal(f5xy, [x**2 + y**3, x * y]), 4),
+        (Ideal(ring3, [a * b, c]), Ideal(ring3, [a**2, b**2, c**2, a * b * c]), 2),
+        (Ideal(f5xy, [x]), Ideal(f5xy, [x**2]), None),
+        (unit_ideal(f5xy), Ideal(f5xy, [x**4, y**4]), None),
+    ]
+    for u_ideal, j_ideal, expected in pairs:
+        assert _brute_force_nilpotency(u_ideal, j_ideal, 5) == expected
+        assert nilpotency_exponent(u_ideal, j_ideal, 5) == expected
 
 
 def test_additivity_of_length(f5xy):
