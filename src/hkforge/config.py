@@ -7,9 +7,9 @@ import os
 DEFAULT_BRACKET_CAP = 6
 
 # Upper bound on the levels of the span closure that measures a subquotient
-# (for m-torsion at most the nilpotency exponent + 1), and on the power of the
-# irrelevant maximal ideal that `check_sandwich` searches.  All worked
-# instances need single digits.
+# (for m-torsion at most the nilpotency exponent + 1).  Not every finite
+# length closes within it: vjj on the Katzman pair at p = 3 up to e = 4 needs
+# more levels, and under this default its last level reads "possibly infinite".
 DEFAULT_NILPOTENCY_CAP = 64
 
 # Saturation terminates by the ascending chain condition; the cap only guards

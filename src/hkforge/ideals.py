@@ -147,9 +147,11 @@ def ideal_member(f: Polynomial, ideal: Ideal) -> bool:
 
 
 def ideal_equal(a: Ideal, b: Ideal) -> bool:
-    """Equality via reduced Groebner bases under a's ring order, which are
-    unique for a fixed order; b is taken into a's ring when its order differs."""
+    """Equality via reduced Groebner bases under a's ring order (unique for a
+    fixed order; b is taken into a's ring), or at once for equal generators."""
     a._check(b)
+    if a.generators == b.generators:
+        return True
     if b.ring.order != a.ring.order:
         b = Ideal(a.ring, b.generators)
     return a.groebner_basis().elements == b.groebner_basis().elements
@@ -272,9 +274,9 @@ def saturate(
     An ideal K stays one chain, with no split into variables as in
     `lengths._m_saturation`, and a variable is not sent to the homogenized
     `_saturate_variable`: the session language's `saturate` statement prints
-    the chain's own generators.  `verify_construction` claim 6 takes its
-    saturations from `_saturate_variable` and `lengths._m_saturation`, and
-    their step counts from `_saturation_steps`, with no chain.
+    the chain's own generators.  `verify_construction` claim 6 takes its one
+    saturation from `_saturate_variable`, and both step counts from
+    `_saturation_steps`, with no chain.
     """
     if cap is None:
         cap = config.DEFAULT_SATURATION_CAP

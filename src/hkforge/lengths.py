@@ -111,17 +111,19 @@ def finite_colength_length(ideal: Ideal) -> LengthResult:
 # local cohomology submodule
 
 def _m_saturation(j_ideal: Ideal) -> Ideal | None:
-    """J : m^infinity, or None when J holds a pure power of every variable
-    (then J is m-primary and the saturation is the unit ideal).
+    """J : m^infinity, or None when the parts below show it is the unit ideal
+    (then J is m-primary).
 
     J : m^infinity is the intersection of the parts J : v^infinity over the
     variables v, because the ideal of the k-th powers of the N variables lies
     between m^(N(k-1)+1) and m^k.  A generator c*v^k of J puts v^k into J, so
     1 lies in J : v^infinity and that part is the unit ideal; it is skipped
     without building any basis.  Each other part is `_saturate_variable(J, i)`,
-    two Buchberger bases by homogenization and no elimination; only the
-    intersection of two or more parts eliminates.  Finite colength alone does
-    not make J m-primary: (x, y + 1) has colength 1 and no m-torsion.
+    two Buchberger bases by homogenization and no elimination, dropped when a
+    nonzero constant among its generators proves it the unit ideal, as for the
+    z-part of (x^q, y^q, g) over the Fermat cubic; only the intersection of two
+    or more parts eliminates.  Finite colength alone does not make J m-primary:
+    (x, y + 1) has colength 1 and no m-torsion.
     """
     held = set()
     for g in j_ideal.generators:
@@ -129,6 +131,7 @@ def _m_saturation(j_ideal: Ideal) -> Ideal | None:
         if g.is_monomial() and len(support) == 1:
             held.add(support[0])
     parts = [_saturate_variable(j_ideal, i) for i in range(j_ideal.ring.nvars) if i not in held]
+    parts = [part for part in parts if all(g.total_degree() for g in part.generators)]
     return functools.reduce(intersect, parts) if parts else None
 
 

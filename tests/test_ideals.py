@@ -162,9 +162,21 @@ def test_intersect_reads_the_unit_ideal_off_the_elimination_basis(f3xy):
 
 # -- colon ---------------------------------------------------------------------------
 
-def test_colon_by_f_is_maximal_ideal(construction54):
-    data = construction54
-    assert ideal_equal(colon_element(data.e, data.f), maximal_ideal(data.ring))
+def test_colon_by_f_is_maximal_ideal():
+    """`verify_construction` claim 4 reads e : f = m off membership tests;
+    the colon route gives the same on points of its grid."""
+    for p, m in [(5, 4), (3, 4), (3, 5), (7, 5)]:
+        data = build_construction(p, m)
+        assert ideal_equal(colon_element(data.e, data.f), maximal_ideal(data.ring))
+
+
+def test_colon_by_z_is_maximal_ideal_on_the_katzman_pair():
+    """`verify_katzman(3, 1)` claim iii the colon way: (J^[3] + (g)) : z = m
+    for J = (x^3, y^3), with z = f of the family at n = 9."""
+    data = build_construction(3, 4)
+    x, y = data.ring.gen("x"), data.ring.gen("y")
+    j_q = bracket_power(Ideal(data.ring, [x**3, y**3]), 1) + Ideal(data.ring, [data.g])
+    assert ideal_equal(colon_element(j_q, data.f), maximal_ideal(data.ring))
 
 
 def test_h_is_s_saturated(construction54):
@@ -475,6 +487,20 @@ def test_ideal_equal_across_ring_orders_tells_ideals_apart():
     big_lex, big_drl = lex_and_degrevlex(smaller + [z])
     for a, b in ((small_lex, big_drl), (small_drl, big_lex)):
         assert not ideal_equal(a, b) and not ideal_equal(b, a)
+
+
+def test_ideal_equal_answers_equal_generators_with_no_basis():
+    """Equal generator tuples give True before any basis is built, also over
+    rings with different orders; other generators go through the bases."""
+    ring = PolyRing(5, ("x", "y", "z"), Lex())
+    x, y, z = ring.gens()
+    gens = [x * y - z**2, y**3 - x]
+    lex, drl = lex_and_degrevlex(gens)
+    for a, b in ((lex, Ideal(ring, gens)), (lex, drl), (drl, lex)):
+        assert ideal_equal(a, b)
+        assert a._basis is None and b._basis is None
+    assert ideal_equal(lex, Ideal(ring, [gens[1], gens[0] + gens[1]]))
+    assert not ideal_equal(lex, Ideal(ring, gens + [z]))
 
 
 def test_dimension_does_not_depend_on_the_order(construction54):

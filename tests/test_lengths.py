@@ -191,6 +191,32 @@ def test_gamma_fast_path_matches_saturation_route(f5xy):
         assert ideal_equal(h, intersect(sat, i_ideal))
 
 
+def test_m_saturation_drops_a_unit_part_that_holds_no_pure_power():
+    """Over the Fermat cubic at p = 5, J = (x^5, y^5, g) holds no power of z,
+    yet its z-part J : z^infinity is the unit ideal: J is m-primary, and
+    `_m_saturation` says so with None."""
+    ring = PolyRing(5, ("x", "y", "z"))
+    x, y, z = ring.gens()
+    j_ideal = Ideal(ring, [x**5, y**5, x**3 + y**3 + z**3])
+    assert _m_saturation(j_ideal) is None
+    chain, _ = saturate(j_ideal, maximal_ideal(ring))
+    assert chain.is_unit()
+
+
+@pytest.mark.parametrize("e", [0, 1])
+def test_m_saturation_of_the_katzman_levels(e):
+    """The Katzman levels (x^n, y^n, g) at p = 3, n = 3^(e+1), have m-torsion,
+    so no part is dropped and the saturation is the colon chain's."""
+    ring = PolyRing(3, ("s", "x", "y"), Lex())
+    s, x, y = ring.gens()
+    n = 3 ** (e + 1)
+    j_ideal = Ideal(ring, [x**n, y**n, x * y * (x - y) * (x + y - s * y)])
+    sat = _m_saturation(j_ideal)
+    chain, _ = saturate(j_ideal, maximal_ideal(ring))
+    assert sat is not None and not chain.is_unit()
+    assert ideal_equal(sat, chain)
+
+
 def _is_pure_power(term_dict) -> bool:
     return len(term_dict) == 1 and sum(1 for e in next(iter(term_dict)) if e) == 1
 

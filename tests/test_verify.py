@@ -177,6 +177,19 @@ def test_katzman_larger_instances(p, e):
     assert report.ok, report.to_json()
 
 
+def test_verify_builds_no_intersection(monkeypatch):
+    """Claims 4 and iii read (I : f) = m off membership tests, and claims 6
+    and 7 share one saturation by homogenization, so no claim eliminates."""
+    from hkforge import ideals, lengths
+
+    calls = []
+    original = ideals.intersect
+    for module in (ideals, lengths):
+        monkeypatch.setattr(module, "intersect", lambda *a: calls.append(a) or original(*a))
+    assert verify_construction(3, 4).ok and verify_katzman(3, 1).ok
+    assert calls == []
+
+
 def _katzman_pair_run(sequence, raws):
     """A run of `sequence` on (x^3, y^3) <= (x, y)^3 modulo g at p = 3, levels
     0 and 1, that checks its raw values."""
@@ -231,8 +244,8 @@ def _sandwich_of_katzman_pair_refused() -> bool:
 @pytest.mark.parametrize(
     "run,calls",
     [
-        (lambda: verify_construction(3, 4).ok, 14),
-        (lambda: verify_katzman(3, 1).ok, 10),
+        (lambda: verify_construction(3, 4).ok, 8),
+        (lambda: verify_katzman(3, 1).ok, 6),
         (_rjj_of_katzman_pair, 8),
         (_katzman_pair_run(sjj_sequence, [1, 0]), 8),
         (_katzman_pair_run(vjj_sequence, [2, 7]), 4),
@@ -276,7 +289,7 @@ def test_ideal_layer_builds_a_pinned_number_of_bases(monkeypatch, run, calls):
 @pytest.mark.parametrize(
     "run,spairs,zeros",
     [
-        (lambda: verify_construction(3, 4).ok, 214, 167),
+        (lambda: verify_construction(3, 4).ok, 120, 95),
         (_rjj_of_katzman_pair, 83, 64),
     ],
     ids=["construction-3-4", "rjj-katzman-3-1"],
@@ -289,7 +302,9 @@ def test_buchberger_forms_a_pinned_number_of_spairs(monkeypatch, run, spairs, ze
     ideal-divisor saturation, the runs formed 833 and 270 S-pairs, of which
     647 and 210 reduced to zero; before J : v^infinity by homogenization, 579
     and 164, of which 429 and 122; before claims 5-7 of the construction left
-    the colon chain, the construction formed 515, of which 382."""
+    the colon chain, the construction formed 515, of which 382; before claim 4
+    read (e : f) = m off the membership tests and claim 6 saturated e once,
+    214, of which 167."""
     from hkforge import groebner
 
     count = {"spairs": 0, "zeros": 0}
