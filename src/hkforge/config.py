@@ -6,10 +6,10 @@ import os
 # e = 6 are almost never what anyone wants interactively.
 DEFAULT_BRACKET_CAP = 6
 
-# Upper bound on the levels of the span closure that measures a subquotient
-# (for m-torsion at most the nilpotency exponent + 1).  Not every finite
-# length closes within it: vjj on the Katzman pair at p = 3 up to e = 4 needs
-# more levels, and under this default its last level reads "possibly infinite".
+# Upper bound on the levels of the span closure in the public
+# `subquotient_length`, on inputs not known to have finite length; past it the
+# answer is "possibly infinite".  Lengths finite by proof (Gamma_m and the
+# sequences) run the closure to its end, with no cap.
 DEFAULT_NILPOTENCY_CAP = 64
 
 # Saturation terminates by the ascending chain condition; the cap only guards

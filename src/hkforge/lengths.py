@@ -188,14 +188,17 @@ def subquotient_length(
 
     "rank": the span of the normal forms of U's generators against J's basis,
     closed under the variables (`_span_closure`); at most `nilpotency_cap` + 1
-    levels run.  "difference": when both colengths are finite, len(R/J) -
-    len(R/U).  "auto" takes the difference route when available.  Both routes
-    give the global length, over all of V(J): 1 for U = R, J = (x, y + 1).
+    levels run (default `config.DEFAULT_NILPOTENCY_CAP`), since nothing here
+    proves the length finite.  "difference": when both colengths are finite,
+    len(R/J) - len(R/U).  "auto" takes the difference route when available.
+    Both routes give the global length, over all of V(J): 1 for U = R,
+    J = (x, y + 1).
     """
     _check_method(method)
     if not u_ideal.contains_ideal(j_ideal):
         raise ContainmentError("subquotient_length requires J <= U")
-    return _subquotient_length(u_ideal, j_ideal, method, nilpotency_cap)
+    cap = config.DEFAULT_NILPOTENCY_CAP if nilpotency_cap is None else nilpotency_cap
+    return _subquotient_length(u_ideal, j_ideal, method, cap)
 
 
 def _check_method(method: str) -> None:
@@ -204,11 +207,12 @@ def _check_method(method: str) -> None:
 
 
 def _subquotient_length(
-    u_ideal: Ideal, j_ideal: Ideal, method: str = "auto", nilpotency_cap: int | None = None
+    u_ideal: Ideal, j_ideal: Ideal, method: str = "auto", cap: int | None = None
 ) -> LengthResult:
     """`subquotient_length` for a caller that knows J <= U, without the check:
     it would build U's basis under the ring's order, which only the
-    difference route needs."""
+    difference route needs.  `cap` None runs the rank route's closure to its
+    end, for a caller that knows the length is finite."""
     if method != "rank":
         len_j = finite_colength_length(j_ideal)
         if len_j.finite:
@@ -222,17 +226,18 @@ def _subquotient_length(
                 None, False, "standard-monomials", "a colength is not finite"
             )
 
-    cap = nilpotency_cap if nilpotency_cap is not None else config.DEFAULT_NILPOTENCY_CAP
     length = _span_closure(u_ideal.generators, j_ideal, cap)
     if length is None:
         return LengthResult(None, False, "subquotient", f"possibly infinite: not closed by level {cap}")
     return LengthResult(length, True, "subquotient")
 
 
-def _span_closure(gens: tuple[Polynomial, ...], j_ideal: Ideal, cap: int) -> int | None:
+def _span_closure(gens: tuple[Polynomial, ...], j_ideal: Ideal, cap: int | None = None) -> int | None:
     """dim over F_p of the span of the normal forms of `gens` modulo J's
     basis, closed under the variables: len((U + J)/J) for U = (gens).  None
-    when the closure has not ended after `cap` + 1 levels.
+    when the closure has not ended after `cap` + 1 levels; with `cap` None it
+    runs to its end, which comes within L + 1 levels for a length L and never
+    for an infinite one (a span closed under the variables is all of (U + J)/J).
 
     A normal form that the echelon of the rows kept so far does not reduce to
     zero is kept, and its products with the variables make the next level.
@@ -246,7 +251,7 @@ def _span_closure(gens: tuple[Polynomial, ...], j_ideal: Ideal, cap: int) -> int
     # the columns are packed monomials under the widest packing seen so far
     pk, kept, echelon = None, [], {}
     level = [basis.reduce(u) for u in gens]
-    for _ in range(cap + 1):
+    for _ in itertools.count() if cap is None else range(cap + 1):
         start = len(kept)
         for nf in filter(None, level):
             if pk is None or nf.packing.width > pk.width:
@@ -262,13 +267,7 @@ def _span_closure(gens: tuple[Polynomial, ...], j_ideal: Ideal, cap: int) -> int
     return None
 
 
-def gamma_length(
-    j_ideal: Ideal,
-    i_ideal: Ideal,
-    *,
-    method: str = "auto",
-    nilpotency_cap: int | None = None,
-) -> LengthResult:
+def gamma_length(j_ideal: Ideal, i_ideal: Ideal, *, method: str = "auto") -> LengthResult:
     """len(Gamma_m(I/J)); always finite for Noetherian inputs.
 
     Needs J <= I.  Gamma_m(I/J) = H/J with H = S ∩ I, S = J : m^infinity,
@@ -277,37 +276,33 @@ def gamma_length(
         len(H/J) = len(S/J) - len((S + I)/I),
 
     so the elimination basis of H is never built.  len(S/J) is measured as by
-    `subquotient_length` with `method` and `nilpotency_cap`, and the result
-    keeps its method and note; the nilpotency cap bounds that closure, of S/J,
-    not one of H/J.  J <= S holds by construction, so that measurement skips
-    the containment check, which would build S's basis under the ring's order.
-    len((S + I)/I) is the span closure of S's generators modulo I's basis,
-    which the containment check J <= I has built; (S + I)/I is a quotient of
-    S/J, so that closure keeps at most len(S/J) rows and ends within
-    len(S/J) + 1 levels.  When J is m-primary, S is the unit ideal and the
-    length is that of I/J.
+    `subquotient_length` with `method`, and the result keeps its method.  S/J
+    is m-torsion and finitely generated, so its length is finite and the span
+    closure runs to its end, with no level cap; only `method="difference"`,
+    which needs both colengths finite, can answer "not finite".  J <= S holds
+    by construction, so that measurement skips the containment check, which
+    would build S's basis under the ring's order.  len((S + I)/I) is the span
+    closure of S's generators modulo I's basis, which the containment check
+    J <= I has built; (S + I)/I is a quotient of S/J, so it is finite too.
+    When J is m-primary, S is the unit ideal and the length is that of I/J.
     """
     _check_method(method)
     if not i_ideal.contains_ideal(j_ideal):
         raise ContainmentError("gamma_submodule requires J <= I")
-    return _gamma_length(j_ideal, i_ideal, _m_saturation(j_ideal), method, nilpotency_cap)
+    return _gamma_length(j_ideal, i_ideal, _m_saturation(j_ideal), method)
 
 
 def _gamma_length(
-    j_ideal: Ideal,
-    i_ideal: Ideal,
-    sat: Ideal | None,
-    method: str = "auto",
-    nilpotency_cap: int | None = None,
+    j_ideal: Ideal, i_ideal: Ideal, sat: Ideal | None, method: str = "auto"
 ) -> LengthResult:
     """`gamma_length` for a caller that knows J <= I and holds
     sat = `_m_saturation(j_ideal)`."""
     if sat is None:
-        return _subquotient_length(i_ideal, j_ideal, method, nilpotency_cap)
-    whole = _subquotient_length(sat, j_ideal, method, nilpotency_cap)
+        return _subquotient_length(i_ideal, j_ideal, method)
+    whole = _subquotient_length(sat, j_ideal, method)
     if not whole.finite:
         return whole
-    image = _span_closure(sat.generators, i_ideal, whole.value)
+    image = _span_closure(sat.generators, i_ideal)
     return LengthResult(whole.value - image, True, whole.method)
 
 

@@ -14,11 +14,16 @@ I^[p^e] + (g), e = 0..e_max, of one ideal I.  A level is made on first read
 and then kept, so each level and its Groebner basis are built once per call:
 the containment check J <= I runs on level 0 of the two ladders, which the
 e = 0 entry then reuses, and the l/f sequences, the f-difference and the
-sandwich read their layers off the same levels.  The ladder also keeps level
-0's J : m^infinity, which the sandwich's support guard and the first torsion
-layer l_(-1) share.  The ladder refuses an e_max outside
-0..`config.bracket_cap()` before any basis is built.  One report builder turns
-the raw lengths into entries scaled by q^d, with the default d and the meta.
+sandwich read their layers off the same levels.  That one check covers every
+pair measured: bracketing and adding (g) keep J <= I, and J + m*I <= I,
+H >= J and level e+1 <= level e hold by construction.  Each such length is
+finite by proof (Gamma_m of a finite module, I/(J + m*I) spanned by I's
+generators, the sandwich's layers once its support guard holds), so the
+sequences call `_gamma_length` and `_subquotient_length` with no re-check and
+no level cap.  The ladder also keeps level 0's J : m^infinity, which the
+sandwich's support guard and the first torsion layer l_(-1) share.  The ladder
+refuses an e_max outside 0..`config.bracket_cap()` before any basis is built.
+One report builder scales the raw lengths by q^d and records d and the meta.
 """
 
 from __future__ import annotations
@@ -35,10 +40,9 @@ from .ideals import Ideal, bracket_power, maximal_ideal, unit_ideal
 from .lengths import (
     _gamma_length,
     _m_saturation,
+    _subquotient_length,
     finite_colength_length,
-    gamma_length,
     gamma_submodule,
-    subquotient_length,
 )
 from .polyring import PolyRing, Polynomial
 
@@ -175,7 +179,8 @@ def _lf(ladder: _Ladder) -> tuple[list[int], list[int]]:
     unit = unit_ideal(ladder.ideal.ring)
     l_values = [_gamma_length(ladder[0], unit, ladder.saturation).expect()]
     l_values += [
-        gamma_length(upper, lower).expect() for lower, upper in itertools.pairwise(ladder)
+        _gamma_length(upper, lower, _m_saturation(upper)).expect()
+        for lower, upper in itertools.pairwise(ladder)
     ]
     return l_values, list(itertools.accumulate(l_values))
 
@@ -253,7 +258,7 @@ def rjj_sequence(
 ) -> SequenceReport:
     """len(Gamma_m(I^[q]/J^[q])) for e = 0..e_max, scaled by q^d."""
     j, i = _nested_ladders(j_ideal, i_ideal, e_max, hypersurface)
-    raws = [gamma_length(j_e, i_e).expect() for j_e, i_e in zip(j, i)]
+    raws = [_gamma_length(j_e, i_e, _m_saturation(j_e)).expect() for j_e, i_e in zip(j, i)]
     return _report("rjj", j_ideal.ring, d, hypersurface, raws, J=j_ideal, I=i_ideal)
 
 
@@ -272,7 +277,7 @@ def sjj_sequence(
     """
     j, i = _nested_ladders(j_ideal, i_ideal, e_max, hypersurface)
     h = _Ladder(gamma_submodule(j[0], i[0]), e_max, hypersurface)
-    raws = [subquotient_length(h_e, j_e).expect() for h_e, j_e in zip(h, j)]
+    raws = [_subquotient_length(h_e, j_e).expect() for h_e, j_e in zip(h, j)]
     return _report("sjj", j_ideal.ring, d, hypersurface, raws, J=j_ideal, I=i_ideal)
 
 
@@ -287,7 +292,7 @@ def vjj_sequence(
     is spanned by the classes of the generators of I."""
     _, i = _nested_ladders(j_ideal, i_ideal, e_max, hypersurface)
     k = _Ladder(j_ideal + maximal_ideal(j_ideal.ring) * i_ideal, e_max, hypersurface)
-    raws = [subquotient_length(i_e, k_e).expect() for i_e, k_e in zip(i, k)]
+    raws = [_subquotient_length(i_e, k_e).expect() for i_e, k_e in zip(i, k)]
     return _report("vjj", j_ideal.ring, d, hypersurface, raws, J=j_ideal, I=i_ideal)
 
 
@@ -367,7 +372,7 @@ def check_sandwich(
             "check_sandwich needs len(I/J) finite: I/J must be supported at the origin,"
             " that is I <= J : m^infinity"
         )
-    layers = [subquotient_length(i_e, j_e).expect() for j_e, i_e in zip(j, i)]
+    layers = [_subquotient_length(i_e, j_e).expect() for j_e, i_e in zip(j, i)]
     (_, f_j), (_, f_i) = _lf(j), _lf(i)
     return SandwichRecord(n, layers[n], f_j[n] - f_i[n], sum(layers))
 

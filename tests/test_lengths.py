@@ -484,6 +484,19 @@ def test_gamma_length_primary_case_matches_oracle(f5xy):
         assert value == by_oracle
 
 
+@pytest.mark.parametrize("order", [Lex(), DegRevLex()], ids=["lex", "degrevlex"])
+@pytest.mark.parametrize("n", [60, 70, 200])
+def test_gamma_length_needs_no_level_cap(order, n):
+    """J = (s*x, x^(n+1)) <= I = (x) over F_5[s, x]: S = J : m^infinity = (x)
+    and S/J = (x)/x*(s, x^n) is R/(s, x^n), so the length is n.  Its span
+    closure takes n + 1 levels, more than the 64 of `subquotient_length`'s
+    default cap for n = 70 and 200."""
+    ring = PolyRing(5, ("s", "x"), order)
+    s, x = ring.gens()
+    result = gamma_length(Ideal(ring, [s * x, x ** (n + 1)]), Ideal(ring, [x]))
+    assert (result.value, result.finite) == (n, True)
+
+
 # -- Frobenius flatness -------------------------------------------------------------------
 #
 # Over A = F_p[x_1..x_d] Frobenius is flat (Kunz), so bracketing commutes with

@@ -182,6 +182,17 @@ def test_window_bound_check_on_katzman():
     assert verdict["heuristic"] is True
 
 
+@pytest.mark.parametrize("sequence", [rjj_sequence, sjj_sequence], ids=["rjj", "sjj"])
+@pytest.mark.parametrize("n", [60, 70, 200])
+def test_torsion_sequences_need_no_level_cap(sequence, n):
+    """(s*x, x^(n+1)) <= (x) over F_5[s, x]: Gamma_m((x)/J) is (x)/J, which is
+    R/(s, x^n) of length n; its span closure takes n + 1 levels."""
+    ring = PolyRing(5, ("s", "x"))
+    s, x = ring.gens()
+    report = sequence(Ideal(ring, [s * x, x ** (n + 1)]), Ideal(ring, [x]), 0)
+    assert report.raw_values() == [n]
+
+
 # -- sjj ----------------------------------------------------------------------------
 
 def test_sjj_of_equal_pair_is_zero(f3xy):
@@ -242,6 +253,53 @@ def test_vjj_katzman_to_e_max_three():
     assert report.raw_values() == [2, 7, 19, 55]
 
 
+@pytest.mark.slow
+def test_vjj_katzman_to_e_max_four():
+    """The fifth entry's span closure takes more than 64 levels."""
+    ring, g, j_ideal, i_ideal = katzman_pair()
+    report = vjj_sequence(j_ideal, i_ideal, 4, hypersurface=g)
+    assert report.raw_values() == [2, 7, 19, 55, 163]
+
+
+def test_vjj_needs_no_level_cap():
+    """(s*x) <= (x) over F_37[s, x]: J + m*I = (s*x, x^2), and at level e the
+    quotient (x^q)/(s^q x^q, x^(2q)) is R/(s^q, x^q), of length q^2 = 1369
+    at q = 37; its span closure takes 2q - 1 = 73 levels."""
+    ring = PolyRing(37, ("s", "x"))
+    s, x = ring.gens()
+    assert vjj_sequence(Ideal(ring, [s * x]), Ideal(ring, [x]), 1).raw_values() == [1, 1369]
+
+
+# -- Frobenius flatness ----------------------------------------------------------------
+#
+# With no hypersurface, Frobenius on F_p[x, y] is flat (Kunz), so every
+# sequence of a pair J <= I scales by q^2 = p^(2e): rjj_e = sjj_e = q^2 rjj_0
+# and vjj_e = q^2 vjj_0.  One pair is m-primary, two are not.
+
+@pytest.mark.parametrize(
+    "j_exps,i_exps,rjj_0,vjj_0",
+    [
+        ([(2, 0), (1, 1)], [(1, 0)], 1, 1),
+        ([(3, 0), (1, 2), (0, 3)], [(1, 0), (0, 2)], 5, 2),
+        ([(2, 1), (1, 2)], [(1, 1)], 1, 1),
+    ],
+    ids=["x2-xy-in-x", "x3-xy2-y3-in-x-y2", "x2y-xy2-in-xy"],
+)
+@pytest.mark.parametrize("p", [2, 3])
+def test_sequences_scale_by_q_squared_over_a_polynomial_ring(p, j_exps, i_exps, rjj_0, vjj_0):
+    ring = PolyRing(p, ("x", "y"))
+
+    def ideal(exps):
+        return Ideal(ring, [ring.polynomial({exp: 1}) for exp in exps])
+
+    j_ideal, i_ideal = ideal(j_exps), ideal(i_exps)
+    squares = [p ** (2 * e) for e in range(3)]
+    rjj = rjj_sequence(j_ideal, i_ideal, 2).raw_values()
+    assert rjj == sjj_sequence(j_ideal, i_ideal, 2).raw_values()
+    assert rjj == [q2 * rjj_0 for q2 in squares]
+    assert vjj_sequence(j_ideal, i_ideal, 2).raw_values() == [q2 * vjj_0 for q2 in squares]
+
+
 # -- l_e / f_e ------------------------------------------------------------------------
 
 def test_lf_of_unit_ideal_vanishes(f3xy):
@@ -266,6 +324,15 @@ def test_lf_of_maximal_ideal_matches_hk_differences(f3xy):
     # the layers of an m-primary ideal are colength differences
     hk = hk_function(m_ideal, 3, d=2).raw_values()
     assert l_values[1:] == [b - a for a, b in zip(hk, hk[1:])]
+
+
+def test_lf_layers_need_no_level_cap():
+    """K = (s*x, x^(n+1)) over F_5[s, x], n = 60: l_(-1) = len Gamma_m(R/K) =
+    n, and l_0 = len (s x^p, x^(n+1))/(s^p x^p, x^(p(n+1))) = p^2 n - (n + 1 - p)
+    = 1444, whose span closure takes more than 64 levels."""
+    ring = PolyRing(5, ("s", "x"))
+    s, x = ring.gens()
+    assert lf_sequences(Ideal(ring, [s * x, x**61]), 1) == ([60, 1444], [60, 1504])
 
 
 # -- f-difference ------------------------------------------------------------------------

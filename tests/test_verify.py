@@ -247,8 +247,8 @@ def _sandwich_of_katzman_pair_refused() -> bool:
         (lambda: verify_construction(3, 4).ok, 8),
         (lambda: verify_katzman(3, 1).ok, 6),
         (_rjj_of_katzman_pair, 8),
-        (_katzman_pair_run(sjj_sequence, [1, 0]), 8),
-        (_katzman_pair_run(vjj_sequence, [2, 7]), 4),
+        (_katzman_pair_run(sjj_sequence, [1, 0]), 6),
+        (_katzman_pair_run(vjj_sequence, [2, 7]), 3),
         (_katzman_pair_run(f_difference_sequence, [1, 2]), 14),
         (_sandwich_without_hypersurface, 4),
         (_sandwich_off_the_m_primary_case, 9),
@@ -271,7 +271,10 @@ def test_ideal_layer_builds_a_pinned_number_of_bases(monkeypatch, run, calls):
     `ideals.buchberger`; the count is deterministic, so building bases only to
     answer yes/no questions, saturating a variable that J already holds a
     power of, building a Frobenius level of a sequence twice, or saturating
-    level 0 twice in a sandwich, again shows up here."""
+    level 0 twice in a sandwich, again shows up here.  Before the sequences
+    called the length cores, sjj and vjj of the Katzman pair built 8 and 4:
+    the per-level re-checks J^[q] <= H^[q] and (J + m*I)^[q] <= I^[q] built
+    bases of levels of H and I that no span closure reads."""
     from hkforge import ideals
 
     count = [0]
