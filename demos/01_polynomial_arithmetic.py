@@ -6,7 +6,7 @@ order.  This script walks the basic operations on the three-variable ring
 used throughout: F_5[s, x, y] under lex with s > x > y.
 """
 
-from hkforge import Lex, PolyRing, compare_monomials, division, normal_form
+from hkforge import Lex, PolyRing, division, normal_form
 
 ring = PolyRing(5, ("s", "x", "y"), Lex())
 s, x, y = ring.gens()
@@ -15,7 +15,7 @@ print("ring:", ring)
 
 # Under plain lex (not degree-lex!) a single s beats any power of x.
 print("\nlex(s > x > y) ranks s above x^200:",
-      compare_monomials((1, 0, 0), (0, 200, 0), ring.order))
+      ring.order.compare((1, 0, 0), (0, 200, 0)))
 
 # The quartic that drives the worked example later on.
 g = x * y * (x - y) * (x + y - s * y)

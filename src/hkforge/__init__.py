@@ -25,8 +25,6 @@ from .polyring import (
     MonomialOrder,
     PolyRing,
     Polynomial,
-    PrimeField,
-    compare_monomials,
     division,
     normal_form,
     parse_polynomial,
@@ -45,7 +43,6 @@ from .ideals import (
     colon_ideal,
     dimension,
     ideal_equal,
-    ideal_member,
     intersect,
     maximal_ideal,
     saturate,

@@ -48,6 +48,7 @@ from .polyring import (
 )
 from .sequences import (
     _report,
+    _scaling_exponent,
     check_sandwich,
     f_difference_sequence,
     hk_function,
@@ -101,7 +102,7 @@ def _gb(_, ideal: Ideal) -> str:
         {
             "basis": [str(g) for g in basis],
             "order": basis.order.describe(),
-            "reduced": basis.reduced,
+            "reduced": True,
         }
     )
 
@@ -148,12 +149,14 @@ def _seq(state: _RunState, kind: str, ideals: tuple, e_max: int, d: int | None, 
     if kind != "lf":
         report = _SEQUENCES[kind][1](*ideals, e_max, d, mod)
         return report.to_json() if state.json_mode else report.to_csv()
+    ring = ideals[0].ring
+    if not state.json_mode:
+        d = _scaling_exponent(ring, d, mod)
     l_values, f_values = lf_sequences(ideals[0], e_max, hypersurface=mod)
     if state.json_mode:
         return _json({"kind": "lf", "l": l_values, "f": f_values})
-    ring = ideals[0].ring
     le = _report("le", ring, d, mod, l_values[1:])
-    fe = _report("fe", ring, le.d, mod, f_values)
+    fe = _report("fe", ring, d, mod, f_values)
     return "\n".join([le.to_csv(), *fe.csv_rows()])
 
 

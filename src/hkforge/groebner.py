@@ -54,12 +54,14 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """A Groebner basis under `order`, the order of the ring its elements
-    share; elements monic and lm-descending when reduced."""
+    """The reduced Groebner basis under `order`, the order of the ring its
+    elements share: monic elements, no term of one divisible by the lead of
+    another, sorted lead-descending.  `buchberger`, `frobenius` and the
+    contraction in `ideals.intersect` all build it so; code that builds one
+    directly must do the same."""
 
     elements: tuple[Polynomial, ...]
     order: MonomialOrder
-    reduced: bool = False
     # the elements packed for division, on the first `reduce`
     _divisors: DivisorTable = field(init=False, repr=False, compare=False)
 
@@ -86,13 +88,11 @@ class GroebnerBasis:
         return self.reduce(f).is_zero()
 
     def frobenius(self, e: int) -> "GroebnerBasis":
-        """Bracket the basis: over F_p, g -> g^(p^e) maps a (reduced) Groebner
-        basis of I to one of the bracket power of I, because exponent scaling
+        """Bracket the basis: over F_p, g -> g^(p^e) maps the reduced Groebner
+        basis of I to that of the bracket power of I, because exponent scaling
         preserves every divisibility and order comparison and fixes all
         coefficients."""
-        return GroebnerBasis(
-            tuple(g.frobenius(e) for g in self.elements), self.order, self.reduced
-        )
+        return GroebnerBasis(tuple(g.frobenius(e) for g in self.elements), self.order)
 
 
 def _spoly_terms(packing: Packing, fi: tuple, fj: tuple, lcm: int, p: int) -> list:
@@ -170,27 +170,27 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder | None = None) -
     """
     live = [g for g in gens if not g.is_zero()]
     if not live:
-        return GroebnerBasis((), order or DegRevLex(), reduced=True)
+        return GroebnerBasis((), order or DegRevLex())
     ring = live[0].ring if order is None else live[0].ring.with_order(order)
     live = [g.resorted(ring) for g in live]
     width = max(g.packing.width for g in live)
     while True:
         pk = packing_for(ring.order, ring.nvars, width)
         try:
-            reduced = _packed_buchberger(pk, live, ring.p, ring.field.inv)
+            reduced = _packed_buchberger(pk, live, ring.p)
             break
         except _Overflow:
             width *= 2
-    return GroebnerBasis(tuple(Polynomial(ring, pk, t) for t in reduced), ring.order, reduced=True)
+    return GroebnerBasis(tuple(Polynomial(ring, pk, t) for t in reduced), ring.order)
 
 
-def _packed_buchberger(packing: Packing, gens: list[Polynomial], p: int, inv):
+def _packed_buchberger(packing: Packing, gens: list[Polynomial], p: int):
     """`buchberger` on packed terms: the reduced basis as term lists."""
     table = []
     for g in gens:
         terms = packing.repack(g.packed, g.packing)
         if terms[0][1] != 1:
-            c = inv(terms[0][1])
+            c = pow(terms[0][1], -1, p)
             terms = [(m, k * c % p) for m, k in terms]
         table.append(packing.reducer(terms, 1))
     exponents = packing.exponents
@@ -205,16 +205,16 @@ def _packed_buchberger(packing: Packing, gens: list[Polynomial], p: int, inv):
         s = _spoly_terms(packing, table[i], table[j], lcm, p)
         rem = _reduce_sorted(s, reducers, packing, p)
         if rem:
-            c = inv(rem[0][1])
+            c = pow(rem[0][1], -1, p)
             entry = packing.reducer([(m, k * c % p) for m, k in rem], 1)
             table.append(entry)
             lms.append(entry[0] & exponents)
             active, pairs = _gm_update(packing, lms, active, pairs, len(table) - 1)
             reducers = [table[a] for a in active]
-    return _reduce_basis(packing, [table[a] for a in sorted(active)], p, inv)
+    return _reduce_basis(packing, [table[a] for a in sorted(active)], p)
 
 
-def _reduce_basis(packing: Packing, basis: list[tuple], p: int, inv) -> list[list]:
+def _reduce_basis(packing: Packing, basis: list[tuple], p: int) -> list[list]:
     """Minimalize and tail-reduce monic reducer entries into the reduced
     basis, as term lists, lm-descending."""
     guard = packing.guard
@@ -226,7 +226,7 @@ def _reduce_basis(packing: Packing, basis: list[tuple], p: int, inv) -> list[lis
     reduced = []
     for idx, entry in enumerate(minimal):
         rem = _reduce_sorted(entry[2], minimal[:idx] + minimal[idx + 1 :], packing, p)
-        c = inv(rem[0][1])
+        c = pow(rem[0][1], -1, p)
         reduced.append([(m, k * c % p) for m, k in rem])
     reduced.sort(key=lambda t: t[0][0], reverse=True)
     return reduced

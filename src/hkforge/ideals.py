@@ -141,11 +141,6 @@ def unit_ideal(ring: PolyRing) -> Ideal:
     return Ideal(ring, [ring.one()])
 
 
-def ideal_member(f: Polynomial, ideal: Ideal) -> bool:
-    """f lies in the ideal iff its normal form against a Groebner basis is 0."""
-    return ideal.contains(f)
-
-
 def ideal_equal(a: Ideal, b: Ideal) -> bool:
     """Equality via reduced Groebner bases under a's ring order (unique for a
     fixed order; b is taken into a's ring), or at once for equal generators."""
@@ -175,7 +170,7 @@ def bracket_power(ideal: Ideal, e: int) -> Ideal:
     if e == 0:
         return ideal
     out = Ideal(ideal.ring, (g.frobenius(e) for g in ideal.generators))
-    if ideal._basis is not None and ideal._basis.reduced:
+    if ideal._basis is not None:
         out.seed_basis(ideal._basis.frobenius(e))
     return out
 
@@ -221,9 +216,7 @@ def intersect(a: Ideal, b: Ideal) -> Ideal:
     if basis[0] == t - 1:
         return a
     contracted = [ring.rebase(g) for g in basis if not g.leading_monomial()[0]]
-    return Ideal(ring, contracted).seed_basis(
-        GroebnerBasis(tuple(contracted), ring.order, reduced=True)
-    )
+    return Ideal(ring, contracted).seed_basis(GroebnerBasis(tuple(contracted), ring.order))
 
 
 def colon_element(ideal: Ideal, u: Polynomial) -> Ideal:

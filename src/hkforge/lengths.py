@@ -64,9 +64,6 @@ class LengthResult:
             raise ValueError(f"length is not finite: {self.note or 'no value'}")
         return self.value
 
-    def __int__(self) -> int:
-        return self.expect()
-
 
 # ---------------------------------------------------------------------------
 # standard monomials
@@ -288,7 +285,7 @@ def gamma_length(j_ideal: Ideal, i_ideal: Ideal, *, method: str = "auto") -> Len
     """
     _check_method(method)
     if not i_ideal.contains_ideal(j_ideal):
-        raise ContainmentError("gamma_submodule requires J <= I")
+        raise ContainmentError("gamma_length requires J <= I")
     return _gamma_length(j_ideal, i_ideal, _m_saturation(j_ideal), method)
 
 

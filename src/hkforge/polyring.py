@@ -63,32 +63,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class PrimeField:
-    """The coefficient domain Z/p for a prime p; elements are ints in [0, p)."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: int):
-        if not is_prime(p):
-            raise ValueError(f"p must be prime, got {p}")
-        self.p = p
-
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse in F_p")
-        return pow(a, self.p - 2, self.p)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self) -> int:
-        return hash(("PrimeField", self.p))
-
-    def __repr__(self) -> str:
-        return f"PrimeField({self.p})"
-
-
 # ---------------------------------------------------------------------------
 # monomials
 
@@ -223,31 +197,24 @@ class Block(MonomialOrder):
         return f"block({self.elim};{self.inner.describe()})"
 
 
-def compare_monomials(a: Monomial, b: Monomial, order: MonomialOrder) -> int:
-    """Three-way comparison under `order`: -1, 0, or 1."""
-    return order.compare(a, b)
-
-
 # ---------------------------------------------------------------------------
 # rings and polynomials
 
 class PolyRing:
     """F_p[x_1, ..., x_n] with a fixed active monomial order."""
 
-    __slots__ = ("field", "variables", "order", "_var_index")
+    __slots__ = ("p", "variables", "order", "_var_index")
 
     def __init__(self, p: int, variables: Sequence[str], order: MonomialOrder | None = None):
-        self.field = PrimeField(p)
+        if not is_prime(p):
+            raise ValueError(f"p must be prime, got {p}")
+        self.p = p
         vars_ = tuple(variables)
         if len(set(vars_)) != len(vars_) or not vars_:
             raise ValueError(f"variables must be distinct and nonempty, got {vars_}")
         self.variables = vars_
         self.order = order if order is not None else DegRevLex()
         self._var_index = {v: i for i, v in enumerate(vars_)}
-
-    @property
-    def p(self) -> int:
-        return self.field.p
 
     @property
     def nvars(self) -> int:
@@ -402,9 +369,6 @@ class Polynomial:
     def __len__(self) -> int:
         return len(self.packed)
 
-    def coefficient(self, mon: Monomial) -> int:
-        return self.as_dict().get(tuple(mon), 0)
-
     def as_dict(self) -> dict[Monomial, int]:
         return dict(self.terms)
 
@@ -427,14 +391,6 @@ class Polynomial:
 
     def is_monomial(self) -> bool:
         return len(self.packed) == 1
-
-    def monic(self) -> "Polynomial":
-        if not self.packed:
-            return self
-        c = self.packed[0][1]
-        if c == 1:
-            return self
-        return self.scale(self.ring.field.inv(c))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -852,7 +808,7 @@ class DivisorTable:
             entries = []
             for g in self.divisors:
                 terms = pk.repack(g.packed, g.packing)
-                entries.append(pk.reducer(terms, ring.field.inv(terms[0][1])))
+                entries.append(pk.reducer(terms, pow(terms[0][1], -1, ring.p)))
             self._packing, self._entries, self._width = pk, entries, pk.width
         return self._packing, self._entries
 

@@ -22,8 +22,10 @@ generators, the sandwich's layers once its support guard holds), so the
 sequences call `_gamma_length` and `_subquotient_length` with no re-check and
 no level cap.  The ladder also keeps level 0's J : m^infinity, which the
 sandwich's support guard and the first torsion layer l_(-1) share.  The ladder
-refuses an e_max outside 0..`config.bracket_cap()` before any basis is built.
-One report builder scales the raw lengths by q^d and records d and the meta.
+refuses an e_max outside 0..`config.bracket_cap()` before any basis is built,
+and so does `_scaling_exponent` a negative d, or a constant hypersurface when d
+is left to default.  One report builder scales the raw lengths by q^d and
+records d and the meta.
 """
 
 from __future__ import annotations
@@ -196,19 +198,27 @@ def default_scaling_exponent(ring: PolyRing, hypersurface: Polynomial | None = N
     return ring.nvars - 1
 
 
+def _scaling_exponent(ring: PolyRing, d: int | None, hypersurface: Polynomial | None) -> int:
+    """d, by default the dimension of the ambient quotient; refused when
+    negative."""
+    if d is None:
+        return default_scaling_exponent(ring, hypersurface)
+    if d < 0:
+        raise ValueError(f"the scaling exponent d must be non-negative, got {d}")
+    return d
+
+
 def _report(
     kind: str,
     ring: PolyRing,
-    d: int | None,
+    d: int,
     hypersurface: Polynomial | None,
     raws: list[int],
     **ideals: Ideal,
 ) -> SequenceReport:
     """The report whose entry e holds raws[e] scaled by q^d, q = p^e, with
-    the ring, the named ideals and the hypersurface as its meta; d defaults
-    to the dimension of the ambient quotient."""
-    if d is None:
-        d = default_scaling_exponent(ring, hypersurface)
+    the ring, the named ideals and the hypersurface as its meta; d is
+    resolved by `_scaling_exponent`."""
     p = ring.p
     entries = tuple(
         SequenceEntry(e, p**e, raw, Fraction(raw, p ** (e * d))) for e, raw in enumerate(raws)
@@ -238,6 +248,7 @@ def hk_function(
     hypersurface: Polynomial | None = None,
 ) -> SequenceReport:
     """len(R/I^[q]) for q = p^e, e = 0..e_max, scaled by q^d."""
+    d = _scaling_exponent(ideal.ring, d, hypersurface)
     raws = []
     for e, level in enumerate(_Ladder(ideal, e_max, hypersurface)):
         length = finite_colength_length(level)
@@ -257,6 +268,7 @@ def rjj_sequence(
     hypersurface: Polynomial | None = None,
 ) -> SequenceReport:
     """len(Gamma_m(I^[q]/J^[q])) for e = 0..e_max, scaled by q^d."""
+    d = _scaling_exponent(j_ideal.ring, d, hypersurface)
     j, i = _nested_ladders(j_ideal, i_ideal, e_max, hypersurface)
     raws = [_gamma_length(j_e, i_e, _m_saturation(j_e)).expect() for j_e, i_e in zip(j, i)]
     return _report("rjj", j_ideal.ring, d, hypersurface, raws, J=j_ideal, I=i_ideal)
@@ -275,6 +287,7 @@ def sjj_sequence(
     entry then measures H^[q] / J^[q], the image of H^[q] in R/J^[q] because
     H holds J.
     """
+    d = _scaling_exponent(j_ideal.ring, d, hypersurface)
     j, i = _nested_ladders(j_ideal, i_ideal, e_max, hypersurface)
     h = _Ladder(gamma_submodule(j[0], i[0]), e_max, hypersurface)
     raws = [_subquotient_length(h_e, j_e).expect() for h_e, j_e in zip(h, j)]
@@ -290,6 +303,7 @@ def vjj_sequence(
 ) -> SequenceReport:
     """len(I^[q] / (J + m*I)^[q]) for e = 0..e_max; finite because I/(J + m*I)
     is spanned by the classes of the generators of I."""
+    d = _scaling_exponent(j_ideal.ring, d, hypersurface)
     _, i = _nested_ladders(j_ideal, i_ideal, e_max, hypersurface)
     k = _Ladder(j_ideal + maximal_ideal(j_ideal.ring) * i_ideal, e_max, hypersurface)
     raws = [_subquotient_length(i_e, k_e).expect() for i_e, k_e in zip(i, k)]
@@ -319,6 +333,7 @@ def f_difference_sequence(
     hypersurface: Polynomial | None = None,
 ) -> SequenceReport:
     """f_n(J) - f_n(I) for n = 0..e_max, scaled by q^d; signed."""
+    d = _scaling_exponent(j_ideal.ring, d, hypersurface)
     j, i = _nested_ladders(j_ideal, i_ideal, e_max, hypersurface)
     (_, f_j), (_, f_i) = _lf(j), _lf(i)
     raws = [a - b for a, b in zip(f_j, f_i)]

@@ -443,6 +443,16 @@ def test_main_default_d_flag(tmp_path, capsys):
     assert rows[2] == "hk,1,3,9,3,1"  # raw 9 scaled by q^1
 
 
+@pytest.mark.parametrize("kind", ["hk", "lf"])
+def test_main_negative_d_is_an_engine_error(tmp_path, capsys, kind):
+    path = tmp_path / "session.hk"
+    path.write_text(f"ring p=3 vars=x,y order=lex;\nideal M = x, y;\nseq {kind} M e_max=1;\n")
+    assert main(["run", str(path), "--d", "-1"]) == EXIT_ENGINE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "got -1" in captured.err
+    assert not captured.out
+
+
 def test_main_verify_katzman_needs_slow(capsys):
     assert main(["verify", "katzman", "--p", "3", "--e", "2"]) == EXIT_ENGINE
     assert "--slow" in capsys.readouterr().err

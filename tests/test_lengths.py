@@ -168,6 +168,12 @@ def test_gamma_submodule_requires_containment(f5xy):
         gamma_submodule(Ideal(f5xy, [x]), Ideal(f5xy, [y]))
 
 
+def test_gamma_length_requires_containment_and_names_itself(f5xy):
+    x, y = f5xy.gens()
+    with pytest.raises(ContainmentError, match="gamma_length requires J <= I"):
+        gamma_length(Ideal(f5xy, [x]), Ideal(f5xy, [y]))
+
+
 def test_gamma_ignores_torsion_away_from_the_origin(f5xy):
     """Finite colength is not m-primary: the point (0, -1) carries no
     m-torsion, so only the part of R/J at the origin is measured."""

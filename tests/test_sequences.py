@@ -155,6 +155,40 @@ def test_top_exponent_out_of_range_fails_before_any_basis(f3xy, monkeypatch, kin
     assert builds[0] == 0
 
 
+# the entry points that scale their raw lengths by q^d
+_SCALED = {
+    "hk": lambda j, i, e, **kw: hk_function(i, e, **kw),
+    "rjj": rjj_sequence,
+    "sjj": sjj_sequence,
+    "vjj": vjj_sequence,
+    "fdiff": f_difference_sequence,
+}
+
+
+@pytest.mark.parametrize("kind", list(_SCALED))
+def test_bad_scaling_exponent_fails_before_any_basis(f3xy, monkeypatch, kind):
+    """A negative d, and a constant hypersurface when d is left to default,
+    are refused before any Groebner basis is built."""
+    from hkforge import EmptyVariety, ideals
+
+    builds = [0]
+    original = ideals.buchberger
+
+    def counted(*a, **kw):
+        builds[0] += 1
+        return original(*a, **kw)
+
+    monkeypatch.setattr(ideals, "buchberger", counted)
+    x, y = f3xy.gens()
+    run = _SCALED[kind]
+    j_ideal, i_ideal = Ideal(f3xy, [x**2, y**2]), maximal_ideal(f3xy) ** 2
+    with pytest.raises(ValueError, match="scaling exponent d must be non-negative, got -1"):
+        run(j_ideal, i_ideal, 1, d=-1)
+    with pytest.raises(EmptyVariety):
+        run(j_ideal, i_ideal, 1, hypersurface=f3xy.constant(2))
+    assert builds[0] == 0
+
+
 def test_rjj_primary_pair_equals_hk_difference(f3xy):
     rng = random.Random(101)
     for _ in range(6):
