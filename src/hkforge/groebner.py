@@ -1,7 +1,8 @@
 """Buchberger's algorithm, reduced Groebner bases, and certification.
 
-The certification path re-derives division certificates for every S-pair
-rather than trusting any precomputed table: a basis is certified exactly when
+The certification path re-derives a division certificate for every S-pair:
+the basis is packed once into a `DivisorTable` that all pairs share, but no
+quotient is taken from anywhere else.  A basis is certified exactly when
 every S-polynomial divides to zero, and the recorded quotients then satisfy
 the leading-monomial bound automatically, because the division algorithm never
 rewrites above the dividend's lead.
@@ -304,18 +305,22 @@ def certify_groebner(
 
     Returns a full quotient table when all remainders vanish, or a certificate
     with `ok=False` carrying the first failing pair.  Pairs of monomials have
-    zero S-polynomial and certify trivially; so does a single element.
+    zero S-polynomial and certify trivially; so does a single element.  The
+    S-pairs come from `s_polynomial`, not from Buchberger's packed routine, so
+    that a basis Buchberger built is checked by a second route; every pair
+    divides against one `DivisorTable` of the basis, packed on first use.
     """
     basis = tuple(basis)
     if not basis:
         return GroebnerCertificate((), order or DegRevLex(), True, ())
     ring = basis[0].ring if order is None else basis[0].ring.with_order(order)
     basis, order = tuple(g.resorted(ring) for g in basis), ring.order
+    table = DivisorTable(basis)
     entries = []
     for k in range(len(basis)):
         for j in range(k):
             s = s_polynomial(basis[j], basis[k])
-            quots, rem = division(s, basis)
+            quots, rem = division(s, table)
             if not rem.is_zero():
                 return GroebnerCertificate(basis, order, False, tuple(entries), (j, k, rem))
             entries.append((j, k, tuple(quots)))

@@ -29,7 +29,7 @@ from .errors import (
     ZeroDivisor,
 )
 from .groebner import GroebnerBasis, buchberger
-from .polyring import Block, DegRevLex, PolyRing, Polynomial, division
+from .polyring import Block, DegRevLex, DivisorTable, PolyRing, Polynomial, division
 
 
 class Ideal:
@@ -220,17 +220,20 @@ def intersect(a: Ideal, b: Ideal) -> Ideal:
 
 
 def colon_element(ideal: Ideal, u: Polynomial) -> Ideal:
-    """(I : u) = {f : f*u in I}, computed as (I ∩ (u)) divided through by u."""
+    """(I : u) = {f : f*u in I}, computed as (I ∩ (u)) divided through by u:
+    every generator of the intersection divides against one table of (u)."""
     if isinstance(u, int):
         u = ideal.ring.constant(u)
     if u.is_zero():
         raise ZeroDivisor("colon by zero")
     if u.is_monomial() and not any(u.leading_monomial()):
         return ideal  # unit scalar
-    meet = intersect(ideal, Ideal(ideal.ring, [u]))
+    principal = Ideal(ideal.ring, [u])
+    meet = intersect(ideal, principal)
+    table = DivisorTable(principal.generators)
     quotients = []
     for g in meet.generators:
-        quot, rem = division(g, [u])
+        quot, rem = division(g, table)
         if not rem.is_zero():
             raise AssertionError("intersection with (u) produced a non-multiple of u")
         quotients.append(quot[0])
@@ -263,7 +266,7 @@ def saturate(
     I ⊆ I : K ⊆ I : k, so the chain has also stabilized as soon as one part
     lies in I; the remaining parts and the intersections are then skipped.
     The step cap exists only to surface runaway misuse; the chain itself must
-    terminate.
+    terminate.  A negative cap is refused before any colon is taken.
     An ideal K stays one chain, with no split into variables as in
     `lengths._m_saturation`, and a variable is not sent to the homogenized
     `_saturate_variable`: the session language's `saturate` statement prints
@@ -273,6 +276,8 @@ def saturate(
     """
     if cap is None:
         cap = config.DEFAULT_SATURATION_CAP
+    if cap < 0:
+        raise ValueError(f"the saturation cap must be non-negative, got {cap}")
     single = isinstance(divisor, (Polynomial, int))
     elements = [divisor] if single else _colon_generators(ideal, divisor)
     current = ideal

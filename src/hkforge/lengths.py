@@ -185,16 +185,19 @@ def subquotient_length(
 
     "rank": the span of the normal forms of U's generators against J's basis,
     closed under the variables (`_span_closure`); at most `nilpotency_cap` + 1
-    levels run (default `config.DEFAULT_NILPOTENCY_CAP`), since nothing here
-    proves the length finite.  "difference": when both colengths are finite,
-    len(R/J) - len(R/U).  "auto" takes the difference route when available.
+    levels run (default `config.DEFAULT_NILPOTENCY_CAP`; a negative cap is
+    refused before any basis is built), since nothing here proves the length
+    finite.  "difference": when both colengths are finite, len(R/J) - len(R/U).
+    "auto" takes the difference route when available.
     Both routes give the global length, over all of V(J): 1 for U = R,
     J = (x, y + 1).
     """
     _check_method(method)
+    cap = config.DEFAULT_NILPOTENCY_CAP if nilpotency_cap is None else nilpotency_cap
+    if cap < 0:
+        raise ValueError(f"the nilpotency cap must be non-negative, got {cap}")
     if not u_ideal.contains_ideal(j_ideal):
         raise ContainmentError("subquotient_length requires J <= U")
-    cap = config.DEFAULT_NILPOTENCY_CAP if nilpotency_cap is None else nilpotency_cap
     return _subquotient_length(u_ideal, j_ideal, method, cap)
 
 
@@ -360,7 +363,11 @@ def oracle_ideal_member(
     """Membership by linear algebra: is f in the span of generator multiples
     of degree <= deg(f) + slack?  The bound is raised until two consecutive
     answers agree.  Sound for positives; negatives are as reliable as the
-    final degree window."""
+    final degree window.  Needs `slack` >= 0 and `max_rounds` >= 1."""
+    if slack < 0:
+        raise ValueError(f"slack must be non-negative, got {slack}")
+    if max_rounds < 1:
+        raise ValueError(f"max_rounds must be at least 1, got {max_rounds}")
     if f.is_zero():
         return True
     base = f.total_degree()
@@ -376,4 +383,4 @@ def oracle_ideal_member(
         if previous is not None and previous == answer:
             return answer
         previous = answer
-    return previous if previous is not None else False
+    return False

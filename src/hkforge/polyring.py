@@ -782,9 +782,12 @@ class DivisorTable:
     """Divisors of one ring, packed under its order on first use and kept for
     reuse.
 
-    A `GroebnerBasis` holds one, so that repeated normal forms against it
-    pack the basis once.  The table is packed again, wider, only when a
-    dividend or a product does not fit.
+    `division` and `normal_form` take one in place of a list, so that many
+    dividends share one packing: a `GroebnerBasis` holds one for its normal
+    forms, `certify_groebner` builds one for all S-pairs of a basis and
+    `colon_element` one of (u).  The table is packed again, wider, only when
+    a dividend or a product does not fit; packed at any width it picks the
+    same divisors, so its quotients and remainders equal a fresh list's.
     """
 
     __slots__ = ("divisors", "_width", "_packing", "_entries")
@@ -813,16 +816,22 @@ class DivisorTable:
         return self._packing, self._entries
 
 
-def _divide(f: Polynomial, table: DivisorTable, with_quotients: bool):
-    """Run the core on f, a polynomial of the table's order, repacking wider
-    on overflow; returns (packing, packed quotient dicts or None, packed
-    remainder)."""
+def _divide(f: Polynomial, divisors: Sequence[Polynomial] | DivisorTable, with_quotients: bool):
+    """Run the core on f against nonempty `divisors`, repacking wider on
+    overflow.  A `DivisorTable` is used as it is and f moves into its ring;
+    a list is packed afresh in f's ring.  Returns (ring, packing, packed
+    quotient dicts or None, packed remainder)."""
+    if isinstance(divisors, DivisorTable):
+        table = divisors
+        f = f.resorted(table.divisors[0].ring)
+    else:
+        table = DivisorTable([g.resorted(f.ring) for g in divisors])
     width = f.packing.width
     while True:
         try:
             pk, entries = table.packed(width)
             quotients = [{} for _ in entries] if with_quotients else None
-            return pk, quotients, _reduce_sorted(
+            return f.ring, pk, quotients, _reduce_sorted(
                 pk.repack(f.packed, f.packing), entries, pk, f.ring.p, quotients
             )
         except _Overflow:
@@ -830,7 +839,7 @@ def _divide(f: Polynomial, table: DivisorTable, with_quotients: bool):
 
 
 def division(
-    f: Polynomial, divisors: Sequence[Polynomial]
+    f: Polynomial, divisors: Sequence[Polynomial] | DivisorTable
 ) -> tuple[list[Polynomial], Polynomial]:
     """Divide f by the list of divisors under f's ring order; return
     (quotients, remainder), all in f's ring.
@@ -840,12 +849,15 @@ def division(
     lm(t * g_i) <= lm(f).  Ties go to the first divisor in list order, and the
     largest reducible term is always rewritten first, so the output is a
     deterministic function of the inputs.
+
+    `divisors` may be a `DivisorTable`, which keeps its packing from one call
+    to the next; f is then first moved into the ring of its divisors, where
+    the quotients and remainder lie.  Only the packing is reused: every call
+    divides afresh.
     """
-    ring = f.ring
     if not divisors:
         return [], f
-    table = DivisorTable([g.resorted(ring) for g in divisors])
-    pk, quotients, remainder = _divide(f, table, True)
+    ring, pk, quotients, remainder = _divide(f, divisors, True)
     return (
         [
             Polynomial(ring, pk, sorted([t for t in q.items() if t[1]], reverse=True))
@@ -855,22 +867,15 @@ def division(
     )
 
 
-def normal_form(f: Polynomial, divisors: "Sequence[Polynomial] | DivisorTable") -> Polynomial:
+def normal_form(f: Polynomial, divisors: Sequence[Polynomial] | DivisorTable) -> Polynomial:
     """Remainder of f on division by `divisors` under f's ring order (no
-    quotients are formed).
-
-    `divisors` may be a `DivisorTable`, which keeps its packing from one call
-    to the next; f is then first moved into the ring of its divisors.
+    quotients are formed).  As in `division`, `divisors` may be a
+    `DivisorTable`, and f then moves into its ring.
     """
     if not divisors:
         return f
-    if isinstance(divisors, DivisorTable):
-        f = f.resorted(divisors.divisors[0].ring)
-        table = divisors
-    else:
-        table = DivisorTable([g.resorted(f.ring) for g in divisors])
-    pk, _, remainder = _divide(f, table, False)
-    return Polynomial(f.ring, pk, remainder)
+    ring, pk, _, remainder = _divide(f, divisors, False)
+    return Polynomial(ring, pk, remainder)
 
 
 # ---------------------------------------------------------------------------

@@ -118,10 +118,8 @@ def build_construction(p: int, m: int) -> ConstructionData:
     ring = PolyRing(p, ("s", "x", "y"), Lex())
     s, x, y = ring.gens()
     g = x * y * (x - y) * (x + y - s * y)
-    f = ring.zero()
-    for j in range(2, n):
-        f = f + ((-1) ** j) * x ** (n + 1 - j) * y**j
-    b = Ideal(ring, [x**i * y ** (n + 2 - i) for i in range(n + 3)])
+    f = ring.polynomial(((0, n + 1 - j, j), (-1) ** j) for j in range(2, n))
+    b = Ideal(ring, [ring.monomial(0, i, n + 2 - i) for i in range(n + 3)])
     e = Ideal(ring, [x**n, y**n, g])
     h = e + Ideal(ring, [f])
     return ConstructionData(p, m, n, ring, g, f, b, e, h)

@@ -349,6 +349,34 @@ def test_explicit_elimination_vector_certifies():
     assert cert.check()
 
 
+def test_certify_packs_its_basis_once(monkeypatch):
+    """All 91 S-pairs of the 14-element basis divide against one table."""
+    from hkforge.polyring import DivisorTable
+
+    made = []
+    init = DivisorTable.__init__
+    monkeypatch.setattr(
+        DivisorTable, "__init__", lambda self, divisors: made.append(1) or init(self, divisors)
+    )
+    aux, entries = aux_saturation_basis(3, 4)
+    cert = certify_groebner(entries, aux.order)
+    assert cert.ok and len(cert.entries) == 91
+    assert len(made) == 1
+
+
+def test_certificate_json_golden_bytes():
+    """The quotients of a small certificate, byte for byte."""
+    ring = PolyRing(3, ("s", "x", "y"), Lex())
+    s, x, y = ring.gens()
+    elements = Ideal(ring, [x**3 - s * y, y**2 - x, s * x * y]).groebner_basis().elements
+    assert certify_groebner(elements).to_json() == (
+        '{"basis": ["s*y + 2*y^6", "x + 2*y^2", "y^8"], "order": "lex", "pairs": ['
+        '{"j": 0, "k": 1, "quotients": ["y^2", "2*y^6", "0"]}, '
+        '{"j": 0, "k": 2, "quotients": ["0", "0", "2*y^5"]}, '
+        '{"j": 1, "k": 2, "quotients": ["0", "0", "2*y^2"]}], "pass": true}'
+    )
+
+
 def test_certify_takes_the_order_positionally():
     """`certify_groebner(elements, ring.order)`, as the benchmark calls it,
     and a basis certified under an order other than its ring's."""

@@ -179,6 +179,20 @@ def test_colon_by_z_is_maximal_ideal_on_the_katzman_pair():
     assert ideal_equal(colon_element(j_q, data.f), maximal_ideal(data.ring))
 
 
+def test_colon_divides_against_one_table(construction54, monkeypatch):
+    """Every generator of e ∩ (f) divides against the same table of (f)."""
+    from hkforge import ideals
+    from hkforge.polyring import DivisorTable
+
+    tables = []
+    division = ideals.division
+    monkeypatch.setattr(ideals, "division", lambda g, d: tables.append(d) or division(g, d))
+    data = construction54
+    assert ideal_equal(colon_element(data.e, data.f), maximal_ideal(data.ring))
+    assert len(tables) > 1
+    assert isinstance(tables[0], DivisorTable) and all(t is tables[0] for t in tables)
+
+
 def test_h_is_s_saturated(construction54):
     data = construction54
     s = data.ring.gen("s")
@@ -425,6 +439,24 @@ def test_saturation_cap_diagnostic(f3xy):
     for cap in (2, 6):
         with pytest.raises(CapExceeded, match="stabilize"):
             _saturation_steps(ideal, None, m.generators, cap=cap)
+
+
+def test_saturate_refuses_a_negative_cap(f3xy, monkeypatch):
+    """A negative cap is refused before any basis is built; a cap of 0 still
+    allows the chain no step."""
+    from hkforge import ideals
+
+    builds = []
+    buchberger = ideals.buchberger
+    monkeypatch.setattr(ideals, "buchberger", lambda *a: builds.append(1) or buchberger(*a))
+    x, y = f3xy.gens()
+    ideal = Ideal(f3xy, [x**2, y**2])
+    with pytest.raises(ValueError, match="cap must be non-negative, got -1"):
+        saturate(ideal, x, cap=-1)
+    assert builds == []
+    with pytest.raises(CapExceeded, match="within 0 steps"):
+        saturate(ideal, x, cap=0)
+    assert saturate(Ideal(f3xy, [y**2]), x, cap=0)[1] == 0
 
 
 # -- dimension ------------------------------------------------------------------------

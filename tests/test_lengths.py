@@ -26,7 +26,12 @@ from hkforge import (
     subquotient_length,
     unit_ideal,
 )
-from hkforge.lengths import _m_saturation, count_standard_monomials, nilpotency_exponent
+from hkforge.lengths import (
+    _m_saturation,
+    count_standard_monomials,
+    nilpotency_exponent,
+    oracle_ideal_member,
+)
 from hkforge.verify import build_construction
 
 from helpers import random_monomial_ideal, random_primary_pair
@@ -119,6 +124,16 @@ def test_oracle_simple_box(f5xy):
 
 def test_oracle_degree_zero(f5xy):
     assert oracle_quotient_dimension(maximal_ideal(f5xy), 0) == 1
+
+
+def test_oracle_member_refuses_bad_arguments(f5xy):
+    x, y = f5xy.gens()
+    ideal = Ideal(f5xy, [x**2, y**2])
+    assert oracle_ideal_member(x**2, ideal, slack=0, max_rounds=1)
+    with pytest.raises(ValueError, match="max_rounds must be at least 1, got 0"):
+        oracle_ideal_member(x**2, ideal, max_rounds=0)
+    with pytest.raises(ValueError, match="slack must be non-negative, got -2"):
+        oracle_ideal_member(x**2, ideal, slack=-2)
 
 
 def test_oracle_stabilizes_to_box_count():
@@ -436,6 +451,23 @@ def test_subquotient_detects_possibly_infinite(f5xy):
     )
     assert not result.finite
     assert "infinite" in result.note
+
+
+def test_subquotient_refuses_a_negative_cap(monkeypatch):
+    """A negative cap is refused before any basis is built; a cap of 0 still
+    measures a length that the first level closes."""
+    from hkforge import ideals
+
+    builds = []
+    buchberger = ideals.buchberger
+    monkeypatch.setattr(ideals, "buchberger", lambda *a: builds.append(1) or buchberger(*a))
+    ring = PolyRing(3, ("x", "y"))
+    x, y = ring.gens()
+    j_ideal = Ideal(ring, [x**2, y**2])
+    with pytest.raises(ValueError, match="cap must be non-negative, got -1"):
+        subquotient_length(j_ideal, j_ideal, method="rank", nilpotency_cap=-1)
+    assert builds == []
+    assert subquotient_length(j_ideal, j_ideal, method="rank", nilpotency_cap=0).expect() == 0
 
 
 def test_subquotient_requires_containment(f5xy):

@@ -15,7 +15,7 @@ from hkforge import (
     division,
     normal_form,
 )
-from hkforge.polyring import GT, EQ, LT, MILLER_RABIN_BOUND, Packing, is_prime
+from hkforge.polyring import GT, EQ, LT, MILLER_RABIN_BOUND, DivisorTable, Packing, is_prime
 
 from helpers import dict_add, dict_mul, random_nonzero_polynomial, random_polynomial
 
@@ -309,6 +309,39 @@ def test_division_is_an_exact_certificate():
                 from hkforge.polyring import monomial_divides
 
                 assert not monomial_divides(g.leading_monomial(), mon)
+
+
+def test_division_by_a_table_matches_the_list():
+    """One `DivisorTable` serves a narrow dividend, a dividend that forces it
+    wider, and the narrow one again, with the quotients and remainder of a
+    fresh list each time; a dividend of another order moves into the table's
+    ring."""
+    lex = PolyRing(5, ("x", "y"), Lex())
+    x, y = lex.gens()
+    divisors = [x**2 - y, x * y - 1, y**3 + 2 * x]
+    table = DivisorTable(divisors)
+    narrow = 3 * x**4 * y + x**3 - y**5 + 1
+    wide = x**300 * y**2 + 4 * x * y**7
+    assert narrow.packing.width < wide.packing.width
+    for f in (narrow, wide, narrow):
+        quotients, remainder = division(f, table)
+        assert (quotients, remainder) == division(f, divisors)
+        assert normal_form(f, table) == remainder
+    assert remainder.packing.width == wide.packing.width
+    grevlex = lex.with_order(DegRevLex())
+    quotients, remainder = division(narrow.resorted(grevlex), table)
+    assert remainder.ring == lex
+    assert (quotients, remainder) == division(narrow, divisors)
+
+
+def test_a_table_holding_zero_refuses_to_divide():
+    ring = PolyRing(5, ("x", "y"))
+    x, y = ring.gens()
+    table = DivisorTable([x - y, ring.zero()])
+    with pytest.raises(ZeroPolynomial):
+        division(x**2, table)
+    with pytest.raises(ZeroPolynomial):
+        normal_form(x**2, table)
 
 
 # -- text syntax ---------------------------------------------------------------------

@@ -308,7 +308,8 @@ def test_vjj_needs_no_level_cap():
 #
 # With no hypersurface, Frobenius on F_p[x, y] is flat (Kunz), so every
 # sequence of a pair J <= I scales by q^2 = p^(2e): rjj_e = sjj_e = q^2 rjj_0
-# and vjj_e = q^2 vjj_0.  One pair is m-primary, two are not.
+# and vjj_e = q^2 vjj_0.  One pair is m-primary, two are not.  So does the
+# Hilbert-Kunz function of an m-primary I: hk_e = q^2 hk_0.
 
 @pytest.mark.parametrize(
     "j_exps,i_exps,rjj_0,vjj_0",
@@ -332,6 +333,18 @@ def test_sequences_scale_by_q_squared_over_a_polynomial_ring(p, j_exps, i_exps, 
     assert rjj == sjj_sequence(j_ideal, i_ideal, 2).raw_values()
     assert rjj == [q2 * rjj_0 for q2 in squares]
     assert vjj_sequence(j_ideal, i_ideal, 2).raw_values() == [q2 * vjj_0 for q2 in squares]
+
+
+@pytest.mark.parametrize(
+    "gens,hk_0",
+    [(["x^3", "x*y^2", "y^3"], 7), (["x^2 + y^3", "x*y"], 5)],
+    ids=["x3-xy2-y3", "x2+y3-xy"],
+)
+@pytest.mark.parametrize("p", [2, 3])
+def test_hk_scales_by_q_squared_over_a_polynomial_ring(p, gens, hk_0):
+    ring = PolyRing(p, ("x", "y"))
+    ideal = Ideal(ring, [ring.parse(g) for g in gens])
+    assert hk_function(ideal, 2).raw_values() == [p ** (2 * e) * hk_0 for e in range(3)]
 
 
 # -- l_e / f_e ------------------------------------------------------------------------
