@@ -194,9 +194,11 @@ def intersect(a: Ideal, b: Ideal) -> Ideal:
     """I ∩ K through elimination of one auxiliary variable.
 
     Builds t*I + (1-t)*K in an extended ring ordered with t ahead of the
-    ambient order, takes a Groebner basis, and keeps the elements whose leads
-    are t-free; those elements are t-free entirely and form a reduced basis of
-    the intersection under the ambient order.  Setting t = 1 (t = 0) shows
+    ambient order, takes a Groebner basis, and keeps the elements whose terms
+    are all t-free; with t ahead, those are the elements with a t-free lead,
+    and they form a reduced basis of the intersection under the ambient order.
+    Elements move into and out of the extended ring by their terms, with t's
+    exponent put in front or dropped.  Setting t = 1 (t = 0) shows
     that t (1 - t) lies in the elimination ideal exactly when I (K) is the
     unit ideal; in a reduced basis that puts 1, t or t - 1 first, and then K
     or I itself is returned.
@@ -208,14 +210,21 @@ def intersect(a: Ideal, b: Ideal) -> Ideal:
         return b
     ring = a.ring
     aux, t, one_minus_t = _elimination(ring)
-    gens = [t * aux.rebase(g) for g in a.generators]
-    gens += [one_minus_t * aux.rebase(g) for g in b.generators]
+    gens = [
+        u * aux.polynomial(((0, *m), c) for m, c in g.terms)
+        for u, ideal in ((t, a), (one_minus_t, b))
+        for g in ideal.generators
+    ]
     basis = buchberger(gens)
     if basis[0] == 1 or basis[0] == t:
         return b
     if basis[0] == t - 1:
         return a
-    contracted = [ring.rebase(g) for g in basis if not g.leading_monomial()[0]]
+    contracted = [
+        ring.polynomial((m[1:], c) for m, c in g.terms)
+        for g in basis
+        if not any(m[0] for m, _ in g.terms)
+    ]
     return Ideal(ring, contracted).seed_basis(GroebnerBasis(tuple(contracted), ring.order))
 
 

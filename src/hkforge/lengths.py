@@ -357,30 +357,17 @@ def oracle_quotient_dimension(ideal: Ideal, degree_bound: int) -> int:
     return monomials - rank_of_rows(_span_rows(ideal, degree_bound), ideal.ring.p)
 
 
-def oracle_ideal_member(
-    f: Polynomial, ideal: Ideal, *, slack: int = 2, max_rounds: int = 5
-) -> bool:
+def oracle_ideal_member(f: Polynomial, ideal: Ideal, *, slack: int = 3) -> bool:
     """Membership by linear algebra: is f in the span of generator multiples
-    of degree <= deg(f) + slack?  The bound is raised until two consecutive
-    answers agree.  Sound for positives; negatives are as reliable as the
-    final degree window.  Needs `slack` >= 0 and `max_rounds` >= 1."""
+    of degree <= deg(f) + slack?  One row reduction at that degree.  Sound for
+    positives; a negative is exact only when the window is wide enough, since
+    the span grows with the window.  Needs `slack` >= 0."""
     if slack < 0:
         raise ValueError(f"slack must be non-negative, got {slack}")
-    if max_rounds < 1:
-        raise ValueError(f"max_rounds must be at least 1, got {max_rounds}")
     if f.is_zero():
         return True
-    base = f.total_degree()
+    bound = f.total_degree() + slack
     p = ideal.ring.p
-    previous = None
-    for round_ in range(max_rounds):
-        bound = base + slack + round_
-        echelon = row_reduce(_span_rows(ideal, bound), p)
-        row = {_code(m, bound + 1): c for m, c in f.terms}
-        answer = not reduce_row(row, echelon, p)
-        if answer:
-            return True
-        if previous is not None and previous == answer:
-            return answer
-        previous = answer
-    return False
+    echelon = row_reduce(_span_rows(ideal, bound), p)
+    row = {_code(m, bound + 1): c for m, c in f.terms}
+    return not reduce_row(row, echelon, p)

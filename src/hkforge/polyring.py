@@ -271,19 +271,6 @@ class PolyRing:
     def monomial(self, *exponents: int) -> "Polynomial":
         return self.polynomial(((exponents, 1),))
 
-    def rebase(self, f: "Polynomial") -> "Polynomial":
-        """f moved, without repacking, between a ring and its extension by a
-        first variable t compared lex ahead of the ring's order (as in
-        `Block(1, order)`): t's field sits above the others at the same
-        width, so a t-free monomial packs to the same int in both rings."""
-        big, small = (f.ring, self) if f.ring.nvars > self.nvars else (self, f.ring)
-        if not _extends(big, small):
-            raise RingMismatch(f"{self!r} does not extend {f.ring!r} or the other way round")
-        pk = f.packing
-        if big is f.ring and f.packed and f.packed[0][0] >> pk.shifts[0]:
-            raise ValueError(f"{f} involves {big.variables[0]}")
-        return Polynomial(self, packing_for(self.order, self.nvars, pk.width), f.packed)
-
     def parse(self, text: str, names: Mapping[str, "Polynomial"] | None = None) -> "Polynomial":
         """Parse `3*s^2*x*y^4 - x + 7`-style expressions; see parse_polynomial."""
         return parse_polynomial(self, text, names)
@@ -303,19 +290,6 @@ class PolyRing:
 
     def __repr__(self) -> str:
         return f"PolyRing(p={self.p}, vars={','.join(self.variables)}, order={self.order.describe()})"
-
-
-@functools.lru_cache(maxsize=64)
-def _extends(big: PolyRing, small: PolyRing) -> bool:
-    """Whether `big` is `small` with a first variable compared lex ahead of
-    small's order, so that `PolyRing.rebase` may move polynomials between them."""
-    n = small.nvars
-    return (
-        big.p == small.p
-        and big.variables[1:] == small.variables
-        and big.order._fields(tuple(range(n + 1)))
-        == [("lex", 0)] + small.order._fields(tuple(range(1, n + 1)))
-    )
 
 
 class Polynomial:

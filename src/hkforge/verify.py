@@ -129,11 +129,10 @@ def construction_basis(data: ConstructionData) -> list[Polynomial]:
     """The explicit generating set {g, x^n, x^(n-1) y^3, ..., x^3 y^(n-1), y^n}
     of e, which certifies as a Groebner basis under lex(s > x > y)."""
     ring = data.ring
-    s, x, y = ring.gens()
     n = data.n
-    basis = [data.g, x**n]
-    basis += [x ** (n - j) * y ** (j + 2) for j in range(1, n - 2)]
-    basis += [y**n]
+    basis = [data.g, ring.monomial(0, n, 0)]
+    basis += [ring.monomial(0, n - j, j + 2) for j in range(1, n - 2)]
+    basis += [ring.monomial(0, 0, n)]
     return basis
 
 
@@ -149,8 +148,8 @@ def aux_saturation_basis(p: int, m: int) -> tuple[PolyRing, list[Polynomial]]:
     n = data.n
     aux = PolyRing(p, ("t", "s", "x", "y"), Lex())
     t, s, x, y = aux.gens()
-    g = aux.rebase(data.g)
-    f = aux.rebase(data.f)
+    g = aux.polynomial(((0, *m), c) for m, c in data.g.terms)
+    f = aux.polynomial(((0, *m), c) for m, c in data.f.terms)
     c = t * x**3 * y - t * x * y**3 - s * x**2 * y**2 + s * x * y**3
     d = m * t * x**2 * y ** (n - 1)
     for j in range(1, n - 2):

@@ -160,6 +160,45 @@ def test_intersect_reads_the_unit_ideal_off_the_elimination_basis(f3xy):
     assert intersect(unit, copy) is copy and intersect(copy, unit) is unit
 
 
+@pytest.mark.parametrize("order", [Lex(), DegRevLex()], ids=["lex", "degrevlex"])
+def test_intersect_repacks_generators_of_mixed_widths(order):
+    """x^300 - y packs at width 16 and xy at width 8; both move into the
+    elimination ring by their terms, and the basis moves back the same way."""
+    ring = PolyRing(5, ("x", "y"), order)
+    x, y = ring.gens()
+    ideal = Ideal(ring, [x**300 - y, x * y])
+    assert [g.packing.width for g in ideal.generators] == [16, 8]
+    meet = intersect(ideal, Ideal(ring, [y**2, x**2]))
+    assert [str(g) for g in meet.generators] == ["x^301", "x^2*y", "y^2"]
+
+
+# -- Frobenius flatness ----------------------------------------------------------------
+#
+# Over F_p[x, y] Frobenius is flat (Kunz), so bracketing commutes with
+# intersection and colon: (I ∩ K)^[p] = I^[p] ∩ K^[p] and
+# (I : K)^[p] = (I^[p] : K^[p]).  A check on the stack only; the engine never
+# uses it as a shortcut.
+
+@pytest.mark.parametrize(
+    "i_gens,k_gens",
+    [
+        (["x^2", "x*y"], ["y^3", "x - y"]),
+        (["x^3", "x*y^2", "y^3"], ["x^2 + y^3", "x*y"]),
+        (["x*y", "y^2 - x"], ["x + y"]),
+    ],
+    ids=["x2-xy-with-y3-x-y", "x3-xy2-y3-with-x2+y3-xy", "xy-y2-x-with-x+y"],
+)
+@pytest.mark.parametrize("order", [Lex(), DegRevLex()], ids=["lex", "degrevlex"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_bracket_commutes_with_intersection_and_colon(p, order, i_gens, k_gens):
+    ring = PolyRing(p, ("x", "y"), order)
+    i_ideal = Ideal(ring, [ring.parse(g) for g in i_gens])
+    k_ideal = Ideal(ring, [ring.parse(g) for g in k_gens])
+    i_p, k_p = bracket_power(i_ideal, 1), bracket_power(k_ideal, 1)
+    assert ideal_equal(bracket_power(intersect(i_ideal, k_ideal), 1), intersect(i_p, k_p))
+    assert ideal_equal(bracket_power(colon_ideal(i_ideal, k_ideal), 1), colon_ideal(i_p, k_p))
+
+
 # -- colon ---------------------------------------------------------------------------
 
 def test_colon_by_f_is_maximal_ideal():

@@ -129,11 +129,19 @@ def test_oracle_degree_zero(f5xy):
 def test_oracle_member_refuses_bad_arguments(f5xy):
     x, y = f5xy.gens()
     ideal = Ideal(f5xy, [x**2, y**2])
-    assert oracle_ideal_member(x**2, ideal, slack=0, max_rounds=1)
-    with pytest.raises(ValueError, match="max_rounds must be at least 1, got 0"):
-        oracle_ideal_member(x**2, ideal, max_rounds=0)
+    assert oracle_ideal_member(x**2, ideal, slack=0)
     with pytest.raises(ValueError, match="slack must be non-negative, got -2"):
         oracle_ideal_member(x**2, ideal, slack=-2)
+
+
+def test_oracle_member_decides_in_one_window(f5xy):
+    """1 lies in (xy - 1, x^2), but only through cofactors of degree 4:
+    1 = x^2 y^2 - (xy + 1)(xy - 1).  The default window, degree 3, misses it."""
+    x, y = f5xy.gens()
+    ideal = Ideal(f5xy, [x * y - 1, x**2])
+    one = f5xy.one()
+    assert [oracle_ideal_member(one, ideal, slack=k) for k in range(7)] == [False] * 4 + [True] * 3
+    assert not oracle_ideal_member(one, ideal)
 
 
 def test_oracle_stabilizes_to_box_count():

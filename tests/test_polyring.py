@@ -412,40 +412,6 @@ def test_elimination_variable_sits_above_the_order_fields(order, width):
         assert outer.pack((0,) + mon) == inner.pack(mon)
 
 
-@pytest.mark.parametrize("order", FIVE_ORDERS, ids=ORDER_IDS)
-def test_rebase_moves_between_a_ring_and_its_elimination_extension(order):
-    rng = random.Random(12)
-    ring = PolyRing(7, ("x", "y", "z"), order)
-    aux = PolyRing(7, ("t", "x", "y", "z"), Block(1, order))
-    t = aux.gen("t")
-    for _ in range(20):
-        f = random_polynomial(rng, ring, max_degree=70, max_terms=5)
-        lifted = aux.rebase(f)
-        assert lifted == aux.polynomial({(0,) + m: c for m, c in f.terms})
-        keys = [aux.order.key(m) for m, _ in lifted.terms]
-        assert keys == sorted(keys, reverse=True)
-        assert ring.rebase(lifted) == f
-        if not f.is_zero():
-            with pytest.raises(ValueError):
-                ring.rebase(lifted * t + 1)
-
-
-def test_rebase_needs_the_same_layout():
-    lex = PolyRing(7, ("x", "y"), Lex())
-    # lex on (t, x, y) is block(1; lex), as `verify.aux_saturation_basis` uses
-    assert lex.rebase(PolyRing(7, ("t", "x", "y"), Lex()).rebase(lex.gen("x"))) == lex.gen("x")
-    ring = PolyRing(7, ("x", "y"), DegRevLex())
-    x, y = ring.gens()
-    for aux in (
-        PolyRing(7, ("t", "x", "y"), DegRevLex()),
-        PolyRing(7, ("x", "y", "t"), Block(1, DegRevLex())),
-        PolyRing(11, ("t", "x", "y"), Block(1, DegRevLex())),
-        PolyRing(7, ("t", "u", "x", "y"), Block(2, DegRevLex())),
-    ):
-        with pytest.raises(RingMismatch):
-            aux.rebase(x + y)
-
-
 def _assert_canonical(f, reference: dict):
     """f holds exactly `reference`, packed descending under its ring's order."""
     assert f.as_dict() == reference
