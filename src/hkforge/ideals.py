@@ -2,8 +2,13 @@
 the auxiliary-variable elimination trick, colon, saturation, and the Krull
 dimension of the quotient.
 
-An Ideal is a generator list plus its reduced Groebner basis under the
-ring's order, built the first time an answer needs it.  Intersections go
+An Ideal is a generator list plus up to two reduced Groebner bases: the one
+under the ring's order, built the first time an answer needs it, and the
+degrevlex one that a saturation by a variable builds (`_saturate_variable`).
+Membership and lengths take whichever of the two is built, since a normal
+form modulo any basis is canonical and every order counts the same standard
+monomials; what prints a basis or compares bases element by element keeps
+the ring's order.  Intersections go
 through an elimination variable t with a block order t > (ring order): for
 ideals I and K, the ideal t*I + (1-t)*K contracts to I ∩ K, and the
 contraction inherits a reduced Groebner basis from the elimination basis for
@@ -34,9 +39,10 @@ from .polyring import Block, DegRevLex, DivisorTable, PolyRing, Polynomial, divi
 
 class Ideal:
     """Handle on an ideal of a PolyRing: generators plus the cached reduced
-    basis under the ring's order."""
+    bases under the ring's order and under degrevlex, each built on first
+    use."""
 
-    __slots__ = ("ring", "generators", "_basis")
+    __slots__ = ("ring", "generators", "_basis", "_degrevlex")
 
     def __init__(self, ring: PolyRing, generators: Iterable[Polynomial]):
         gens = []
@@ -50,6 +56,7 @@ class Ideal:
         self.ring = ring
         self.generators: tuple[Polynomial, ...] = tuple(gens)
         self._basis: GroebnerBasis | None = None
+        self._degrevlex: GroebnerBasis | None = None
 
     # -- bases and membership ------------------------------------------------
 
@@ -60,19 +67,41 @@ class Ideal:
             self._basis = buchberger(self.generators, self.ring.order)
         return self._basis
 
+    def degrevlex_basis(self) -> GroebnerBasis:
+        """The reduced basis under degrevlex, built on first use: the basis
+        under the ring's order when that is degrevlex."""
+        if self.ring.order == DegRevLex():
+            return self.groebner_basis()
+        if self._degrevlex is None:
+            self._degrevlex = buchberger(self.generators, DegRevLex())
+        return self._degrevlex
+
+    def any_basis(self) -> GroebnerBasis:
+        """A reduced basis for questions that any order answers: the one under
+        the ring's order if built, else the degrevlex one if built, else the
+        one under the ring's order, built now."""
+        if self._basis is None and self._degrevlex is not None:
+            return self._degrevlex
+        return self.groebner_basis()
+
     def seed_basis(self, basis: GroebnerBasis) -> "Ideal":
-        """Cache `basis`, a reduced basis of this ideal under the ring's order."""
+        """Cache `basis`, a reduced basis of this ideal under the ring's order;
+        the degrevlex slot is left as it is."""
         self._basis = basis
         return self
 
     def contains(self, f: Polynomial) -> bool:
-        return self.groebner_basis().contains(f.resorted(self.ring))
+        # the normal form moves f into the ring of the basis, but the zero
+        # ideal's empty basis leaves f where it is, so check the ring here
+        if not self.ring.compatible(f.ring):
+            raise RingMismatch(f"{f.ring!r} vs {self.ring!r}")
+        return self.any_basis().contains(f)
 
     def __contains__(self, f: Polynomial) -> bool:
         return self.contains(f)
 
     def contains_ideal(self, other: "Ideal") -> bool:
-        basis = self.groebner_basis()
+        basis = self.any_basis()
         return all(basis.contains(g) for g in other.generators)
 
     def is_unit(self) -> bool:
@@ -158,9 +187,10 @@ def ideal_equal(a: Ideal, b: Ideal) -> bool:
 def bracket_power(ideal: Ideal, e: int) -> Ideal:
     """The ideal generated by the p^e-th powers of the generators.
 
-    Independent of the generating set.  Cached reduced bases transport for
-    free: bracketing a reduced Groebner basis over F_p yields the reduced
-    basis of the bracket power.
+    Independent of the generating set.  Cached reduced bases, under the
+    ring's order and under degrevlex, transport for free: bracketing a reduced
+    Groebner basis over F_p yields the reduced basis of the bracket power
+    under the same order.
     """
     if e < 0:
         raise ValueError("bracket exponent must be non-negative")
@@ -172,6 +202,8 @@ def bracket_power(ideal: Ideal, e: int) -> Ideal:
     out = Ideal(ideal.ring, (g.frobenius(e) for g in ideal.generators))
     if ideal._basis is not None:
         out.seed_basis(ideal._basis.frobenius(e))
+    if ideal._degrevlex is not None:
+        out._degrevlex = ideal._degrevlex.frobenius(e)
     return out
 
 
@@ -369,7 +401,10 @@ def _saturate_variable(ideal: Ideal, i: int) -> Ideal:
     homogenization and h is left out.  Unlike `saturate`, this builds no
     colon chain and no elimination basis, so there is no step count.  h is
     the largest variable of the order; placed next to v, it made the bases of
-    the Katzman levels slower.
+    the Katzman levels slower.  The degrevlex basis comes from
+    `Ideal.degrevlex_basis`, so I keeps it, and later membership and length
+    questions on I read it instead of building I's basis under the ring's
+    order.
     """
     ring = ideal.ring
     homogeneous = all(len({sum(m) for m, _ in g.terms}) == 1 for g in ideal.generators)
@@ -377,12 +412,8 @@ def _saturate_variable(ideal: Ideal, i: int) -> Ideal:
     if homogeneous:
         gens = ideal.generators
     else:
-        if ring.order == DegRevLex():
-            reduced = ideal.groebner_basis()
-        else:
-            reduced = buchberger(ideal.generators, DegRevLex())
         gens = []
-        for g in reduced:
+        for g in ideal.degrevlex_basis():
             d = g.total_degree()
             gens.append(graded.polynomial([((d - sum(m),) + m, c) for m, c in g.terms]))
     off = graded.nvars - ring.nvars

@@ -19,7 +19,11 @@ S = J : m^infinity, by the exact sequence 0 -> H/J -> S/J -> (S + I)/I -> 0.
 S is the intersection of the saturations J : v^infinity by single variables,
 each taken by homogenization (`ideals._saturate_variable`), not by a colon
 chain.  J <= S holds by construction and is not checked, since the check
-would build S's basis under the ring's order.
+would build a basis of S, which no length needs.
+
+The standard-monomial count and the span closure read J's basis through
+`Ideal.any_basis`: on a lex ring that is the degrevlex basis a saturation of
+J has already built, when there is one, so J gets no second basis.
 """
 
 from __future__ import annotations
@@ -91,8 +95,13 @@ def count_standard_monomials(lms: list[Monomial], nvars: int) -> int | None:
 
 
 def finite_colength_length(ideal: Ideal) -> LengthResult:
-    """len(R/I) by standard-monomial count; finite=False when unbounded."""
-    basis = ideal.groebner_basis()
+    """len(R/I) by standard-monomial count; finite=False when unbounded.
+
+    Any Groebner basis of I serves, whatever its order: the standard
+    monomials of every order form a basis of R/I over F_p (Macaulay; Cox,
+    Little & O'Shea, ch. 5 §3), so their number, finite or not, is the same.
+    """
+    basis = ideal.any_basis()
     if not len(basis):
         return LengthResult(None, False, "standard-monomials", "zero ideal")
     lms = list(basis.leading_monomials())
@@ -210,9 +219,9 @@ def _subquotient_length(
     u_ideal: Ideal, j_ideal: Ideal, method: str = "auto", cap: int | None = None
 ) -> LengthResult:
     """`subquotient_length` for a caller that knows J <= U, without the check:
-    it would build U's basis under the ring's order, which only the
-    difference route needs.  `cap` None runs the rank route's closure to its
-    end, for a caller that knows the length is finite."""
+    it would build a basis of U, which only the difference route needs.
+    `cap` None runs the rank route's closure to its end, for a caller that
+    knows the length is finite."""
     if method != "rank":
         len_j = finite_colength_length(j_ideal)
         if len_j.finite:
@@ -239,13 +248,17 @@ def _span_closure(gens: tuple[Polynomial, ...], j_ideal: Ideal, cap: int | None 
     runs to its end, which comes within L + 1 levels for a length L and never
     for an infinite one (a span closed under the variables is all of (U + J)/J).
 
+    Any Groebner basis of J serves, whatever its order: f -> its normal form
+    is F_p-linear with kernel J, so the span of the normal forms has the
+    dimension of (U + J)/J under every order.
+
     A normal form that the echelon of the rows kept so far does not reduce to
     zero is kept, and its products with the variables make the next level.
     If f lies in the span of earlier rows, x_i * f lies in that of their
     x_i-multiples, queued already, so the first level that adds nothing ends
     the closure.
     """
-    basis = j_ideal.groebner_basis()
+    basis = j_ideal.any_basis()
     ring = j_ideal.ring
     steps = [tuple(int(i == j) for j in range(ring.nvars)) for i in range(ring.nvars)]
     # the columns are packed monomials under the widest packing seen so far
@@ -281,7 +294,7 @@ def gamma_length(j_ideal: Ideal, i_ideal: Ideal, *, method: str = "auto") -> Len
     closure runs to its end, with no level cap; only `method="difference"`,
     which needs both colengths finite, can answer "not finite".  J <= S holds
     by construction, so that measurement skips the containment check, which
-    would build S's basis under the ring's order.  len((S + I)/I) is the span
+    would build a basis of S that no length reads.  len((S + I)/I) is the span
     closure of S's generators modulo I's basis, which the containment check
     J <= I has built; (S + I)/I is a quotient of S/J, so it is finite too.
     When J is m-primary, S is the unit ideal and the length is that of I/J.

@@ -12,6 +12,7 @@ from hkforge import (
     Ideal,
     Lex,
     PolyRing,
+    RingMismatch,
     ZeroDivisor,
     bracket_power,
     buchberger,
@@ -136,6 +137,14 @@ def test_intersect_h_with_s(construction54):
     assert ideal_equal(meet, expected)
 
 
+def test_membership_refuses_a_polynomial_of_another_ring(f3xy):
+    """Also in the zero ideal, whose empty basis moves no polynomial."""
+    other = PolyRing(5, ("x", "y")).gen("x")
+    for ideal in (Ideal(f3xy, []), Ideal(f3xy, [f3xy.gen("y")])):
+        with pytest.raises(RingMismatch):
+            ideal.contains(other)
+
+
 def test_intersections_are_contained_in_both(f3xy):
     rng = random.Random(59)
     for _ in range(8):
@@ -179,7 +188,7 @@ def test_intersect_repacks_generators_of_mixed_widths(order):
 # (I : K)^[p] = (I^[p] : K^[p]).  A check on the stack only; the engine never
 # uses it as a shortcut.
 
-@pytest.mark.parametrize(
+_pairs = pytest.mark.parametrize(
     "i_gens,k_gens",
     [
         (["x^2", "x*y"], ["y^3", "x - y"]),
@@ -188,15 +197,38 @@ def test_intersect_repacks_generators_of_mixed_widths(order):
     ],
     ids=["x2-xy-with-y3-x-y", "x3-xy2-y3-with-x2+y3-xy", "xy-y2-x-with-x+y"],
 )
-@pytest.mark.parametrize("order", [Lex(), DegRevLex()], ids=["lex", "degrevlex"])
+_orders = pytest.mark.parametrize("order", [Lex(), DegRevLex()], ids=["lex", "degrevlex"])
+
+
+def _pair(p, order, i_gens, k_gens):
+    ring = PolyRing(p, ("x", "y"), order)
+    return tuple(Ideal(ring, [ring.parse(g) for g in gens]) for gens in (i_gens, k_gens))
+
+
+@_pairs
+@_orders
 @pytest.mark.parametrize("p", [2, 3])
 def test_bracket_commutes_with_intersection_and_colon(p, order, i_gens, k_gens):
-    ring = PolyRing(p, ("x", "y"), order)
-    i_ideal = Ideal(ring, [ring.parse(g) for g in i_gens])
-    k_ideal = Ideal(ring, [ring.parse(g) for g in k_gens])
+    i_ideal, k_ideal = _pair(p, order, i_gens, k_gens)
     i_p, k_p = bracket_power(i_ideal, 1), bracket_power(k_ideal, 1)
     assert ideal_equal(bracket_power(intersect(i_ideal, k_ideal), 1), intersect(i_p, k_p))
     assert ideal_equal(bracket_power(colon_ideal(i_ideal, k_ideal), 1), colon_ideal(i_p, k_p))
+
+
+@_pairs
+@_orders
+@pytest.mark.parametrize("p", [2, 3])
+def test_intersection_and_colon_times_k_lie_in_i_by_the_oracle(p, order, i_gens, k_gens):
+    """I ∩ K <= I and (I : K) * K <= I, decided by `oracle_ideal_member`, which
+    builds no Groebner basis: every generator of I ∩ K, and every product c*k
+    of a generator c of I : K with a generator k of K, is a member of I."""
+    i_ideal, k_ideal = _pair(p, order, i_gens, k_gens)
+    meet = intersect(i_ideal, k_ideal)
+    assert all(oracle_ideal_member(g, i_ideal) for g in meet.generators)
+    colon = colon_ideal(i_ideal, k_ideal)
+    assert all(
+        oracle_ideal_member(c * k, i_ideal) for c in colon.generators for k in k_ideal.generators
+    )
 
 
 # -- colon ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from hkforge import (
     Lex,
     PolyRing,
     bracket_power,
+    buchberger,
     colon_ideal,
     finite_colength_length,
     gamma_length,
@@ -26,8 +27,10 @@ from hkforge import (
     subquotient_length,
     unit_ideal,
 )
+from hkforge.ideals import _saturate_variable
 from hkforge.lengths import (
     _m_saturation,
+    _subquotient_length,
     count_standard_monomials,
     nilpotency_exponent,
     oracle_ideal_member,
@@ -504,6 +507,44 @@ def test_gamma_length_katzman_level_one():
     j_q = bracket_power(Ideal(ring, [x**p, y**p]), 1) + g
     i_q = bracket_power(Ideal(ring, [x, y]) ** p, 1) + g
     assert gamma_length(j_q, i_q).expect() == 1
+
+
+@pytest.mark.parametrize("e", [0, 1, 2])
+@pytest.mark.parametrize("shape", ["katzman", (2, 2, 3)], ids=["katzman", "k2-a2-b3"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_lengths_and_membership_agree_on_either_basis(p, shape, e):
+    """The levels J^[q] + (g) and I^[q] + (g) of J = (x^a, y^b) <= I = (x, y)^k
+    over F_p[s, x, y] under lex, with (k, a, b) = (p, p, p) for the Katzman
+    pair: once `_saturate_variable` has filled a level's degrevlex slot,
+    membership and lengths read that basis, and they answer as a fresh ideal
+    that builds its lex basis.  A level plus (s^2) has finite colength, so the
+    standard-monomial count and the difference route are exercised too."""
+    ring = PolyRing(p, ("s", "x", "y"), Lex())
+    s, x, y = ring.gens()
+    k, a, b = (p, p, p) if shape == "katzman" else shape
+    q, n = p**e, p ** (e + 1)
+    g = Ideal(ring, [x * y * (x - y) * (x + y - s * y)])
+    j_q = bracket_power(Ideal(ring, [x**a, y**b]), e) + g
+    i_q = bracket_power(Ideal(ring, [x, y]) ** k, e) + g
+    z = ring.polynomial(((0, n + 1 - j, j), (-1) ** j) for j in range(2, n))
+    probes = [*j_q.generators, *i_q.generators, z, s]
+    probes += [x**q * y ** ((p - 1) * q) * s**t for t in range(3)]
+    cut = Ideal(ring, [s**2])
+    for level in (j_q, i_q, j_q + cut, i_q + cut):
+        sat = _saturate_variable(level, 0)
+        assert level._basis is None and level._degrevlex is not None
+        fresh = Ideal(ring, level.generators)
+        answers = [level.contains(f) for f in probes]
+        assert answers == [fresh.contains(f) for f in probes]
+        assert all(level.contains(f) for f in level.generators) and not all(answers)
+        assert level.contains_ideal(j_q) == fresh.contains_ideal(j_q)
+        assert finite_colength_length(level) == finite_colength_length(fresh)
+        for method in ("auto", "rank"):
+            assert _subquotient_length(sat, level, method) == _subquotient_length(sat, fresh, method)
+        assert level._basis is None
+        assert level.groebner_basis() == buchberger(level.generators, Lex())
+        bracketed = [f.frobenius(1) for f in level.generators]
+        assert bracket_power(level, 1)._degrevlex == buchberger(bracketed, DegRevLex())
 
 
 def test_gamma_length_monotone_in_numerator(f5xy):

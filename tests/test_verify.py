@@ -246,10 +246,10 @@ def _sandwich_of_katzman_pair_refused() -> bool:
     [
         (lambda: verify_construction(3, 4).ok, 8),
         (lambda: verify_katzman(3, 1).ok, 6),
-        (_rjj_of_katzman_pair, 8),
-        (_katzman_pair_run(sjj_sequence, [1, 0]), 6),
+        (_rjj_of_katzman_pair, 6),
+        (_katzman_pair_run(sjj_sequence, [1, 0]), 5),
         (_katzman_pair_run(vjj_sequence, [2, 7]), 3),
-        (_katzman_pair_run(f_difference_sequence, [1, 2]), 14),
+        (_katzman_pair_run(f_difference_sequence, [1, 2]), 11),
         (_sandwich_without_hypersurface, 4),
         (_sandwich_off_the_m_primary_case, 9),
         (_sandwich_of_katzman_pair_refused, 4),
@@ -274,7 +274,9 @@ def test_ideal_layer_builds_a_pinned_number_of_bases(monkeypatch, run, calls):
     level 0 twice in a sandwich, again shows up here.  Before the sequences
     called the length cores, sjj and vjj of the Katzman pair built 8 and 4:
     the per-level re-checks J^[q] <= H^[q] and (J + m*I)^[q] <= I^[q] built
-    bases of levels of H and I that no span closure reads."""
+    bases of levels of H and I that no span closure reads.  Before lengths and
+    membership read the degrevlex basis a saturation had built, rjj, sjj and
+    fdiff of the Katzman pair built 8, 6 and 14."""
     from hkforge import ideals
 
     count = [0]
@@ -293,7 +295,7 @@ def test_ideal_layer_builds_a_pinned_number_of_bases(monkeypatch, run, calls):
     "run,spairs,zeros",
     [
         (lambda: verify_construction(3, 4).ok, 120, 95),
-        (_rjj_of_katzman_pair, 83, 64),
+        (_rjj_of_katzman_pair, 61, 48),
     ],
     ids=["construction-3-4", "rjj-katzman-3-1"],
 )
@@ -307,7 +309,8 @@ def test_buchberger_forms_a_pinned_number_of_spairs(monkeypatch, run, spairs, ze
     and 164, of which 429 and 122; before claims 5-7 of the construction left
     the colon chain, the construction formed 515, of which 382; before claim 4
     read (e : f) = m off the membership tests and claim 6 saturated e once,
-    214, of which 167."""
+    214, of which 167; before lengths read the degrevlex basis a saturation
+    had built, rjj of the Katzman pair formed 83, of which 64."""
     from hkforge import groebner
 
     count = {"spairs": 0, "zeros": 0}
