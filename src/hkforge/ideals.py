@@ -5,10 +5,11 @@ dimension of the quotient.
 An Ideal is a generator list plus up to two reduced Groebner bases: the one
 under the ring's order, built the first time an answer needs it, and the
 degrevlex one that a saturation by a variable builds (`_saturate_variable`).
-Membership and lengths take whichever of the two is built, since a normal
-form modulo any basis is canonical and every order counts the same standard
-monomials; what prints a basis or compares bases element by element keeps
-the ring's order.  Intersections go
+Questions take whichever of the two is built (`Ideal.any_basis`):
+membership, lengths, the unit test, the dimension and saturation step counts,
+since a normal form modulo any basis is canonical and every order counts the
+same standard monomials and gives the same dimension; what prints a basis or
+compares bases element by element keeps the ring's order.  Intersections go
 through an elimination variable t with a block order t > (ring order): for
 ideals I and K, the ideal t*I + (1-t)*K contracts to I ∩ K, and the
 contraction inherits a reduced Groebner basis from the elimination basis for
@@ -105,7 +106,7 @@ class Ideal:
         return all(basis.contains(g) for g in other.generators)
 
     def is_unit(self) -> bool:
-        basis = self.groebner_basis()
+        basis = self.any_basis()
         return len(basis) == 1 and basis[0] == self.ring.one()
 
     def is_zero(self) -> bool:
@@ -213,11 +214,11 @@ def bracket_power(ideal: Ideal, e: int) -> Ideal:
 @functools.lru_cache(maxsize=64)
 def _elimination(ring: PolyRing) -> tuple[PolyRing, Polynomial, Polynomial]:
     """The extension of `ring` by a fresh first variable t under
-    Block(1, ring order), with t and 1 - t in it."""
+    Block(ring order), with t and 1 - t in it."""
     name = "t"
     while name in ring.variables:
         name += "t"
-    aux = PolyRing(ring.p, (name,) + ring.variables, Block(1, ring.order))
+    aux = PolyRing(ring.p, (name,) + ring.variables, Block(ring.order))
     t = aux.gen(name)
     return aux, t, aux.one() - t
 
@@ -362,7 +363,7 @@ def _saturation_steps(
     """
     if cap is None:
         cap = config.DEFAULT_SATURATION_CAP
-    basis = ideal.groebner_basis()
+    basis = ideal.any_basis()
     gens = sat.generators if sat is not None else (ideal.ring.one(),)
     level = dict.fromkeys(filter(None, map(basis.reduce, gens)))
     for step in range(cap + 1):
@@ -375,17 +376,16 @@ def _saturation_steps(
 
 @functools.lru_cache(maxsize=64)
 def _graded(ring: PolyRing, i: int, homogenize: bool) -> PolyRing:
-    """`ring` under degrevlex with variable i compared last, extended by a
-    fresh first variable h when `homogenize` is set."""
-    variables = ring.variables
+    """The ring of `ring`'s variables under degrevlex, declared with variable
+    i moved last, so that degrevlex compares it last, and with a fresh
+    variable h in front when `homogenize` is set."""
+    variables = ring.variables[:i] + ring.variables[i + 1 :] + (ring.variables[i],)
     if homogenize:
         name = "h"
         while name in variables:
             name += "h"
         variables = (name,) + variables
-        i += 1
-    priority = tuple(j for j in range(len(variables)) if j != i) + (i,)
-    return PolyRing(ring.p, variables, DegRevLex(priority))
+    return PolyRing(ring.p, variables, DegRevLex())
 
 
 def _saturate_variable(ideal: Ideal, i: int) -> Ideal:
@@ -393,7 +393,7 @@ def _saturate_variable(ideal: Ideal, i: int) -> Ideal:
 
     The reduced degrevlex basis of I homogenizes by a fresh variable h to a
     basis of the homogenization I^h (Cox, Little & O'Shea, ch. 8 §4).  Under
-    degrevlex with v last, the elements of a Groebner basis of a homogeneous
+    degrevlex with v compared last, the elements of a Groebner basis of a homogeneous
     ideal, each divided by the largest power of v it holds, form a Groebner
     basis of its saturation by v (Bayer & Stillman, Invent. Math. 1987);
     h = 1 then gives I : v^infinity, because f * v^k lies in I exactly when
@@ -405,24 +405,28 @@ def _saturate_variable(ideal: Ideal, i: int) -> Ideal:
     `Ideal.degrevlex_basis`, so I keeps it, and later membership and length
     questions on I read it instead of building I's basis under the ring's
     order.
+
+    Polynomials move into the ring of `_graded` by their terms, with v's
+    exponent put last and h's, the degree a term lacks, put in front; the
+    basis moves back the same way, divided by the power of v.
     """
     ring = ideal.ring
     homogeneous = all(len({sum(m) for m, _ in g.terms}) == 1 for g in ideal.generators)
     graded = _graded(ring, i, not homogeneous)
-    if homogeneous:
-        gens = ideal.generators
-    else:
-        gens = []
-        for g in ideal.degrevlex_basis():
-            d = g.total_degree()
-            gens.append(graded.polynomial([((d - sum(m),) + m, c) for m, c in g.terms]))
-    off = graded.nvars - ring.nvars
-    v = off + i
+    off = graded.nvars - ring.nvars  # 1 when h leads, else 0
+    gens = []
+    for g in ideal.generators if homogeneous else ideal.degrevlex_basis():
+        d = g.total_degree()
+        gens.append(graded.polynomial(
+            ((d - sum(m),) * off + m[:i] + m[i + 1 :] + (m[i],), c) for m, c in g.terms
+        ))
     parts, grew = [], False
-    for g in buchberger(gens, graded.order):
-        k = min(m[v] for m, _ in g.terms)
+    for g in buchberger(gens):
+        k = min(m[-1] for m, _ in g.terms)
         grew = grew or k > 0
-        parts.append(ring.polynomial([(m[off:v] + (m[v] - k,) + m[v + 1 :], c) for m, c in g.terms]))
+        parts.append(ring.polynomial(
+            (m[off : off + i] + (m[-1] - k,) + m[off + i : -1], c) for m, c in g.terms
+        ))
     # no element holds v: I is saturated, and keeps whatever basis it has built
     return Ideal(ring, parts) if grew else ideal
 
@@ -431,14 +435,14 @@ def _saturate_variable(ideal: Ideal, i: int) -> Ideal:
 # dimension
 
 def dimension(ideal: Ideal) -> int:
-    """Krull dimension of R/I, read off the initial ideal under the ring's
-    order.
+    """Krull dimension of R/I, read off the initial ideal of any built basis
+    (`Ideal.any_basis`).
 
     dim R/I equals the largest number of variables a subset S can hold while
     containing no leading monomial's support; any Groebner order gives the
     same answer.
     """
-    basis = ideal.groebner_basis()
+    basis = ideal.any_basis()
     nvars = ideal.ring.nvars
     supports = []
     for g in basis:

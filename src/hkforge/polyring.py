@@ -66,10 +66,6 @@ def is_prime(n: int) -> bool:
 # ---------------------------------------------------------------------------
 # monomials
 
-def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def monomial_div(a: Monomial, b: Monomial) -> Monomial | None:
     """a / b as a monomial, or None when b does not divide a."""
     q = []
@@ -84,10 +80,6 @@ def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def monomial_divides(b: Monomial, a: Monomial) -> bool:
-    return all(x >= y for x, y in zip(a, b))
-
-
 # ---------------------------------------------------------------------------
 # monomial orders
 
@@ -96,20 +88,12 @@ class MonomialOrder:
 
     A subclass defines the order once, by its `_fields` layout; `key` and
     `Packing` both read it, so tuple and packed comparisons agree by
-    construction.  `priority` optionally permutes variables before the layout
-    is formed; the default reads the ring's declared variable order as the
-    priority (first variable largest for lex).
+    construction.  Variables rank in the order the ring declares them: the
+    first is the largest for lex and the last is compared last by degrevlex.
+    To rank them another way, declare them in that order.
     """
 
     kind = "abstract"
-
-    def __init__(self, priority: tuple[int, ...] | None = None):
-        self.priority = priority
-
-    def _permute(self, mon: Monomial) -> Monomial:
-        if self.priority is None:
-            return mon
-        return tuple(mon[i] for i in self.priority)
 
     def key(self, mon: Monomial) -> tuple:
         """A tuple that sorts the way the order compares: per field of the
@@ -138,7 +122,7 @@ class MonomialOrder:
         return EQ
 
     def _ident(self) -> tuple:
-        return (self.kind, self.priority)
+        return (self.kind,)
 
     def __eq__(self, other) -> bool:
         return other is self or (
@@ -159,42 +143,36 @@ class Lex(MonomialOrder):
     kind = "lex"
 
     def _fields(self, variables):
-        return [("lex", i) for i in self._permute(variables)]
+        return [("lex", i) for i in variables]
 
 
 class DegRevLex(MonomialOrder):
     kind = "degrevlex"
 
     def _fields(self, variables):
-        m = self._permute(variables)
-        if not m:
+        if not variables:
             return []
-        return [("degree", m)] + [("rev", i) for i in reversed(m)]
+        return [("degree", variables)] + [("rev", i) for i in reversed(variables)]
 
 
 class Block(MonomialOrder):
-    """Elimination order: the first `elim` variables dominate (compared lex),
-    ties broken by `inner` on the remaining variables."""
+    """Elimination order for the first variable: its exponent dominates, ties
+    broken by `inner` on the remaining variables.  `Block(Block(X))`
+    eliminates the first two."""
 
     kind = "block"
 
-    def __init__(self, elim: int, inner: MonomialOrder):
-        super().__init__(None)
-        if elim < 1:
-            raise ValueError("block order needs at least one elimination variable")
-        self.elim = elim
+    def __init__(self, inner: MonomialOrder):
         self.inner = inner
 
     def _fields(self, variables):
-        return [("lex", i) for i in variables[: self.elim]] + self.inner._fields(
-            variables[self.elim :]
-        )
+        return [("lex", i) for i in variables[:1]] + self.inner._fields(variables[1:])
 
     def _ident(self) -> tuple:
-        return (self.kind, self.elim, self.inner._ident())
+        return (self.kind, self.inner._ident())
 
     def describe(self) -> str:
-        return f"block({self.elim};{self.inner.describe()})"
+        return f"block({self.inner.describe()})"
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +321,6 @@ class Polynomial:
     def __len__(self) -> int:
         return len(self.packed)
 
-    def as_dict(self) -> dict[Monomial, int]:
-        return dict(self.terms)
-
     def total_degree(self) -> int:
         return max((sum(m) for m, _ in self.terms), default=-1)
 
@@ -359,9 +334,6 @@ class Polynomial:
 
     def leading_monomial(self) -> Monomial:
         return self.leading_term()[1]
-
-    def leading_coefficient(self) -> int:
-        return self.leading_term()[0]
 
     def is_monomial(self) -> bool:
         return len(self.packed) == 1
@@ -571,9 +543,6 @@ class Packing:
 
     def __init__(self, order: MonomialOrder, nvars: int, width: int):
         fields = order._fields(tuple(range(nvars)))
-        placed = sorted(arg for kind, arg in fields if kind != "degree")
-        if placed != list(range(nvars)):
-            raise ValueError(f"order {order.describe()} does not rank all {nvars} variables once")
         step = width + 1
         self.order = order
         self.layout = (width, tuple(fields))

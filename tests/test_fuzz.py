@@ -24,7 +24,7 @@ from hkforge import (
 
 from helpers import is_reduced_basis, random_nonzero_polynomial, random_polynomial
 
-ORDERS = (Lex(), DegRevLex(), Block(1, DegRevLex()), Block(1, Lex()))
+ORDERS = (Lex(), DegRevLex(), Block(DegRevLex()), Block(Lex()))
 
 
 def test_reduced_bases_certify_and_match_sympy_across_orders():

@@ -25,7 +25,7 @@ from hkforge import (
     saturate,
     unit_ideal,
 )
-from hkforge.ideals import _saturate_variable, _saturation_steps
+from hkforge.ideals import _elimination, _graded, _saturate_variable, _saturation_steps
 from hkforge.lengths import _m_saturation, oracle_ideal_member
 from hkforge.verify import build_construction
 
@@ -420,7 +420,7 @@ _gen_dicts = st.lists(
 @settings(derandomize=True, database=None, max_examples=10, deadline=None)
 @given(dicts=_gen_dicts, i=st.integers(0, 2))
 @pytest.mark.parametrize(
-    "order", [Lex(), DegRevLex(), Block(1, DegRevLex())], ids=["lex", "degrevlex", "block"]
+    "order", [Lex(), DegRevLex(), Block(DegRevLex())], ids=["lex", "degrevlex", "block"]
 )
 @pytest.mark.parametrize("p", [2, 3, 2**61 - 1], ids=["2", "3", "2^61-1"])
 def test_saturate_variable_matches_the_colon_chain(p, order, dicts, i):
@@ -492,6 +492,41 @@ def test_saturate_variable_returns_the_ideal_itself_exactly_when_v_is_no_zero_di
         itself = _saturate_variable(ideal, i) is ideal
         assert itself == ideal_equal(colon_element(ideal, v), ideal)
         assert saturated is None or itself == saturated
+
+
+@pytest.mark.parametrize("order", [Lex(), DegRevLex()], ids=["lex", "degrevlex"])
+def test_fresh_variables_avoid_the_ring_names(order):
+    """On F_3[h, t, x] the homogenizing variable is named hh and the
+    elimination variable tt, and the homogenized saturation by each variable
+    equals the colon chain's."""
+    ring = PolyRing(3, ("h", "t", "x"), order)
+    h, t, x = ring.gens()
+    ideal = Ideal(ring, [h**2 * t - x * t, t**2 * x + h * x, x**3 * h + t])
+    assert _elimination(ring)[0].variables == ("tt", "h", "t", "x")
+    for i, v in enumerate(ring.gens()):
+        assert _graded(ring, i, True).variables[0] == "hh"
+        assert ideal_equal(_saturate_variable(ideal, i), saturate(ideal, v)[0])
+
+
+def test_questions_on_a_saturated_level_read_its_degrevlex_basis():
+    """Once `_saturate_variable` has built the degrevlex basis of a lex
+    Katzman level J = (x^3, y^3)^[3^e] + (g), the dimension, the unit test and
+    the step counts of `_saturation_steps` read it, build no lex basis, and
+    answer as a fresh ideal on the same generators does."""
+    data = build_construction(3, 4)
+    ring = data.ring
+    s, x, y = ring.gens()
+    for e in range(3):
+        level = bracket_power(Ideal(ring, [x**3, y**3]), e) + Ideal(ring, [data.g])
+        sat = _saturate_variable(level, 0)
+        fresh = Ideal(ring, level.generators)
+        assert dimension(level) == dimension(fresh)
+        assert level.is_unit() == fresh.is_unit()
+        for multipliers in ([s], ring.gens()):
+            assert _saturation_steps(level, sat, multipliers) == _saturation_steps(
+                fresh, sat, multipliers
+            )
+        assert level._basis is None
 
 
 def test_saturation_cap_diagnostic(f3xy):

@@ -15,7 +15,7 @@ from hkforge import (
     division,
     normal_form,
 )
-from hkforge.polyring import GT, EQ, LT, MILLER_RABIN_BOUND, DivisorTable, Packing, is_prime
+from hkforge.polyring import GT, EQ, MILLER_RABIN_BOUND, DivisorTable, Packing, is_prime, monomial_div
 
 from helpers import dict_add, dict_mul, random_nonzero_polynomial, random_polynomial
 
@@ -23,11 +23,11 @@ from helpers import dict_add, dict_mul, random_nonzero_polynomial, random_polyno
 FIVE_ORDERS = [
     Lex(),
     DegRevLex(),
-    Lex(priority=(2, 0, 1)),
-    DegRevLex(priority=(1, 2, 0)),
-    Block(1, DegRevLex()),
+    Block(Lex()),
+    Block(Block(DegRevLex())),
+    Block(DegRevLex()),
 ]
-ORDER_IDS = ["lex", "degrevlex", "lex-permuted", "degrevlex-permuted", "block-degrevlex"]
+ORDER_IDS = ["lex", "degrevlex", "block-lex", "block-block-degrevlex", "block-degrevlex"]
 
 
 @pytest.fixture
@@ -112,24 +112,15 @@ def test_degrevlex_classics():
     assert order.compare((0, 3), (2, 0)) == GT  # degree first
 
 
-def test_priority_permutes_variables():
-    # priority (1, 0) reads the second variable as the biggest
-    flipped = Lex(priority=(1, 0))
-    assert flipped.compare((1, 0), (0, 1)) == LT
-    ring = PolyRing(5, ("x", "y"), flipped)
-    f = ring.parse("x^3 + y")
-    assert f.leading_term() == (1, (0, 1))
-
-
 def test_block_order_eliminates_first_variable():
-    order = Block(1, DegRevLex())
+    order = Block(DegRevLex())
     # any positive power of the first variable beats anything without it
     assert order.compare((1, 0, 0), (0, 9, 9)) == GT
     assert order.compare((0, 2, 1), (0, 1, 2)) == GT
 
 
 @pytest.mark.parametrize(
-    "order", [Lex(), DegRevLex(), Block(1, Lex()), Block(1, DegRevLex())]
+    "order", [Lex(), DegRevLex(), Block(Lex()), Block(DegRevLex())]
 )
 def test_order_axioms_randomized(order):
     rng = random.Random(7)
@@ -142,9 +133,9 @@ def test_order_axioms_randomized(order):
         assert cmp_ab == -order.compare(b, a)
         assert (cmp_ab == EQ) == (a == b)
         # multiplicativity
-        from hkforge.polyring import monomial_mul
-
-        assert order.compare(monomial_mul(a, c), monomial_mul(b, c)) == cmp_ab
+        ac = tuple(x + y for x, y in zip(a, c))
+        bc = tuple(x + y for x, y in zip(b, c))
+        assert order.compare(ac, bc) == cmp_ab
         # 1 is minimal
         one = (0, 0, 0)
         if a != one:
@@ -210,7 +201,7 @@ def test_leading_term_of_f_is_x8y2(lex_sxy):
 def test_g_expands_to_known_terms(lex_sxy):
     """Oracle expansion of x*y*(x-y)*(x+y-s*y): four terms, lead s*x^2*y^2."""
     g = construction_g(lex_sxy)
-    assert g.as_dict() == {
+    assert dict(g.terms) == {
         (1, 2, 2): 4,  # -s x^2 y^2
         (1, 1, 3): 1,  # +s x y^3
         (0, 3, 1): 1,  # +x^3 y
@@ -285,9 +276,7 @@ def test_division_is_an_exact_certificate():
     orders = [
         Lex(),
         DegRevLex(),
-        Block(1, DegRevLex()),
-        Lex(priority=(1, 0)),
-        DegRevLex(priority=(1, 0)),
+        Block(DegRevLex()),
     ]
     for order in orders * 5:
         ring = lex.with_order(order)
@@ -306,9 +295,7 @@ def test_division_is_an_exact_certificate():
         # no remainder term reducible
         for mon, _ in remainder.terms:
             for g in divisors:
-                from hkforge.polyring import monomial_divides
-
-                assert not monomial_divides(g.leading_monomial(), mon)
+                assert monomial_div(mon, g.leading_monomial()) is None
 
 
 def test_division_by_a_table_matches_the_list():
@@ -348,7 +335,7 @@ def test_a_table_holding_zero_refuses_to_divide():
 
 def test_parse_term_syntax(lex_sxy):
     f = lex_sxy.parse("3*s^2*x*y^4")
-    assert f.as_dict() == {(2, 1, 4): 3}
+    assert dict(f.terms) == {(2, 1, 4): 3}
 
 
 def test_parse_products_and_signs(lex_sxy):
@@ -403,10 +390,10 @@ def test_mul_term_refuses_bad_exponent_vectors():
 @pytest.mark.parametrize("width", [8, 16])
 @pytest.mark.parametrize("order", FIVE_ORDERS, ids=ORDER_IDS)
 def test_elimination_variable_sits_above_the_order_fields(order, width):
-    """In Block(1, O) a t-free monomial packs to the same int as in O."""
+    """In Block(O) a t-free monomial packs to the same int as in O."""
     rng = random.Random(11)
     inner = Packing(order, 3, width)
-    outer = Packing(Block(1, order), 4, width)
+    outer = Packing(Block(order), 4, width)
     for _ in range(50):
         mon = tuple(rng.randint(0, 60) for _ in range(3))
         assert outer.pack((0,) + mon) == inner.pack(mon)
@@ -414,7 +401,7 @@ def test_elimination_variable_sits_above_the_order_fields(order, width):
 
 def _assert_canonical(f, reference: dict):
     """f holds exactly `reference`, packed descending under its ring's order."""
-    assert f.as_dict() == reference
+    assert dict(f.terms) == reference
     keys = [f.ring.order.key(m) for m, _ in f.terms]
     assert keys == sorted(keys, reverse=True) and len(set(keys)) == len(keys)
     assert [m for m, _ in f.packed] == sorted({m for m, _ in f.packed}, reverse=True)
@@ -460,7 +447,7 @@ def test_packed_arithmetic_matches_the_dict_reference(order, a, b, mon, c, k):
     edge = ring.polynomial({(63, 0, 0): 1, (0, 0, 63): 2})
     edge4 = {(0, 0, 0): 1}
     for _ in range(4):
-        edge4 = dict_mul(edge4, edge.as_dict(), p)
+        edge4 = dict_mul(edge4, dict(edge.terms), p)
     assert (edge**4).packing.width == 8
     _assert_canonical(f * edge**4, dict_mul(a, edge4, p))
     shifted = {tuple(x + y for x, y in zip(m, mon)): v * c % p for m, v in edge4.items()}
