@@ -117,47 +117,87 @@ def _gm_update(packing: Packing, lms: list[int], active: list[int], pairs: list,
 
     `lms` holds the plain leading monomials without a degree field, `active`
     the basis indices in ascending order, and `pairs` is a heap of (packed
-    lcm, i, j, plain lcm).  New pairs (g, h) are grouped by lcm.  Criterion
-    F: a class yields one pair, none if it holds a coprime pair.  Criterion
-    M: a class whose lcm another class's lcm (coprime ones included) properly
-    divides yields none.  Criterion B: an old pair (i, j) goes when lm(h)
-    divides its lcm and lcm(i, h), lcm(h, j) both differ from it.  Two
-    departures from the published order of deletions (Gebauer & Moeller, JSC
-    1988) keep the same pairs: classes are visited in ascending order, not by
-    degree, as every monomial order refines divisibility; and a class keeps
-    its smallest g.  Active elements whose lead lm(h) divides then retire.
+    lcm, i, j, plain lcm), which the update may change in place.  New pairs
+    (g, h) are grouped by lcm.  Criterion F: a class yields one pair, none if
+    it holds a coprime pair.  Criterion M: a class whose lcm another class's
+    lcm (coprime ones included) properly divides yields none.  Criterion B:
+    an old pair (i, j) goes when lm(h) divides its lcm and lcm(i, h),
+    lcm(h, j) both differ from it.  Two departures from the published order
+    of deletions (Gebauer & Moeller, JSC 1988) keep the same pairs: classes
+    are visited in ascending order, not by degree, as every monomial order
+    refines divisibility; and a class keeps its smallest g.  Active elements
+    whose lead lm(h) divides then retire.
+
+    A pair's key is unique, so the heap pops the same sequence however it was
+    built: it is rebuilt only when criterion B removes a pair, and otherwise
+    the new pairs are pushed onto it.  The lcms are field-wise maxima of the
+    plain ints, formed inline (SWAR: a guard bit survives (a | guard) - b
+    exactly in the fields where a >= b); a degrevlex part's degree field is
+    then summed afresh by one multiply, raising `_Overflow` if it does not
+    fit.
     """
-    guard, lcm_of, flip = packing.guard, packing.plain_max, packing.flip
+    guard, width, flip = packing.guard, packing.width, packing.flip
     mh = lms[h]
+    mh_guard = mh | guard
     classes: dict[int, int] = {}  # plain lcm -> smallest g, or -1 if coprime
+    still_active = []
     for ig in active:
-        lcm = lcm_of(mh, lms[ig])
-        if mh + lms[ig] == lcm:
+        m = lms[ig]
+        d = (mh_guard - m) & guard
+        lcm = m ^ ((mh ^ m) & (d - (d >> width)))
+        if mh + m == lcm:
             classes[lcm] = -1
-        else:
-            classes.setdefault(lcm, ig)
+        elif lcm not in classes:
+            classes[lcm] = ig
+        if (m - mh) & guard:
+            still_active.append(ig)
+    still_active.append(h)
+
+    if packing.deg_shift is None:
+        keys = [lcm ^ flip for lcm in classes]
+    else:
+        low, spread, top = packing.sum_low, packing.sum_spread, packing.sum_top
+        field, mask, shift = packing.field_mask, packing.mask, packing.deg_shift
+        keys = []
+        for lcm in classes:
+            deg = ((lcm >> low) * spread >> top) & field
+            if deg > mask:
+                raise _Overflow
+            keys.append((lcm | deg << shift) ^ flip)
+    keys.sort()
+    exponents = packing.exponents
     minimal: list[int] = []
     new_pairs = []
-    for packed, lcm in sorted((packing.with_degree(lcm) ^ flip, lcm) for lcm in classes):
-        if any(not (lcm - m) & guard for m in minimal):
+    for packed in keys:
+        lcm = (packed ^ flip) & exponents
+        for m in minimal:
+            if not (lcm - m) & guard:
+                break
+        else:
+            minimal.append(lcm)
+            g = classes[lcm]
+            if g >= 0:
+                new_pairs.append((packed, g, h, lcm))
+
+    removed = False
+    for at, pair in enumerate(pairs):
+        lcm = pair[3]
+        if (lcm - mh) & guard:
             continue
-        minimal.append(lcm)
-        if classes[lcm] >= 0:
-            new_pairs.append((packed, classes[lcm], h, lcm))
-
-    kept = [
-        pair
-        for pair in pairs
-        if (pair[3] - mh) & guard
-        or lcm_of(lms[pair[1]], mh) == pair[3]
-        or lcm_of(mh, lms[pair[2]]) == pair[3]
-    ]
-    kept += new_pairs
-    heapq.heapify(kept)
-
-    still_active = [ig for ig in active if (lms[ig] - mh) & guard]
-    still_active.append(h)
-    return still_active, kept
+        for m in (lms[pair[1]], lms[pair[2]]):
+            d = (mh_guard - m) & guard
+            if m ^ ((mh ^ m) & (d - (d >> width))) == lcm:
+                break
+        else:
+            pairs[at], removed = None, True
+    if removed:
+        pairs = [pair for pair in pairs if pair is not None]
+        pairs += new_pairs
+        heapq.heapify(pairs)
+    else:
+        for pair in new_pairs:
+            heapq.heappush(pairs, pair)
+    return still_active, pairs
 
 
 def buchberger(gens: Sequence[Polynomial], order: MonomialOrder | None = None) -> GroebnerBasis:

@@ -527,8 +527,10 @@ class Packing:
       is then plain(a / b);
     - a * b packs to a + b - flip, so multiplying every term of a list by
       a / b adds the constant a - b to each packed term;
-    - the lcm is the field-wise max of the plain ints (`plain_max`), with
-      the degree field summed afresh (`with_degree`).
+    - the lcm is the field-wise max of the plain ints, formed SWAR-wise as
+      in `top`; a degree field is then summed afresh from the fields below
+      it, ((e >> sum_low) * sum_spread >> sum_top) & field_mask, which
+      `_gm_update` does inline.
 
     No field ever wraps: arithmetic and the core test the guard bits before
     they form a product, and on a carry (`_Overflow` in the core) repack at
@@ -538,7 +540,7 @@ class Packing:
 
     __slots__ = (
         "order", "layout", "width", "mask", "shifts", "guard", "flip", "exponents",
-        "_deg_vars", "_deg_shift", "_sum_low", "_sum_spread", "_sum_top", "_field_mask",
+        "_deg_vars", "deg_shift", "sum_low", "sum_spread", "sum_top", "field_mask",
     )
 
     def __init__(self, order: MonomialOrder, nvars: int, width: int):
@@ -551,18 +553,19 @@ class Packing:
         self.shifts = [0] * nvars
         self.guard = self.flip = self.exponents = 0
         self._deg_vars: tuple[int, ...] = ()
+        self.deg_shift: int | None = None
         for pos, (kind, arg) in enumerate(reversed(fields)):
             shift = pos * step
             self.guard |= 1 << (shift + width)
             if kind == "degree":
                 # the len(arg) fields right below hold the summed exponents;
-                # multiplying them by `_sum_spread` adds them into its top one
+                # multiplying them by `sum_spread` adds them into its top one
                 k = len(arg)
-                self._deg_vars, self._deg_shift = arg, shift
-                self._sum_low = shift - k * step
-                self._sum_spread = sum(1 << (i * step) for i in range(k))
-                self._sum_top = (k - 1) * step
-                self._field_mask = (1 << step) - 1
+                self._deg_vars, self.deg_shift = arg, shift
+                self.sum_low = shift - k * step
+                self.sum_spread = sum(1 << (i * step) for i in range(k))
+                self.sum_top = (k - 1) * step
+                self.field_mask = (1 << step) - 1
             else:
                 self.shifts[arg] = shift
                 self.exponents |= self.mask << shift
@@ -577,7 +580,7 @@ class Packing:
         for x, s in zip(mon, self.shifts):
             e |= x << s
         if self._deg_vars:
-            e |= sum(mon[i] for i in self._deg_vars) << self._deg_shift
+            e |= sum(mon[i] for i in self._deg_vars) << self.deg_shift
         return e ^ self.flip
 
     def unpack(self, m: int) -> Monomial:
@@ -603,29 +606,16 @@ class Packing:
         pack, unpack = self.pack, src.unpack
         return [(pack(unpack(m)), c) for m, c in terms]
 
-    def plain_max(self, a: int, b: int) -> int:
-        """Field-wise max of two plain ints (SWAR: a guard bit survives
-        (a | guard) - b exactly in the fields where a >= b)."""
-        guard = self.guard
-        d = ((a | guard) - b) & guard
-        return b ^ ((a ^ b) & (d - (d >> self.width)))
-
-    def with_degree(self, e: int) -> int:
-        """Fill the empty degree field of the plain lcm `e` of two packed
-        monomials; raises `_Overflow` if the degree does not fit."""
-        if self._deg_vars:
-            d = ((e >> self._sum_low) * self._sum_spread >> self._sum_top) & self._field_mask
-            if d > self.mask:
-                raise _Overflow
-            e |= d << self._deg_shift
-        return e
-
     def top(self, terms: Iterable[tuple[int, int]]) -> int:
         """The field-wise max of the plain monomials of `terms`: a product
-        with plain(b) fits iff top + plain(b) sets no guard bit."""
-        flip, top = self.flip, 0
+        with plain(b) fits iff top + plain(b) sets no guard bit.  (SWAR: a
+        guard bit survives (a | guard) - b exactly in the fields where
+        a >= b.)"""
+        flip, guard, width, top = self.flip, self.guard, self.width, 0
         for m, _ in terms:
-            top = self.plain_max(top, m ^ flip)
+            m ^= flip
+            d = ((top | guard) - m) & guard
+            top = m ^ ((top ^ m) & (d - (d >> width)))
         return top
 
     def reducer(self, terms: list[tuple[int, int]], lcinv: int) -> tuple:
@@ -801,9 +791,12 @@ def division(
     if not divisors:
         return [], f
     ring, pk, quotients, remainder = _divide(f, divisors, True)
+    zero = Polynomial(ring, pk, [])  # shared by the divisors that took no step
     return (
         [
             Polynomial(ring, pk, sorted([t for t in q.items() if t[1]], reverse=True))
+            if q
+            else zero
             for q in quotients
         ],
         Polynomial(ring, pk, remainder),

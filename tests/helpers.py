@@ -97,3 +97,48 @@ def dict_mul(a: dict, b: dict, p: int) -> dict:
             mon = tuple(x + y for x, y in zip(ma, mb))
             out[mon] = (out.get(mon, 0) + ca * cb) % p
     return {mon: c for mon, c in out.items() if c}
+
+
+# -- exponent-tuple reference of the Gebauer-Moeller pair update ---------------
+
+def gebauer_moller_update(leads: list, active: list, pairs: set, h: int):
+    """The pair update on adding index h, on exponent tuples, as
+    `groebner._gm_update`'s docstring states criteria M, F and B.
+
+    `leads` holds the leading monomials, `active` the basis indices in
+    ascending order and `pairs` a set of index pairs (i, j) with i < j.
+    Returns the new active list and the new pair set.
+    """
+
+    def lcm(a, b):
+        return tuple(max(x, y) for x, y in zip(a, b))
+
+    def coprime(a, b):
+        return all(min(x, y) == 0 for x, y in zip(a, b))
+
+    lead = leads[h]
+    classes: dict = {}  # lcm -> the g with lcm(g, h) equal to it
+    for g in active:
+        classes.setdefault(lcm(leads[g], lead), []).append(g)
+    new = set()
+    for common, members in classes.items():
+        # M: no other class's lcm properly divides this one
+        if any(other != common and _divides(other, common) for other in classes):
+            continue
+        # F: one pair per class, none if the class holds a coprime pair
+        if any(coprime(leads[g], lead) for g in members):
+            continue
+        new.add((min(members), h))
+    # B: lm(h) divides lcm(i, j), which differs from lcm(i, h) and lcm(h, j)
+    kept = set()
+    for i, j in pairs:
+        common = lcm(leads[i], leads[j])
+        if (
+            _divides(lead, common)
+            and lcm(leads[i], lead) != common
+            and lcm(lead, leads[j]) != common
+        ):
+            continue
+        kept.add((i, j))
+    still_active = [g for g in active if not _divides(lead, leads[g])] + [h]
+    return still_active, kept | new

@@ -1,3 +1,4 @@
+import heapq
 import json
 import random
 
@@ -21,7 +22,13 @@ from hkforge.lengths import oracle_ideal_member
 from hkforge.polyring import packing_for
 from hkforge.verify import aux_saturation_basis
 
-from helpers import is_reduced_basis, random_monomial, random_nonzero_polynomial, random_polynomial
+from helpers import (
+    gebauer_moller_update,
+    is_reduced_basis,
+    random_monomial,
+    random_nonzero_polynomial,
+    random_polynomial,
+)
 
 
 @pytest.fixture
@@ -199,6 +206,38 @@ def test_pair_update_keeps_one_pair_per_lcm_class():
     ]
 
 
+@pytest.mark.parametrize(
+    "order", [Lex(), DegRevLex(), Block(DegRevLex())], ids=lambda order: order.describe()
+)
+@pytest.mark.parametrize("nvars", [3, 4])
+def test_pair_update_matches_a_tuple_reference(order, nvars):
+    """After every insertion of a random lead, `_gm_update` keeps the active
+    list and the pair set of the exponent-tuple reference in `helpers`, each
+    queued entry carries its pair's lcm, and the heap pops the pairs by lcm
+    under the order, then by index."""
+    rng = random.Random(43 + nvars)
+    pk = packing_for(order, nvars, 8)
+    for _ in range(60):
+        leads = [tuple(rng.randint(0, 3) for _ in range(nvars)) for _ in range(rng.randint(2, 12))]
+        lms = [(pk.pack(m) ^ pk.flip) & pk.exponents for m in leads]
+        active, pairs = [], []
+        ref_active, ref_pairs = [], set()
+        for h in range(len(leads)):
+            active, pairs = _gm_update(pk, lms, active, pairs, h)
+            ref_active, ref_pairs = gebauer_moller_update(leads, ref_active, ref_pairs, h)
+            assert active == ref_active
+            assert {(i, j) for _, i, j, _ in pairs} == ref_pairs
+            for packed, i, j, plain in pairs:
+                common = tuple(max(a, b) for a, b in zip(leads[i], leads[j]))
+                assert packed == pk.pack(common) and plain == (packed ^ pk.flip) & pk.exponents
+            heap = list(pairs)
+            popped = [heapq.heappop(heap)[1:3] for _ in range(len(heap))]
+            assert popped == sorted(
+                ref_pairs,
+                key=lambda ij: (order.key(tuple(map(max, leads[ij[0]], leads[ij[1]]))), ij),
+            )
+
+
 def test_reduced_basis_is_unique_under_permutation_and_scaling():
     rng = random.Random(31)
     ring = PolyRing(5, ("x", "y"), Lex())
@@ -308,7 +347,7 @@ def test_spolynomial_past_the_packing_restarts_buchberger_wider():
 
 def test_pair_degree_past_the_packing_restarts_buchberger_wider():
     """Under degrevlex the degree field of a pair's lcm overflows the 8-bit
-    packing of these generators in the pair update (`Packing.with_degree`)."""
+    packing of these generators in the pair update (`_gm_update`)."""
     ring = PolyRing(5, ("x", "y", "z"), DegRevLex())
     x, y, z = ring.gens()
     gens = [x**200 * y - z**250, y**200 - x * z, z**201 - x**3]
