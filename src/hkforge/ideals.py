@@ -230,11 +230,11 @@ def intersect(a: Ideal, b: Ideal) -> Ideal:
     ambient order, takes a Groebner basis, and keeps the elements whose terms
     are all t-free; with t ahead, those are the elements with a t-free lead,
     and they form a reduced basis of the intersection under the ambient order.
-    Elements move into and out of the extended ring by their terms, with t's
-    exponent put in front or dropped.  Setting t = 1 (t = 0) shows
-    that t (1 - t) lies in the elimination ideal exactly when I (K) is the
-    unit ideal; in a reduced basis that puts 1, t or t - 1 first, and then K
-    or I itself is returned.
+    Elements move into and out of the extended ring on their packed terms
+    (`Polynomial.moved`), with t's exponent put in front or dropped.
+    Setting t = 1 (t = 0) shows that t (1 - t) lies in the elimination ideal
+    exactly when I (K) is the unit ideal; in a reduced basis that puts 1, t
+    or t - 1 first, and then K or I itself is returned.
     """
     a._check(b)
     if a.is_zero():
@@ -243,8 +243,9 @@ def intersect(a: Ideal, b: Ideal) -> Ideal:
         return b
     ring = a.ring
     aux, t, one_minus_t = _elimination(ring)
+    into = tuple(range(1, aux.nvars))
     gens = [
-        u * aux.polynomial(((0, *m), c) for m, c in g.terms)
+        u * g.moved(aux, into)
         for u, ideal in ((t, a), (one_minus_t, b))
         for g in ideal.generators
     ]
@@ -253,11 +254,8 @@ def intersect(a: Ideal, b: Ideal) -> Ideal:
         return b
     if basis[0] == t - 1:
         return a
-    contracted = [
-        ring.polynomial((m[1:], c) for m, c in g.terms)
-        for g in basis
-        if not any(m[0] for m, _ in g.terms)
-    ]
+    out = (None,) + tuple(range(ring.nvars))
+    contracted = [g.moved(ring, out) for g in basis if not g.leading_monomial()[0]]
     return Ideal(ring, contracted).seed_basis(GroebnerBasis(tuple(contracted), ring.order))
 
 
@@ -406,27 +404,28 @@ def _saturate_variable(ideal: Ideal, i: int) -> Ideal:
     questions on I read it instead of building I's basis under the ring's
     order.
 
-    Polynomials move into the ring of `_graded` by their terms, with v's
-    exponent put last and h's, the degree a term lacks, put in front; the
-    basis moves back the same way, divided by the power of v.
+    Polynomials move into the ring of `_graded` on their packed terms
+    (`Polynomial.moved`), with v's exponent put last and h's, the degree a
+    term lacks, put in front; the basis moves back the same way, h dropped
+    and divided by the power of v that its lead, and so every term, holds.
     """
-    ring = ideal.ring
-    homogeneous = all(len({sum(m) for m, _ in g.terms}) == 1 for g in ideal.generators)
+    ring, n = ideal.ring, ideal.ring.nvars
+    homogeneous = all(g.is_homogeneous() for g in ideal.generators)
     graded = _graded(ring, i, not homogeneous)
-    off = graded.nvars - ring.nvars  # 1 when h leads, else 0
-    gens = []
-    for g in ideal.generators if homogeneous else ideal.degrevlex_basis():
-        d = g.total_degree()
-        gens.append(graded.polynomial(
-            ((d - sum(m),) * off + m[:i] + m[i + 1 :] + (m[i],), c) for m, c in g.terms
-        ))
+    off = graded.nvars - n  # 1 when h leads, else 0
+    into = tuple(graded.nvars - 1 if j == i else j + off - (j > i) for j in range(n))
+    fill = None if homogeneous else 0
+    sources = ideal.generators if homogeneous else ideal.degrevlex_basis()
+    gens = [g.moved(graded, into, fill) for g in sources]
+    back = (None,) * off + tuple(j for j in range(n) if j != i) + (i,)
     parts, grew = [], False
     for g in buchberger(gens):
-        k = min(m[-1] for m, _ in g.terms)
+        # g is homogeneous and degrevlex compares v last, so its lead holds
+        # the least power of v of all its terms
+        k = g.leading_monomial()[-1]
         grew = grew or k > 0
-        parts.append(ring.polynomial(
-            (m[off : off + i] + (m[-1] - k,) + m[off + i : -1], c) for m, c in g.terms
-        ))
+        divide = ((0,) * (graded.nvars - 1) + (k,)) if k else None
+        parts.append(g.moved(ring, back, divide=divide))
     # no element holds v: I is saturated, and keeps whatever basis it has built
     return Ideal(ring, parts) if grew else ideal
 

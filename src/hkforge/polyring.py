@@ -5,8 +5,13 @@ each monomial is one int (`Packing`) whose integer order is the ring's
 monomial order, the list is strictly descending, and coefficients are fully
 reduced into [1, p).  Arithmetic, division and Buchberger's algorithm all run
 on these ints.  Exponent tuples, one slot per ring variable, are the public
-form of a monomial: `Polynomial.terms` unpacks them on first read.  All
-operations are pure; values are safe to share freely.
+form of a monomial: `Polynomial.terms` unpacks them on first read, and
+`PolyRing.polynomial` builds a polynomial from them (the parser, `gen`,
+`constant` and `monomial` go through it).  A polynomial that already exists
+moves to another order, ring or width on its packed ints alone, by the one
+kernel `Packing.move` (`Polynomial.moved`, `resorted`, `frobenius` and
+`Packing.repack` use it).  All operations are pure; values are safe to share
+freely.
 
 The heart of the module is the division algorithm (`division` /
 `normal_form`): divide by the first usable divisor in list order, always
@@ -219,7 +224,9 @@ class PolyRing:
 
     def polynomial(self, coeffs: Mapping[Monomial, int] | Iterable[Term]) -> "Polynomial":
         """The polynomial with these coefficients, packed at the width its
-        largest degree derives."""
+        largest degree derives: the constructor from exponent tuples.  To
+        take an existing polynomial here, use `Polynomial.moved` or
+        `resorted`."""
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         acc: dict[Monomial, int] = {}
         for mon, c in items:
@@ -322,7 +329,23 @@ class Polynomial:
         return len(self.packed)
 
     def total_degree(self) -> int:
-        return max((sum(m) for m, _ in self.terms), default=-1)
+        """The largest degree of a term, -1 for 0: the lead's degree field
+        when it sums every variable."""
+        if not self.packed:
+            return -1
+        if self.packing.graded:
+            return self.packed[0][0] >> self.packing.deg_shift
+        return max(sum(m) for m, _ in self.terms)
+
+    def is_homogeneous(self) -> bool:
+        """Nonzero with all its terms of one degree, read off the degree
+        fields when they sum every variable."""
+        pk = self.packing
+        if pk.graded:
+            degrees = {m >> pk.deg_shift for m, _ in self.packed}
+        else:
+            degrees = {sum(m) for m, _ in self.terms}
+        return len(degrees) == 1
 
     def leading_term(self) -> tuple[int, Monomial]:
         """(coefficient, monomial) of the maximal term under the ring's order;
@@ -445,10 +468,17 @@ class Polynomial:
         """
         if e < 0:
             raise ValueError("frobenius exponent must be non-negative")
-        if e == 0:
+        if e == 0 or not self.packed:
             return self
-        q = self.ring.p**e
-        return self.ring.polynomial([(tuple(q * a for a in m), c) for m, c in self.terms])
+        # scaling every plain int by q scales each field, the degree field
+        # too, and keeps term order, once the fields have room for q * degree
+        q, src = self.ring.p**e, self.packing
+        width = max(src.width, packing_width(q * self.total_degree()))
+        pk = packing_for(self.ring.order, self.ring.nvars, width)
+        flip = pk.flip
+        return Polynomial(
+            self.ring, pk, [((m ^ flip) * q ^ flip, c) for m, c in pk.repack(self.packed, src)]
+        )
 
     def resorted(self, ring: PolyRing) -> "Polynomial":
         """The same polynomial, re-normalized into a compatible ring: the way
@@ -457,7 +487,30 @@ class Polynomial:
             return self
         if not self.ring.compatible(ring):
             raise RingMismatch(f"{self.ring!r} vs {ring!r}")
-        return ring.polynomial(self.terms)
+        return self.moved(ring, tuple(range(ring.nvars)))
+
+    def moved(
+        self,
+        ring: PolyRing,
+        places: tuple[int | None, ...],
+        fill: int | None = None,
+        divide: Monomial | None = None,
+    ) -> "Polynomial":
+        """This polynomial in `ring`, over the same field, by its packed terms
+        (`Packing.move`): variable j becomes variable places[j] of `ring`, or
+        is dropped where that is None (its exponent must be 0, or the h of a
+        homogeneous polynomial); the monomial `divide` of this ring is divided
+        out of every term first; and variable `fill` of `ring` makes up each
+        term's degree to the largest (homogenization)."""
+        if ring.p != self.ring.p:
+            raise RingMismatch(f"{self.ring!r} vs {ring!r}")
+        src = self.packing
+        plain = 0 if divide is None else src.pack(self.ring._exponents(divide)) ^ src.flip
+        pk, terms = packing_for(ring.order, ring.nvars, src.width).move(
+            self.packed, src, places, fill, plain
+        )
+        terms.sort(reverse=True)
+        return Polynomial(ring, pk, terms)
 
     # -- identity -----------------------------------------------------------
 
@@ -536,11 +589,19 @@ class Packing:
     they form a product, and on a carry (`_Overflow` in the core) repack at
     twice the width and start again.  Two packings are equal when their
     `layout`s are, whatever order object they were built from.
+
+    Terms move between packings, of one ring or of two, only by `move`, on
+    the plain ints: variable j of the source goes to a slot of the target,
+    and fields that stay side by side move together by one shift and mask.
+    `repack` (widening within one layout) is its identity case.  A move never
+    narrows, and a degree that would not fit the target's degree field widens
+    the target instead of wrapping.
     """
 
     __slots__ = (
         "order", "layout", "width", "mask", "shifts", "guard", "flip", "exponents",
         "_deg_vars", "deg_shift", "sum_low", "sum_spread", "sum_top", "field_mask",
+        "graded", "_hash", "_plans",
     )
 
     def __init__(self, order: MonomialOrder, nvars: int, width: int):
@@ -548,6 +609,8 @@ class Packing:
         step = width + 1
         self.order = order
         self.layout = (width, tuple(fields))
+        self._hash = hash(self.layout)
+        self._plans: dict[tuple, tuple] = {}
         self.width = width
         self.mask = (1 << width) - 1
         self.shifts = [0] * nvars
@@ -571,9 +634,15 @@ class Packing:
                 self.exponents |= self.mask << shift
                 if kind == "rev":
                     self.flip |= self.mask << shift
+        # a degree field of every variable is the topmost field, so then
+        # m >> deg_shift is the total degree of a packed m
+        self.graded = len(self._deg_vars) == nvars
 
     def __eq__(self, other) -> bool:
         return other is self or (isinstance(other, Packing) and other.layout == self.layout)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def pack(self, mon: Monomial) -> int:
         e = 0
@@ -601,10 +670,123 @@ class Packing:
         in this one; widening keeps their order."""
         if src == self:
             return terms
-        if src.layout[1] != self.layout[1] or src.width > self.width:
+        if src.layout[1] != self.layout[1]:
             raise ValueError(f"cannot repack width-{src.width} terms of another layout")
-        pack, unpack = self.pack, src.unpack
-        return [(pack(unpack(m)), c) for m, c in terms]
+        return self.move(terms, src, tuple(range(len(self.shifts))))[1]
+
+    def move(
+        self,
+        terms: list[tuple[int, int]],
+        src: "Packing",
+        places: tuple[int | None, ...],
+        fill: int | None = None,
+        divide: int = 0,
+    ) -> tuple["Packing", list[tuple[int, int]]]:
+        """Descending terms of packing `src` moved into this packing's layout:
+        (packing, terms), in no particular order.
+
+        Variable j of `src` goes to slot places[j] of the target, or is
+        dropped where that is None; a dropped exponent must be one the others
+        determine (0, or h of a homogeneous polynomial), so that no two terms
+        meet.  `divide`, the plain int of a monomial dividing every term, is
+        subtracted first.  Slot `fill` receives the degree the term lacks of
+        the largest degree of the moved terms (homogenization).  The target's
+        degree field is summed afresh, unless it sums exactly the variables of
+        the source's one, which then moves as a field.
+
+        This packing must be at least as wide as `src`, so every exponent
+        fits.  A degree fits too when the source's degree field sums every
+        variable.  Otherwise the field sum of `top` bounds every degree first,
+        and the packing returned is the same layout wider when the bound
+        exceeds the mask, so that no degree field ever wraps.
+        """
+        key = (src, places, fill)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = self._plan(src, places, fill)
+        runs, back, bounded, summed, fill_sum = plan
+        if bounded and terms:
+            peak, mask, bound = src.top(terms), src.mask, 0
+            for shift in src.shifts:
+                bound += (peak >> shift) & mask
+            if bound > self.mask:
+                wider = packing_for(self.order, len(self.shifts), packing_width(bound))
+                return wider.move(terms, src, places, fill, divide)
+        sflip, flip = src.flip, self.flip
+        moved = []
+        for m, _ in terms:
+            e = (m ^ sflip) - divide
+            x = 0
+            for mask, shift in runs:
+                x |= (e & mask) << shift
+            moved.append(x >> back)
+        if fill_sum is not None:
+            exponents, spread, top, field, shift = fill_sum
+            degrees = [((x & exponents) * spread >> top) & field for x in moved]
+            d = max(degrees, default=0)
+            moved = [x | (d - t) << shift for x, t in zip(moved, degrees)]
+        if summed:
+            low, spread, top = self.sum_low, self.sum_spread, self.sum_top
+            field, shift = self.field_mask, self.deg_shift
+            return self, [
+                ((x | (((x >> low) * spread >> top) & field) << shift) ^ flip, t[1])
+                for x, t in zip(moved, terms)
+            ]
+        return self, [(x ^ flip, t[1]) for x, t in zip(moved, terms)]
+
+    def _plan(self, src: "Packing", places: tuple[int | None, ...], fill: int | None) -> tuple:
+        """How `move` takes terms of `src` here: (runs, back, bounded, summed,
+        fill_sum).  Each run is (source mask, left shift) for fields adjacent
+        in both packings; the shifts are offset so that none is negative, and
+        `back` takes the offset off again.  `bounded` asks for the degree
+        bound, `summed` for the degree field's sum, and `fill_sum` holds the
+        constants that sum every exponent field for the filled slot."""
+        slots = [k for k in places if k is not None] + ([] if fill is None else [fill])
+        if (
+            len(places) != len(src.shifts)
+            or len(set(slots)) != len(slots)
+            or not all(0 <= k < len(self.shifts) for k in slots)
+        ):
+            raise ValueError(f"cannot move {len(src.shifts)} variables to slots {places}, fill {fill}")
+        if src.width > self.width:
+            raise ValueError(f"cannot move width-{src.width} terms to width {self.width}")
+        step_in, step = src.width + 1, self.width + 1
+        fields = [(src.shifts[j], self.shifts[k]) for j, k in enumerate(places) if k is not None]
+        carried = (
+            self.deg_shift is not None
+            and src.deg_shift is not None
+            and fill not in self._deg_vars
+            and all(places[j] is not None for j in src._deg_vars)
+            and sorted(places[j] for j in src._deg_vars) == sorted(self._deg_vars)
+        )
+        if carried:
+            fields.append((src.deg_shift, self.deg_shift))
+        fields.sort()
+        spans: list[list[int]] = []  # [source bit, target bit, fields]
+        for a, b in fields:
+            if spans and step_in == step:
+                first_a, first_b, n = spans[-1]
+                if (a, b) == (first_a + n * step, first_b + n * step):
+                    spans[-1][2] += 1
+                    continue
+            spans.append([a, b, 1])
+        back = max([0] + [a - b for a, b, _ in spans])
+        runs = tuple(
+            (((1 << n * step_in) - 1) << a, b - a + back) for a, b, n in spans
+        )
+        summed = self.deg_shift is not None and not carried
+        fill_sum = None
+        if fill is not None:
+            nfields = len(self.layout[1])
+            fill_sum = (
+                self.exponents,
+                sum(1 << i * step for i in range(nfields)),
+                (nfields - 1) * step,
+                (1 << step) - 1,
+                self.shifts[fill],
+            )
+        bounded = (summed or fill is not None) and not src.graded
+        return runs, back, bounded, summed, fill_sum
 
     def top(self, terms: Iterable[tuple[int, int]]) -> int:
         """The field-wise max of the plain monomials of `terms`: a product

@@ -148,8 +148,7 @@ def aux_saturation_basis(p: int, m: int) -> tuple[PolyRing, list[Polynomial]]:
     n = data.n
     aux = PolyRing(p, ("t", "s", "x", "y"), Lex())
     t, s, x, y = aux.gens()
-    g = aux.polynomial(((0, *m), c) for m, c in data.g.terms)
-    f = aux.polynomial(((0, *m), c) for m, c in data.f.terms)
+    g, f = (h.moved(aux, (1, 2, 3)) for h in (data.g, data.f))
     c = t * x**3 * y - t * x * y**3 - s * x**2 * y**2 + s * x * y**3
     d = m * t * x**2 * y ** (n - 1)
     for j in range(1, n - 2):

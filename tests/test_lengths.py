@@ -587,8 +587,10 @@ def test_gamma_length_needs_no_level_cap(order, n):
 # -- Frobenius flatness -------------------------------------------------------------------
 #
 # Over A = F_p[x_1..x_d] Frobenius is flat (Kunz), so bracketing commutes with
-# m-saturation and len Gamma_m(I^[p]/J^[p]) = p^d * len Gamma_m(I/J).  These are
-# checks on the whole stack only; the engine never uses them as a shortcut.
+# m-saturation and with intersection, hence with H = (J : m^infinity) ∩ I of
+# Gamma_m(I/J) = H/J, and len Gamma_m(I^[p]/J^[p]) = p^d * len Gamma_m(I/J).
+# These are checks on the whole stack only; the engine never uses them as a
+# shortcut.
 
 _binomials = st.lists(
     st.dictionaries(
@@ -620,6 +622,10 @@ def _assert_frobenius_flat(j_ideal, i_ideal):
         assert ideal_equal(sat_p, bracket_power(sat, 1))
     torsion = gamma_length(j_ideal, i_ideal).expect()
     assert gamma_length(bracket_power(j_ideal, 1), bracket_power(i_ideal, 1)).expect() == p**d * torsion
+    assert ideal_equal(
+        gamma_submodule(bracket_power(j_ideal, 1), bracket_power(i_ideal, 1)),
+        bracket_power(gamma_submodule(j_ideal, i_ideal), 1),
+    )
     return torsion
 
 

@@ -15,7 +15,19 @@ from hkforge import (
     division,
     normal_form,
 )
-from hkforge.polyring import GT, EQ, MILLER_RABIN_BOUND, DivisorTable, Packing, is_prime, monomial_div
+from hkforge.groebner import buchberger
+from hkforge.polyring import (
+    EQ,
+    GT,
+    MILLER_RABIN_BOUND,
+    DivisorTable,
+    Packing,
+    Polynomial,
+    is_prime,
+    monomial_div,
+    packing_for,
+    packing_width,
+)
 
 from helpers import dict_add, dict_mul, random_nonzero_polynomial, random_polynomial
 
@@ -246,6 +258,34 @@ def test_frobenius_is_a_ring_map():
         assert (f + g).frobenius(1) == f.frobenius(1) + g.frobenius(1)
 
 
+@pytest.mark.parametrize("order", [Lex(), DegRevLex()], ids=["lex", "degrevlex"])
+@pytest.mark.parametrize("p, d", [(3, 41), (5, 15), (3, 8000), (2, 63), (7, 9)])
+def test_frobenius_widens_at_a_width_boundary(order, p, d):
+    """x^(d-1)*y + 1 packs at packing_width(d); its Frobenius has degree p*d,
+    which crosses into the next width in all but the last case.  The scaled
+    ints must pack at packing_width(p*d) and equal the tuple route."""
+    ring = PolyRing(p, ("x", "y"), order)
+    f = ring.polynomial({(d - 1, 1): 1, (0, 0): 1})
+    frob = f.frobenius(1)
+    assert frob.packing.width == packing_width(p * d)
+    assert frob == ring.polynomial({(p * (d - 1), p): 1, (0, 0): 1})
+    assert frob.packed == frob.packing.pack_terms(frob.terms)
+    assert frob.total_degree() == p * d
+
+
+@pytest.mark.parametrize("order", [Lex(), DegRevLex()], ids=["lex", "degrevlex"])
+def test_bracketed_basis_is_the_basis_of_the_bracketed_generators(order):
+    rng = random.Random(17)
+    for p in (2, 3, 5):
+        ring = PolyRing(p, ("x", "y", "z"), order)
+        for _ in range(4):
+            gens = [random_nonzero_polynomial(rng, ring, max_degree=3) for _ in range(3)]
+            basis = buchberger(gens)
+            for e in (1, 2):
+                bracketed = buchberger([g.frobenius(e) for g in gens])
+                assert basis.frobenius(e).elements == bracketed.elements
+
+
 # -- division ----------------------------------------------------------------------
 
 def test_normal_form_of_divisor_is_zero(lex_sxy):
@@ -474,3 +514,130 @@ def test_lex_product_past_its_width_divides_under_degrevlex():
     assert quotients[0] * g + remainder == f
     assert remainder == normal_form(f.resorted(grevlex), [g.resorted(grevlex)])
     assert remainder == x**26 * y**126 * z**65 + 2 * y
+
+
+# -- moving terms between rings ---------------------------------------------------
+
+MOVE_ORDERS = [Lex(), DegRevLex(), Block(DegRevLex())]
+MOVE_IDS = ["lex", "degrevlex", "block-degrevlex"]
+
+
+def _fits(order, nvars, width, mon) -> bool:
+    """mon packs exactly at `width`: every exponent and every degree field fits."""
+    mask = (1 << width) - 1
+    return all(
+        (mon[arg] if kind != "degree" else sum(mon[i] for i in arg)) <= mask
+        for kind, arg in order._fields(tuple(range(nvars)))
+    )
+
+
+def _moved_reference(terms, ring, places, fill, divide):
+    """What `moved` must give, by exponent tuples and `ring.polynomial`."""
+    shifted = [(tuple(a - b for a, b in zip(m, divide)), c) for m, c in terms]
+    mapped = []
+    for m, c in shifted:
+        out = [0] * ring.nvars
+        for j, k in enumerate(places):
+            if k is not None:
+                out[k] = m[j]
+        mapped.append((out, c))
+    if fill is not None:
+        top = max(sum(out) for out, _ in mapped)
+        for out, _ in mapped:
+            out[fill] = top - sum(out)
+    return ring.polynomial((tuple(out), c) for out, c in mapped)
+
+
+def _assert_moved(f, ring, places, fill=None, divide=None):
+    reference = _moved_reference(f.terms, ring, places, fill, divide or (0,) * f.ring.nvars)
+    moved = f.moved(ring, places, fill, divide)
+    pk = moved.packing
+    assert moved.ring == ring and moved == reference
+    assert pk.width >= f.packing.width
+    # every degree field holds its whole degree: nothing wrapped
+    assert all(_fits(ring.order, ring.nvars, pk.width, m) for m, _ in moved.terms)
+    assert moved.packed == pk.pack_terms(reference.terms)
+    return moved
+
+
+@pytest.mark.parametrize("target", MOVE_ORDERS, ids=MOVE_IDS)
+@pytest.mark.parametrize("source", MOVE_ORDERS, ids=MOVE_IDS)
+def test_moving_terms_matches_the_tuple_route(source, target):
+    """Random places, dropped zero variables, a filled slot and a divided-out
+    power, from sources packed at 8, 16 and 32 bits; lex sources hold fields
+    up to their mask, so a degree field in the target must widen."""
+    rng = random.Random(f"{source.describe()}>{target.describe()}")
+    for nvars in range(2, 6):
+        src_ring = PolyRing(7, [f"x{j}" for j in range(nvars)], source)
+        for width in (8, 16, 32):
+            mask = (1 << width) - 1
+            pk = packing_for(source, nvars, width)
+            for _ in range(4):
+                cap = rng.choice([3, mask // (2 * nvars), mask])
+                dropped = rng.randrange(nvars) if rng.random() < 0.5 else None
+                v, k = rng.randrange(nvars), rng.choice([0, 0, 1, 3])
+                terms = {}
+                for _ in range(rng.randint(1, 5)):
+                    mon = [rng.randint(0, cap) for _ in range(nvars)]
+                    if dropped is not None:
+                        mon[dropped] = 0
+                    if dropped != v:
+                        mon[v] += k
+                    if _fits(source, nvars, width, mon):
+                        terms[tuple(mon)] = rng.randint(1, 6)
+                if not terms:
+                    continue
+                f = Polynomial(src_ring, pk, pk.pack_terms(terms.items()))
+                divide = None
+                if k and dropped != v:
+                    divide = tuple(k if j == v else 0 for j in range(nvars))
+                filled = rng.random() < 0.5
+                nslots = nvars + rng.randint(0, 2) + filled
+                fill = rng.randrange(nslots) if filled else None
+                free = [s for s in range(nslots) if s != fill]
+                rng.shuffle(free)
+                places = tuple(None if j == dropped else free[j] for j in range(nvars))
+                ring = PolyRing(7, [f"y{s}" for s in range(nslots)], target)
+                _assert_moved(f, ring, places, fill, divide)
+
+
+def test_a_narrow_lex_source_widens_into_a_degree_field():
+    """x^200 y^200 z^200 fits the 8-bit fields of lex but its degree 600 does
+    not fit an 8-bit degree field: moving it under degrevlex, or homogenizing
+    it, must widen the target, never wrap the degree."""
+    lex = PolyRing(5, ("x", "y", "z"), Lex())
+    pk = Packing(Lex(), 3, 8)
+    f = Polynomial(lex, pk, pk.pack_terms([((200, 200, 200), 1), ((250, 0, 1), 3), ((0, 0, 0), 2)]))
+    grevlex = lex.with_order(DegRevLex())
+    moved = _assert_moved(f, grevlex, (0, 1, 2))
+    assert moved.packing.width == packing_width(600) and moved.total_degree() == 600
+    assert f.resorted(grevlex) == moved
+    graded = PolyRing(5, ("h", "x", "y", "z"), DegRevLex())
+    homogenized = _assert_moved(f, graded, (1, 2, 3), fill=0)
+    assert homogenized.is_homogeneous() and homogenized.total_degree() == 600
+    block = PolyRing(5, ("x", "y", "z"), Block(DegRevLex()))
+    assert _assert_moved(f, block, (0, 1, 2)).packing.width == 16
+
+
+def test_moving_out_of_the_graded_ring_undoes_the_move_in():
+    """The round trip of a saturation by v: homogenize with v last, then drop
+    h and divide by v^k, on a width-8 degrevlex source."""
+    ring = PolyRing(3, ("x", "y", "z"))
+    x, y, z = ring.gens()
+    f = x**3 * y + 2 * y * z**2 + z + 1
+    graded = PolyRing(3, ("h", "x", "z", "y"), DegRevLex())
+    homogenized = _assert_moved(f, graded, (1, 3, 2), fill=0)
+    shifted = homogenized * graded.gen("y") ** 2
+    back = _assert_moved(shifted, ring, (None, 0, 2, 1), divide=(0, 0, 0, 2))
+    assert back == f
+
+
+def test_a_move_refuses_clashing_places():
+    ring = PolyRing(3, ("x", "y"))
+    f = ring.gen("x") + ring.gen("y")
+    with pytest.raises(ValueError):
+        f.moved(ring, (0, 0))
+    with pytest.raises(ValueError):
+        f.moved(ring, (0, 1), fill=1)
+    with pytest.raises(ValueError):
+        f.moved(ring, (0,))
