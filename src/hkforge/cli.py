@@ -150,8 +150,7 @@ def _seq(state: _RunState, kind: str, ideals: tuple, e_max: int, d: int | None, 
         report = _SEQUENCES[kind][1](*ideals, e_max, d, mod)
         return report.to_json() if state.json_mode else report.to_csv()
     ring = ideals[0].ring
-    if not state.json_mode:
-        d = _scaling_exponent(ring, d, mod)
+    d = _scaling_exponent(ring, d, mod)
     l_values, f_values = lf_sequences(ideals[0], e_max, hypersurface=mod)
     if state.json_mode:
         return _json({"kind": "lf", "l": l_values, "f": f_values})

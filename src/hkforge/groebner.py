@@ -1,10 +1,15 @@
 """Buchberger's algorithm, reduced Groebner bases, and certification.
 
-The certification path re-derives a division certificate for every S-pair:
-the basis is packed once into a `DivisorTable` that all pairs share, but no
-quotient is taken from anywhere else.  A basis is certified exactly when
-every S-polynomial divides to zero, and the recorded quotients then satisfy
-the leading-monomial bound automatically, because the division algorithm never
+Buchberger runs on the packed entries of one `DivisorTable` of its
+generators, as division does, and leaves them at their own scale: only the
+final reduced basis is made monic.  The table's `run` repacks wider and
+restarts it on overflow.
+
+Certification re-derives a division certificate for every S-pair: the basis
+is packed once into a `DivisorTable` that all pairs share, but no quotient is
+taken from anywhere else.  A basis is certified exactly when every
+S-polynomial divides to zero, and the recorded quotients then satisfy the
+leading-monomial bound automatically, because the division algorithm never
 rewrites above the dividend's lead.
 """
 
@@ -30,7 +35,6 @@ from .polyring import (
     monomial_div,
     monomial_lcm,
     normal_form,
-    packing_for,
 )
 
 
@@ -57,9 +61,9 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
 class GroebnerBasis:
     """The reduced Groebner basis under `order`, the order of the ring its
     elements share: monic elements, no term of one divisible by the lead of
-    another, sorted lead-descending.  `buchberger`, `frobenius` and the
-    contraction in `ideals.intersect` all build it so; code that builds one
-    directly must do the same."""
+    another, sorted lead-descending.  `buchberger` builds it so, its elements
+    made monic by `_reduce_basis`, as do `frobenius` and the contraction in
+    `ideals.intersect`; code that builds one directly must do the same."""
 
     elements: tuple[Polynomial, ...]
     order: MonomialOrder
@@ -205,35 +209,26 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder | None = None) -
     the first generator taken under `order` (by default its own order).
 
     Pairs are pruned by the Gebauer-Moeller criteria M, F and B and taken
-    smallest lcm first under the order (the normal strategy).  The
-    result is the unique reduced basis: monic elements, no term of one
-    divisible by the lead of another, sorted lead-descending.
+    smallest lcm first under the order (the normal strategy), on the packed
+    entries of one `DivisorTable` of the generators, whose `run` repacks and
+    restarts on overflow.  The result is the unique reduced basis: monic
+    elements, no term of one divisible by the lead of another, sorted
+    lead-descending.
     """
     live = [g for g in gens if not g.is_zero()]
     if not live:
         return GroebnerBasis((), order or DegRevLex())
     ring = live[0].ring if order is None else live[0].ring.with_order(order)
-    live = [g.resorted(ring) for g in live]
-    width = max(g.packing.width for g in live)
-    while True:
-        pk = packing_for(ring.order, ring.nvars, width)
-        try:
-            reduced = _packed_buchberger(pk, live, ring.p)
-            break
-        except _Overflow:
-            width *= 2
+    table = DivisorTable([g.resorted(ring) for g in live])
+    pk, reduced = table.run(0, lambda pk, entries: _packed_buchberger(pk, entries, ring.p))
     return GroebnerBasis(tuple(Polynomial(ring, pk, t) for t in reduced), ring.order)
 
 
-def _packed_buchberger(packing: Packing, gens: list[Polynomial], p: int):
-    """`buchberger` on packed terms: the reduced basis as term lists."""
-    table = []
-    for g in gens:
-        terms = packing.repack(g.packed, g.packing)
-        if terms[0][1] != 1:
-            c = pow(terms[0][1], -1, p)
-            terms = [(m, k * c % p) for m, k in terms]
-        table.append(packing.reducer(terms, 1))
+def _packed_buchberger(packing: Packing, entries: list[tuple], p: int):
+    """`buchberger` from the generators' reducer entries: the reduced basis
+    as term lists.  Pairs, criteria and divisors depend on leads alone, so no
+    element is made monic before `_reduce_basis` scales the output."""
+    table = list(entries)
     exponents = packing.exponents
     lms = [entry[0] & exponents for entry in table]
     active: list[int] = []
@@ -246,18 +241,16 @@ def _packed_buchberger(packing: Packing, gens: list[Polynomial], p: int):
         s = _spoly_terms(packing, table[i], table[j], lcm, p)
         rem = _reduce_sorted(s, reducers, packing, p)
         if rem:
-            c = pow(rem[0][1], -1, p)
-            entry = packing.reducer([(m, k * c % p) for m, k in rem], 1)
-            table.append(entry)
-            lms.append(entry[0] & exponents)
+            table.append(packing.reducer(rem, pow(rem[0][1], -1, p)))
+            lms.append(table[-1][0] & exponents)
             active, pairs = _gm_update(packing, lms, active, pairs, len(table) - 1)
             reducers = [table[a] for a in active]
     return _reduce_basis(packing, [table[a] for a in sorted(active)], p)
 
 
 def _reduce_basis(packing: Packing, basis: list[tuple], p: int) -> list[list]:
-    """Minimalize and tail-reduce monic reducer entries into the reduced
-    basis, as term lists, lm-descending."""
+    """Minimalize and tail-reduce reducer entries into the reduced basis, as
+    monic term lists, lm-descending."""
     guard = packing.guard
     minimal: list[tuple] = []
     for entry in sorted(basis, key=lambda entry: entry[2][0][0]):

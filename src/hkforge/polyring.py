@@ -22,7 +22,7 @@ are reproducible bit for bit.
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DimensionError, RingMismatch, ZeroPolynomial
 
@@ -95,10 +95,19 @@ class MonomialOrder:
     `Packing` both read it, so tuple and packed comparisons agree by
     construction.  Variables rank in the order the ring declares them: the
     first is the largest for lex and the last is compared last by degrevlex.
-    To rank them another way, declare them in that order.
+    To rank them another way, declare them in that order.  There is one
+    object per order: a constructor called again with the same arguments
+    returns the object it made before, so `==` and `hash` are identity's.
     """
 
     kind = "abstract"
+    _made: dict[tuple, "MonomialOrder"] = {}
+
+    def __new__(cls, *args):
+        key = (cls, *args)
+        if key not in MonomialOrder._made:
+            MonomialOrder._made[key] = super().__new__(cls)
+        return MonomialOrder._made[key]
 
     def key(self, mon: Monomial) -> tuple:
         """A tuple that sorts the way the order compares: per field of the
@@ -125,17 +134,6 @@ class MonomialOrder:
         if ka > kb:
             return GT
         return EQ
-
-    def _ident(self) -> tuple:
-        return (self.kind,)
-
-    def __eq__(self, other) -> bool:
-        return other is self or (
-            isinstance(other, MonomialOrder) and other._ident() == self._ident()
-        )
-
-    def __hash__(self) -> int:
-        return hash(self._ident())
 
     def __repr__(self) -> str:
         return f"<order {self.describe()}>"
@@ -172,9 +170,6 @@ class Block(MonomialOrder):
 
     def _fields(self, variables):
         return [("lex", i) for i in variables[:1]] + self.inner._fields(variables[1:])
-
-    def _ident(self) -> tuple:
-        return (self.kind, self.inner._ident())
 
     def describe(self) -> str:
         return f"block({self.inner.describe()})"
@@ -895,14 +890,15 @@ def _reduce_sorted(
 
 class DivisorTable:
     """Divisors of one ring, packed under its order on first use and kept for
-    reuse.
+    reuse, as `Packing.reducer` entries that keep each divisor's scale.
 
     `division` and `normal_form` take one in place of a list, so that many
     dividends share one packing: a `GroebnerBasis` holds one for its normal
-    forms, `certify_groebner` builds one for all S-pairs of a basis and
-    `colon_element` one of (u).  The table is packed again, wider, only when
-    a dividend or a product does not fit; packed at any width it picks the
-    same divisors, so its quotients and remainders equal a fresh list's.
+    forms, `certify_groebner` one for all S-pairs of a basis, `colon_element`
+    one of (u), and `buchberger` one whose entries start its basis.  `run`
+    packs the table again, twice as wide, only when a product does not fit;
+    packed at any width it picks the same divisors, so its quotients and
+    remainders equal a fresh list's.
     """
 
     __slots__ = ("divisors", "_width", "_packing", "_entries")
@@ -930,27 +926,36 @@ class DivisorTable:
             self._packing, self._entries, self._width = pk, entries, pk.width
         return self._packing, self._entries
 
+    def run(self, width: int, kernel: Callable[[Packing, list[tuple]], object]) -> tuple:
+        """(packing, kernel(packing, entries)) at a packing of at least
+        `width` bits; on `_Overflow`, again at twice the packing's width.  The
+        kernel must leave the entries as it found them."""
+        while True:
+            pk, entries = self.packed(width)
+            try:
+                return pk, kernel(pk, entries)
+            except _Overflow:
+                width = 2 * pk.width
+
 
 def _divide(f: Polynomial, divisors: Sequence[Polynomial] | DivisorTable, with_quotients: bool):
-    """Run the core on f against nonempty `divisors`, repacking wider on
-    overflow.  A `DivisorTable` is used as it is and f moves into its ring;
-    a list is packed afresh in f's ring.  Returns (ring, packing, packed
-    quotient dicts or None, packed remainder)."""
+    """Run the core on f against nonempty `divisors` by `DivisorTable.run`.
+    A `DivisorTable` is used as it is and f moves into its ring; a list is
+    packed afresh in f's ring.  Returns (ring, packing, packed quotient dicts
+    or None, packed remainder)."""
     if isinstance(divisors, DivisorTable):
         table = divisors
         f = f.resorted(table.divisors[0].ring)
     else:
         table = DivisorTable([g.resorted(f.ring) for g in divisors])
-    width = f.packing.width
-    while True:
-        try:
-            pk, entries = table.packed(width)
-            quotients = [{} for _ in entries] if with_quotients else None
-            return f.ring, pk, quotients, _reduce_sorted(
-                pk.repack(f.packed, f.packing), entries, pk, f.ring.p, quotients
-            )
-        except _Overflow:
-            width = 2 * max(width, table._width)
+
+    def kernel(pk: Packing, entries: list[tuple]):
+        quotients = [{} for _ in entries] if with_quotients else None
+        h = pk.repack(f.packed, f.packing)
+        return quotients, _reduce_sorted(h, entries, pk, f.ring.p, quotients)
+
+    pk, (quotients, remainder) = table.run(f.packing.width, kernel)
+    return f.ring, pk, quotients, remainder
 
 
 def division(

@@ -453,6 +453,27 @@ def test_main_negative_d_is_an_engine_error(tmp_path, capsys, kind):
     assert not captured.out
 
 
+@pytest.mark.parametrize("mode", [[], ["--json"]], ids=["csv", "json"])
+@pytest.mark.parametrize(
+    "statement, flags, message",
+    [
+        ("seq lf K e_max=1;", ["--d", "-1"], "got -1"),
+        ("poly G = 2;\nseq lf K e_max=1 mod=G;", [], "empty variety"),
+    ],
+    ids=["negative-d", "unit-hypersurface"],
+)
+def test_lf_refuses_a_bad_scaling_exponent_in_both_modes(
+    tmp_path, capsys, mode, statement, flags, message
+):
+    """The output mode never decides whether a statement is accepted."""
+    path = tmp_path / "session.hk"
+    path.write_text(f"ring p=3 vars=x,y order=degrevlex;\nideal K = x^2, y^2;\n{statement}\n")
+    assert main(["run", str(path), *flags, *mode]) == EXIT_ENGINE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and message in captured.err
+    assert not captured.out
+
+
 def test_main_verify_katzman_needs_slow(capsys):
     assert main(["verify", "katzman", "--p", "3", "--e", "2"]) == EXIT_ENGINE
     assert "--slow" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import dataclasses
 import heapq
 import json
 import random
@@ -181,6 +182,42 @@ def test_buchberger_output_certifies_in_three_variables(variables, order, make):
         cert = certify_groebner(list(basis), basis.order)
         assert cert.ok
         assert cert.check()
+
+
+@pytest.mark.parametrize(
+    "order", [Lex(), DegRevLex(), Block(DegRevLex())], ids=lambda order: order.describe()
+)
+def test_scaled_generators_take_the_same_steps(order, monkeypatch):
+    """Buchberger leaves its elements at their own scale until the reduced
+    basis: scaling the generators changes no pair, pop order or zero
+    reduction, and no element of the basis."""
+    from hkforge import groebner
+
+    steps = []  # each S-pair's lcm, then each remainder's length
+    spoly, reduce = groebner._spoly_terms, groebner._reduce_sorted
+
+    def spoly_logged(packing, fi, fj, lcm, p):
+        steps.append(lcm)
+        return spoly(packing, fi, fj, lcm, p)
+
+    def reduce_logged(*args):
+        rem = reduce(*args)
+        steps.append(len(rem))
+        return rem
+
+    monkeypatch.setattr(groebner, "_spoly_terms", spoly_logged)
+    monkeypatch.setattr(groebner, "_reduce_sorted", reduce_logged)
+    rng = random.Random(31)
+    ring = PolyRing(5, ("t", "x", "y"), order)
+    for _ in range(10):
+        gens = [random_nonzero_polynomial(rng, ring, max_degree=3) for _ in range(3)]
+        steps.clear()
+        basis = buchberger(gens).elements
+        first = list(steps)
+        steps.clear()
+        scaled = buchberger([g.scale(rng.randint(2, 4)) for g in gens]).elements
+        assert steps == first and scaled == basis
+        assert all(g.leading_term()[0] == 1 for g in basis)
 
 
 def test_pair_update_keeps_one_pair_per_lcm_class():
@@ -444,11 +481,62 @@ def test_certify_counterexample_reports_first_failing_pair():
     assert (j, k) == (0, 1)
     assert remainder == y**3
     assert not cert.check()
+    assert cert.to_json() == (
+        '{"basis": ["x^2", "x*y + y^2"], "failure": {"j": 0, "k": 1, "remainder": "y^3"}, '
+        '"order": "lex", "pass": false}'
+    )
 
 
 def test_certify_single_element_is_trivial(lex5):
     cert = certify_groebner([lex5.parse("x^2 + s")])
     assert cert.ok and cert.entries == ()
+    cert = certify_groebner([])  # so is an empty basis
+    assert cert.ok and cert.entries == () and cert.check()
+
+
+def _with_quotients(cert, at: int, quots):
+    """`cert` with the quotients of its entry `at` replaced."""
+    entries = list(cert.entries)
+    entries[at] = (*entries[at][:2], tuple(quots))
+    return dataclasses.replace(cert, entries=tuple(entries))
+
+
+def _golden_certificate():
+    ring = PolyRing(3, ("s", "x", "y"), Lex())
+    s, x, y = ring.gens()
+    elements = Ideal(ring, [x**3 - s * y, y**2 - x, s * x * y]).groebner_basis().elements
+    cert = certify_groebner(elements)
+    assert cert.check() and cert.entries[0][:2] == (0, 1)
+    return cert, y
+
+
+def test_check_refuses_a_combination_other_than_the_s_polynomial():
+    """Doubling a quotient keeps every product's lead, so only the identity
+    S = sum a_i g_i fails."""
+    cert, _ = _golden_certificate()
+    quots = list(cert.entries[0][2])
+    quots[0] = 2 * quots[0]
+    assert not _with_quotients(cert, 0, quots).check()
+
+
+def test_check_refuses_nonzero_quotients_of_a_zero_s_polynomial():
+    """(g2, -g1) sums to g2 g1 - g1 g2 = 0 = S(g1, g2) on two monomials."""
+    ring = PolyRing(3, ("x", "y"), Lex())
+    x, y = ring.gens()
+    cert = certify_groebner([x**2, y])
+    assert cert.check() and cert.entries[0][:2] == (0, 1)
+    assert not _with_quotients(cert, 0, (y, -(x**2))).check()
+
+
+def test_check_refuses_a_product_above_the_s_polynomial():
+    """Adding h g_k to a_j and subtracting h g_j from a_k keeps the sum,
+    but lm(a_j g_j) becomes h lm(g_j) lm(g_k), above lm(S)."""
+    cert, h = _golden_certificate()
+    j, k, quots = cert.entries[0]
+    quots = list(quots)
+    quots[j] = quots[j] + h * cert.basis[k]
+    quots[k] = quots[k] - h * cert.basis[j]
+    assert not _with_quotients(cert, 0, quots).check()
 
 
 def test_certificate_json_round_trips():

@@ -47,6 +47,10 @@ def construction54():
 def test_bracket_of_variables(f3xy):
     x, y = f3xy.gens()
     assert ideal_equal(bracket_power(Ideal(f3xy, [x, y]), 1), Ideal(f3xy, [x**3, y**3]))
+    # `==` on ideals is `ideal_equal`; against a polynomial it is False
+    assert bracket_power(Ideal(f3xy, [x, y]), 1) == Ideal(f3xy, [y**3, x**3 + y**3])
+    assert Ideal(f3xy, [x**3]) != Ideal(f3xy, [x**3, y**3])
+    assert Ideal(f3xy, [x]) != x
 
 
 def test_bracket_exponent_zero_is_identity(f3xy):

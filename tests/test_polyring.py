@@ -131,6 +131,18 @@ def test_block_order_eliminates_first_variable():
     assert order.compare((0, 2, 1), (0, 1, 2)) == GT
 
 
+def test_each_order_is_one_object():
+    """A constructor called again returns the same object, so order `==` and
+    `hash` are identity's, and equal rings hash alike through them."""
+    assert Lex() is Lex() and DegRevLex() is DegRevLex()
+    assert Block(Block(DegRevLex())) is Block(Block(DegRevLex()))
+    assert Block(Lex()) != Lex() and Block(Lex()) != Block(DegRevLex())
+    for order in (None, Lex(), Block(Block(DegRevLex()))):
+        a, b = PolyRing(3, ("s", "x", "y"), order), PolyRing(3, ["s", "x", "y"], order)
+        assert a == b and hash(a) == hash(b)
+    assert PolyRing(3, ("x", "y"), Lex()) != PolyRing(3, ("x", "y"), Block(Lex()))
+
+
 @pytest.mark.parametrize(
     "order", [Lex(), DegRevLex(), Block(Lex()), Block(DegRevLex())]
 )
@@ -376,6 +388,8 @@ def test_a_table_holding_zero_refuses_to_divide():
 def test_parse_term_syntax(lex_sxy):
     f = lex_sxy.parse("3*s^2*x*y^4")
     assert dict(f.terms) == {(2, 1, 4): 3}
+    # a comment on the last line, with no newline after it
+    assert lex_sxy.parse("3*s^2*x*y^4  # the lead") == f
 
 
 def test_parse_products_and_signs(lex_sxy):
@@ -473,6 +487,7 @@ def test_packed_arithmetic_matches_the_dict_reference(order, a, b, mon, c, k):
     f, g = ring.polynomial(a), ring.polynomial(b)
     _assert_canonical(f + g, dict_add(a, b, p))
     _assert_canonical(f - g, dict_add(a, b, p, -1))
+    _assert_canonical(c - f, dict_add(dict_add({}, {(0, 0, 0): c}, p), a, p, -1))
     _assert_canonical(f + other.polynomial(b), dict_add(a, b, p))
     product = dict_mul(a, b, p)
     _assert_canonical(f * g, product)

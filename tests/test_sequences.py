@@ -6,6 +6,7 @@ import pytest
 from hkforge import (
     CapExceeded,
     ContainmentError,
+    DegRevLex,
     Ideal,
     InfiniteColength,
     Lex,
@@ -152,6 +153,10 @@ def test_top_exponent_out_of_range_fails_before_any_basis(f3xy, monkeypatch, kin
         run(Ideal(f3xy, [x**2, y**2]), maximal_ideal(f3xy) ** 2, -1)
     with pytest.raises(CapExceeded):
         run(Ideal(f3xy, [x**2, y**2]), maximal_ideal(f3xy) ** 2, 2)
+    for cap in ("abc", "-1"):
+        monkeypatch.setenv("HKFORGE_EMAX_CAP", cap)
+        with pytest.raises(ValueError, match="HKFORGE_EMAX_CAP must be"):
+            run(Ideal(f3xy, [x**2, y**2]), maximal_ideal(f3xy) ** 2, 1)
     assert builds[0] == 0
 
 
@@ -306,45 +311,63 @@ def test_vjj_needs_no_level_cap():
 
 # -- Frobenius flatness ----------------------------------------------------------------
 #
-# With no hypersurface, Frobenius on F_p[x, y] is flat (Kunz), so every
-# sequence of a pair J <= I scales by q^2 = p^(2e): rjj_e = sjj_e = q^2 rjj_0
-# and vjj_e = q^2 vjj_0.  One pair is m-primary, two are not.  So does the
-# Hilbert-Kunz function of an m-primary I: hk_e = q^2 hk_0.
+# With no hypersurface, Frobenius on F_p[x_1, ..., x_d] is flat (Kunz), so every
+# sequence of a pair J <= I scales by q^d = p^(de): rjj_e = sjj_e = q^d rjj_0
+# and vjj_e = q^d vjj_0.  Over F_p[x, y] one pair is m-primary and two are
+# not; over F_p[x, y, z] neither is, and each runs under degrevlex and lex.
+# So does the Hilbert-Kunz function of an m-primary I: hk_e = q^d hk_0.
+
+_XYZ_PAIRS = [
+    (["x^2", "x*(y + z)", "x*z^2"], ["x"], 2, 1),
+    (["x^2", "x*(y^2 + z)", "x*y*z", "y^3"], ["x", "y^3"], 3, 1),
+]
+
 
 @pytest.mark.parametrize(
-    "j_exps,i_exps,rjj_0,vjj_0",
+    "variables,order,j_gens,i_gens,rjj_0,vjj_0",
     [
-        ([(2, 0), (1, 1)], [(1, 0)], 1, 1),
-        ([(3, 0), (1, 2), (0, 3)], [(1, 0), (0, 2)], 5, 2),
-        ([(2, 1), (1, 2)], [(1, 1)], 1, 1),
+        ("x,y", DegRevLex(), ["x^2", "x*y"], ["x"], 1, 1),
+        ("x,y", DegRevLex(), ["x^3", "x*y^2", "y^3"], ["x", "y^2"], 5, 2),
+        ("x,y", DegRevLex(), ["x^2*y", "x*y^2"], ["x*y"], 1, 1),
+    ]
+    + [("x,y,z", order, *pair) for pair in _XYZ_PAIRS for order in (DegRevLex(), Lex())],
+    ids=[
+        "x2-xy-in-x", "x3-xy2-y3-in-x-y2", "x2y-xy2-in-xy",
+        "x2-xy+xz-xz2-in-x-degrevlex", "x2-xy+xz-xz2-in-x-lex",
+        "x2-xy2+xz-xyz-y3-in-x-y3-degrevlex", "x2-xy2+xz-xyz-y3-in-x-y3-lex",
     ],
-    ids=["x2-xy-in-x", "x3-xy2-y3-in-x-y2", "x2y-xy2-in-xy"],
 )
 @pytest.mark.parametrize("p", [2, 3])
-def test_sequences_scale_by_q_squared_over_a_polynomial_ring(p, j_exps, i_exps, rjj_0, vjj_0):
-    ring = PolyRing(p, ("x", "y"))
+def test_sequences_scale_by_q_squared_over_a_polynomial_ring(
+    p, variables, order, j_gens, i_gens, rjj_0, vjj_0
+):
+    ring = PolyRing(p, variables.split(","), order)
 
-    def ideal(exps):
-        return Ideal(ring, [ring.polynomial({exp: 1}) for exp in exps])
+    def ideal(gens):
+        return Ideal(ring, [ring.parse(g) for g in gens])
 
-    j_ideal, i_ideal = ideal(j_exps), ideal(i_exps)
-    squares = [p ** (2 * e) for e in range(3)]
+    j_ideal, i_ideal = ideal(j_gens), ideal(i_gens)
+    powers = [p ** (ring.nvars * e) for e in range(3)]
     rjj = rjj_sequence(j_ideal, i_ideal, 2).raw_values()
     assert rjj == sjj_sequence(j_ideal, i_ideal, 2).raw_values()
-    assert rjj == [q2 * rjj_0 for q2 in squares]
-    assert vjj_sequence(j_ideal, i_ideal, 2).raw_values() == [q2 * vjj_0 for q2 in squares]
+    assert rjj == [qd * rjj_0 for qd in powers]
+    assert vjj_sequence(j_ideal, i_ideal, 2).raw_values() == [qd * vjj_0 for qd in powers]
 
 
 @pytest.mark.parametrize(
-    "gens,hk_0",
-    [(["x^3", "x*y^2", "y^3"], 7), (["x^2 + y^3", "x*y"], 5)],
-    ids=["x3-xy2-y3", "x2+y3-xy"],
+    "variables,gens,hk_0",
+    [
+        ("x,y", ["x^3", "x*y^2", "y^3"], 7),
+        ("x,y", ["x^2 + y^3", "x*y"], 5),
+        ("x,y,z", ["x^2 + y*z", "y^2", "z^3 + x*y"], 12),
+    ],
+    ids=["x3-xy2-y3", "x2+y3-xy", "x2+yz-y2-z3+xy"],
 )
 @pytest.mark.parametrize("p", [2, 3])
-def test_hk_scales_by_q_squared_over_a_polynomial_ring(p, gens, hk_0):
-    ring = PolyRing(p, ("x", "y"))
+def test_hk_scales_by_q_squared_over_a_polynomial_ring(p, variables, gens, hk_0):
+    ring = PolyRing(p, variables.split(","))
     ideal = Ideal(ring, [ring.parse(g) for g in gens])
-    assert hk_function(ideal, 2).raw_values() == [p ** (2 * e) * hk_0 for e in range(3)]
+    assert hk_function(ideal, 2).raw_values() == [p ** (ring.nvars * e) * hk_0 for e in range(3)]
 
 
 # -- l_e / f_e ------------------------------------------------------------------------
