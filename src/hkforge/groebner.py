@@ -220,7 +220,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder | None = None) -
         return GroebnerBasis((), order or DegRevLex())
     ring = live[0].ring if order is None else live[0].ring.with_order(order)
     table = DivisorTable([g.resorted(ring) for g in live])
-    pk, reduced = table.run(0, lambda pk, entries: _packed_buchberger(pk, entries, ring.p))
+    pk, reduced = table.run(0, _packed_buchberger, ring.p)
     return GroebnerBasis(tuple(Polynomial(ring, pk, t) for t in reduced), ring.order)
 
 

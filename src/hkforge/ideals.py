@@ -71,7 +71,7 @@ class Ideal:
     def degrevlex_basis(self) -> GroebnerBasis:
         """The reduced basis under degrevlex, built on first use: the basis
         under the ring's order when that is degrevlex."""
-        if self.ring.order == DegRevLex():
+        if self.ring.order is DegRevLex():
             return self.groebner_basis()
         if self._degrevlex is None:
             self._degrevlex = buchberger(self.generators, DegRevLex())
@@ -177,7 +177,7 @@ def ideal_equal(a: Ideal, b: Ideal) -> bool:
     a._check(b)
     if a.generators == b.generators:
         return True
-    if b.ring.order != a.ring.order:
+    if b.ring is not a.ring:
         b = Ideal(a.ring, b.generators)
     return a.groebner_basis().elements == b.groebner_basis().elements
 
@@ -372,7 +372,6 @@ def _saturation_steps(
     raise _unstable(cap)
 
 
-@functools.lru_cache(maxsize=64)
 def _graded(ring: PolyRing, i: int, homogenize: bool) -> PolyRing:
     """The ring of `ring`'s variables under degrevlex, declared with variable
     i moved last, so that degrevlex compares it last, and with a fresh

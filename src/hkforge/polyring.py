@@ -98,6 +98,7 @@ class MonomialOrder:
     To rank them another way, declare them in that order.  There is one
     object per order: a constructor called again with the same arguments
     returns the object it made before, so `==` and `hash` are identity's.
+    Rings (`PolyRing`) and packings (`packing_for`) keep the same contract.
     """
 
     kind = "abstract"
@@ -179,20 +180,28 @@ class Block(MonomialOrder):
 # rings and polynomials
 
 class PolyRing:
-    """F_p[x_1, ..., x_n] with a fixed active monomial order."""
+    """F_p[x_1, ..., x_n] with a fixed active monomial order, by default
+    degrevlex.  As for orders and packings, there is one object per ring: a
+    constructor called again with the same p, variables and order returns the
+    object it made before, so `==` and `hash` are identity's.  A refused ring
+    is never kept, so it is refused again on every call."""
 
     __slots__ = ("p", "variables", "order", "_var_index")
+    _made: dict[tuple, "PolyRing"] = {}
 
-    def __init__(self, p: int, variables: Sequence[str], order: MonomialOrder | None = None):
-        if not is_prime(p):
-            raise ValueError(f"p must be prime, got {p}")
-        self.p = p
-        vars_ = tuple(variables)
-        if len(set(vars_)) != len(vars_) or not vars_:
-            raise ValueError(f"variables must be distinct and nonempty, got {vars_}")
-        self.variables = vars_
-        self.order = order if order is not None else DegRevLex()
-        self._var_index = {v: i for i, v in enumerate(vars_)}
+    def __new__(cls, p: int, variables: Sequence[str], order: MonomialOrder | None = None):
+        key = (p, tuple(variables), order if order is not None else DegRevLex())
+        ring = PolyRing._made.get(key)
+        if ring is None:
+            if not is_prime(p):
+                raise ValueError(f"p must be prime, got {p}")
+            vars_ = key[1]
+            if len(set(vars_)) != len(vars_) or not vars_:
+                raise ValueError(f"variables must be distinct and nonempty, got {vars_}")
+            ring = PolyRing._made[key] = super().__new__(cls)
+            ring.p, ring.variables, ring.order = key
+            ring._var_index = {v: i for i, v in enumerate(vars_)}
+        return ring
 
     @property
     def nvars(self) -> int:
@@ -202,8 +211,6 @@ class PolyRing:
         return self.p == other.p and self.variables == other.variables
 
     def with_order(self, order: MonomialOrder) -> "PolyRing":
-        if order == self.order:
-            return self
         return PolyRing(self.p, self.variables, order)
 
     # -- construction -------------------------------------------------------
@@ -255,19 +262,6 @@ class PolyRing:
         """Parse `3*s^2*x*y^4 - x + 7`-style expressions; see parse_polynomial."""
         return parse_polynomial(self, text, names)
 
-    # -- identity -----------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PolyRing)
-            and other.p == self.p
-            and other.variables == self.variables
-            and other.order == self.order
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.variables, self.order))
-
     def __repr__(self) -> str:
         return f"PolyRing(p={self.p}, vars={','.join(self.variables)}, order={self.order.describe()})"
 
@@ -308,7 +302,7 @@ class Polynomial:
     def _at(self, pk: "Packing") -> "Polynomial":
         """This polynomial under `pk`, a packing of the ring's order at least
         as wide as its own."""
-        if pk == self.packing:
+        if pk is self.packing:
             return self
         return Polynomial(self.ring, pk, pk.repack(self.packed, self.packing))
 
@@ -478,7 +472,7 @@ class Polynomial:
     def resorted(self, ring: PolyRing) -> "Polynomial":
         """The same polynomial, re-normalized into a compatible ring: the way
         to take it to another monomial order (see `PolyRing.with_order`)."""
-        if ring is self.ring or ring == self.ring:
+        if ring is self.ring:
             return self
         if not self.ring.compatible(ring):
             raise RingMismatch(f"{self.ring!r} vs {ring!r}")
@@ -516,7 +510,7 @@ class Polynomial:
             return NotImplemented
         if self.ring.p != other.ring.p or self.ring.variables != other.ring.variables:
             return False
-        if self.packing == other.packing:
+        if self.packing is other.packing:
             return self.packed == other.packed
         return dict(self.terms) == dict(other.terms)
 
@@ -582,8 +576,10 @@ class Packing:
 
     No field ever wraps: arithmetic and the core test the guard bits before
     they form a product, and on a carry (`_Overflow` in the core) repack at
-    twice the width and start again.  Two packings are equal when their
-    `layout`s are, whatever order object they were built from.
+    twice the width and start again.  `packing_for` makes the one packing
+    per order, number of variables and width, so packings compare by
+    identity; two orders may still share a `layout` (`Lex()` and
+    `Block(Lex())`), and terms then `repack` between their packings.
 
     Terms move between packings, of one ring or of two, only by `move`, on
     the plain ints: variable j of the source goes to a slot of the target,
@@ -596,7 +592,7 @@ class Packing:
     __slots__ = (
         "order", "layout", "width", "mask", "shifts", "guard", "flip", "exponents",
         "_deg_vars", "deg_shift", "sum_low", "sum_spread", "sum_top", "field_mask",
-        "graded", "_hash", "_plans",
+        "graded", "_plans",
     )
 
     def __init__(self, order: MonomialOrder, nvars: int, width: int):
@@ -604,7 +600,6 @@ class Packing:
         step = width + 1
         self.order = order
         self.layout = (width, tuple(fields))
-        self._hash = hash(self.layout)
         self._plans: dict[tuple, tuple] = {}
         self.width = width
         self.mask = (1 << width) - 1
@@ -633,12 +628,6 @@ class Packing:
         # m >> deg_shift is the total degree of a packed m
         self.graded = len(self._deg_vars) == nvars
 
-    def __eq__(self, other) -> bool:
-        return other is self or (isinstance(other, Packing) and other.layout == self.layout)
-
-    def __hash__(self) -> int:
-        return self._hash
-
     def pack(self, mon: Monomial) -> int:
         e = 0
         for x, s in zip(mon, self.shifts):
@@ -663,7 +652,7 @@ class Packing:
     def repack(self, terms: list[tuple[int, int]], src: "Packing") -> list[tuple[int, int]]:
         """Descending terms of packing `src`, of the same layout and no wider,
         in this one; widening keeps their order."""
-        if src == self:
+        if src is self:
             return terms
         if src.layout[1] != self.layout[1]:
             raise ValueError(f"cannot repack width-{src.width} terms of another layout")
@@ -801,8 +790,9 @@ class Packing:
         return (terms[0][0] ^ self.flip, lcinv, terms, self.top(terms))
 
 
-@functools.lru_cache(maxsize=64)
-def packing_for(order: MonomialOrder, nvars: int, width: int) -> Packing:
+@functools.cache
+def packing_for(order: MonomialOrder, nvars: int, width: int, /) -> Packing:
+    """The one packing of `order` on `nvars` variables at `width` bits."""
     return Packing(order, nvars, width)
 
 
@@ -926,16 +916,24 @@ class DivisorTable:
             self._packing, self._entries, self._width = pk, entries, pk.width
         return self._packing, self._entries
 
-    def run(self, width: int, kernel: Callable[[Packing, list[tuple]], object]) -> tuple:
-        """(packing, kernel(packing, entries)) at a packing of at least
-        `width` bits; on `_Overflow`, again at twice the packing's width.  The
-        kernel must leave the entries as it found them."""
+    def run(self, width: int, kernel: Callable[..., object], *args) -> tuple:
+        """(packing, kernel(packing, entries, *args)) at a packing of at
+        least `width` bits; on `_Overflow`, again at twice the packing's
+        width.  The kernel must leave the entries as it found them."""
         while True:
             pk, entries = self.packed(width)
             try:
-                return pk, kernel(pk, entries)
+                return pk, kernel(pk, entries, *args)
             except _Overflow:
                 width = 2 * pk.width
+
+
+def _divide_kernel(pk: Packing, entries: list[tuple], f: Polynomial, with_quotients: bool):
+    """`_divide`'s kernel for `DivisorTable.run`: (packed quotient dicts or
+    None, packed remainder) of f against the entries."""
+    quotients = [{} for _ in entries] if with_quotients else None
+    h = pk.repack(f.packed, f.packing)
+    return quotients, _reduce_sorted(h, entries, pk, f.ring.p, quotients)
 
 
 def _divide(f: Polynomial, divisors: Sequence[Polynomial] | DivisorTable, with_quotients: bool):
@@ -948,13 +946,7 @@ def _divide(f: Polynomial, divisors: Sequence[Polynomial] | DivisorTable, with_q
         f = f.resorted(table.divisors[0].ring)
     else:
         table = DivisorTable([g.resorted(f.ring) for g in divisors])
-
-    def kernel(pk: Packing, entries: list[tuple]):
-        quotients = [{} for _ in entries] if with_quotients else None
-        h = pk.repack(f.packed, f.packing)
-        return quotients, _reduce_sorted(h, entries, pk, f.ring.p, quotients)
-
-    pk, (quotients, remainder) = table.run(f.packing.width, kernel)
+    pk, (quotients, remainder) = table.run(f.packing.width, _divide_kernel, f, with_quotients)
     return f.ring, pk, quotients, remainder
 
 

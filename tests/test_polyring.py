@@ -21,7 +21,6 @@ from hkforge.polyring import (
     GT,
     MILLER_RABIN_BOUND,
     DivisorTable,
-    Packing,
     Polynomial,
     is_prime,
     monomial_div,
@@ -132,15 +131,38 @@ def test_block_order_eliminates_first_variable():
 
 
 def test_each_order_is_one_object():
-    """A constructor called again returns the same object, so order `==` and
-    `hash` are identity's, and equal rings hash alike through them."""
+    """A constructor called again returns the same object, so `==` and `hash`
+    are identity's: for orders, for rings and for packings."""
     assert Lex() is Lex() and DegRevLex() is DegRevLex()
     assert Block(Block(DegRevLex())) is Block(Block(DegRevLex()))
     assert Block(Lex()) != Lex() and Block(Lex()) != Block(DegRevLex())
-    for order in (None, Lex(), Block(Block(DegRevLex()))):
-        a, b = PolyRing(3, ("s", "x", "y"), order), PolyRing(3, ["s", "x", "y"], order)
-        assert a == b and hash(a) == hash(b)
+    xs = ("s", "x", "y")
+    for order in (None, Lex(), DegRevLex(), Block(Lex()), Block(Block(DegRevLex()))):
+        ring = PolyRing(3, xs, order)
+        assert ring is PolyRing(3, ["s", "x", "y"], order)
+        for other in (Lex(), DegRevLex(), Block(Lex())):
+            assert ring.with_order(other) is PolyRing(ring.p, ring.variables, other)
+    assert PolyRing(3, xs) is PolyRing(3, xs, DegRevLex())
     assert PolyRing(3, ("x", "y"), Lex()) != PolyRing(3, ("x", "y"), Block(Lex()))
+    for order in FIVE_ORDERS:
+        for nvars, width in ((3, 8), (4, 16)):
+            assert packing_for(order, nvars, width) is packing_for(order, nvars, width)
+
+
+@pytest.mark.parametrize(
+    "p, variables",
+    [(4, ("x",)), (1, ("x",)), (5, ("x", "y", "x")), (5, ())],
+    ids=["composite", "one", "repeated", "empty"],
+)
+def test_a_refused_ring_is_never_kept(p, variables):
+    """A refused ring is refused on every call, not only the first, and a
+    valid ring built afterwards works."""
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            PolyRing(p, variables)
+    ring = PolyRing(5, ("x", "y"))
+    x, y = ring.gens()
+    assert (x + y) ** 5 == x**5 + y**5
 
 
 @pytest.mark.parametrize(
@@ -446,11 +468,27 @@ def test_mul_term_refuses_bad_exponent_vectors():
 def test_elimination_variable_sits_above_the_order_fields(order, width):
     """In Block(O) a t-free monomial packs to the same int as in O."""
     rng = random.Random(11)
-    inner = Packing(order, 3, width)
-    outer = Packing(Block(order), 4, width)
+    inner = packing_for(order, 3, width)
+    outer = packing_for(Block(order), 4, width)
     for _ in range(50):
         mon = tuple(rng.randint(0, 60) for _ in range(3))
         assert outer.pack((0,) + mon) == inner.pack(mon)
+
+
+def test_orders_that_share_a_layout_keep_equal_polynomials():
+    """Lex and Block(Lex) pack alike but are two orders, so their packings
+    are two objects; a polynomial and its resorting stay equal, hash alike,
+    and repack into each other's packing term for term."""
+    rng = random.Random(19)
+    lex = PolyRing(7, ("x", "y", "z"), Lex())
+    block = PolyRing(7, ("x", "y", "z"), Block(Lex()))
+    for _ in range(20):
+        f = random_nonzero_polynomial(rng, lex, max_degree=6)
+        g = f.resorted(block)
+        assert g.packing is not f.packing and g.packing.layout == f.packing.layout
+        assert f == g and g == f and hash(f) == hash(g)
+        assert g.packing.repack(f.packed, f.packing) == g.packed == f.packed
+        assert f.packing.repack(g.packed, g.packing) == f.packed
 
 
 def _assert_canonical(f, reference: dict):
@@ -621,7 +659,7 @@ def test_a_narrow_lex_source_widens_into_a_degree_field():
     not fit an 8-bit degree field: moving it under degrevlex, or homogenizing
     it, must widen the target, never wrap the degree."""
     lex = PolyRing(5, ("x", "y", "z"), Lex())
-    pk = Packing(Lex(), 3, 8)
+    pk = packing_for(Lex(), 3, 8)
     f = Polynomial(lex, pk, pk.pack_terms([((200, 200, 200), 1), ((250, 0, 1), 3), ((0, 0, 0), 2)]))
     grevlex = lex.with_order(DegRevLex())
     moved = _assert_moved(f, grevlex, (0, 1, 2))

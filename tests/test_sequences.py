@@ -23,6 +23,7 @@ from hkforge import (
     vjj_sequence,
     window_bound_check,
 )
+from hkforge import polyring
 from hkforge.lengths import oracle_quotient_dimension
 
 from helpers import random_primary_pair
@@ -211,6 +212,23 @@ def test_rjj_katzman_bounded_by_one():
     report = rjj_sequence(j_ideal, i_ideal, 2, d=2, hypersurface=g)
     assert all(raw <= 1 for raw in report.raw_values())
     assert report.raw_values() == [1, 1, 1]
+
+
+def test_a_warm_seq_job_builds_no_ring(monkeypatch):
+    """Every ring is one object per arguments: run again, the rjj Katzman job
+    meets only rings it made the first time, so no primality test runs and
+    no ring is added."""
+
+    def job():
+        ring, g, j_ideal, i_ideal = katzman_pair()
+        return rjj_sequence(j_ideal, i_ideal, 2, d=2, hypersurface=g).raw_values()
+
+    first = job()
+    rings = len(PolyRing._made)
+    calls = []
+    monkeypatch.setattr(polyring, "is_prime", lambda n: calls.append(n) or True)
+    assert job() == first == [1, 1, 1]
+    assert calls == [] and len(PolyRing._made) == rings
 
 
 def test_window_bound_check_on_katzman():
