@@ -2,14 +2,14 @@
 the auxiliary-variable elimination trick, colon, saturation, and the Krull
 dimension of the quotient.
 
-An Ideal is a generator list plus up to two reduced Groebner bases: the one
-under the ring's order, built the first time an answer needs it, and the
-degrevlex one that a saturation by a variable builds (`_saturate_variable`).
-Questions take whichever of the two is built (`Ideal.any_basis`):
+An Ideal is a generator list plus a table of reduced Groebner bases, one per
+monomial order that is asked for, each built on first use
+(`Ideal.groebner_basis`): the ring's order, to print and compare bases, and
+degrevlex, for a saturation by a variable (`_saturate_variable`).  Questions
+that any order answers take a basis already built (`Ideal.any_basis`):
 membership, lengths, the unit test, the dimension and saturation step counts,
 since a normal form modulo any basis is canonical and every order counts the
-same standard monomials and gives the same dimension; what prints a basis or
-compares bases element by element keeps the ring's order.  Intersections go
+same standard monomials and gives the same dimension.  Intersections go
 through an elimination variable t with a block order t > (ring order): for
 ideals I and K, the ideal t*I + (1-t)*K contracts to I ∩ K, and the
 contraction inherits a reduced Groebner basis from the elimination basis for
@@ -35,15 +35,14 @@ from .errors import (
     ZeroDivisor,
 )
 from .groebner import GroebnerBasis, buchberger
-from .polyring import Block, DegRevLex, DivisorTable, PolyRing, Polynomial, division
+from .polyring import Block, DegRevLex, DivisorTable, MonomialOrder, PolyRing, Polynomial, division
 
 
 class Ideal:
-    """Handle on an ideal of a PolyRing: generators plus the cached reduced
-    bases under the ring's order and under degrevlex, each built on first
-    use."""
+    """Handle on an ideal of a PolyRing: generators plus its reduced bases,
+    keyed by monomial order, each built on first use."""
 
-    __slots__ = ("ring", "generators", "_basis", "_degrevlex")
+    __slots__ = ("ring", "generators", "_bases")
 
     def __init__(self, ring: PolyRing, generators: Iterable[Polynomial]):
         gens = []
@@ -56,40 +55,28 @@ class Ideal:
                 gens.append(g.resorted(ring))
         self.ring = ring
         self.generators: tuple[Polynomial, ...] = tuple(gens)
-        self._basis: GroebnerBasis | None = None
-        self._degrevlex: GroebnerBasis | None = None
+        self._bases: dict[MonomialOrder, GroebnerBasis] = {}
 
     # -- bases and membership ------------------------------------------------
 
-    def groebner_basis(self) -> GroebnerBasis:
-        """The reduced basis under the ring's order, built on first use."""
-        if self._basis is None:
-            # the order argument keeps the ring's order on the zero ideal's empty basis
-            self._basis = buchberger(self.generators, self.ring.order)
-        return self._basis
-
-    def degrevlex_basis(self) -> GroebnerBasis:
-        """The reduced basis under degrevlex, built on first use: the basis
-        under the ring's order when that is degrevlex."""
-        if self.ring.order is DegRevLex():
-            return self.groebner_basis()
-        if self._degrevlex is None:
-            self._degrevlex = buchberger(self.generators, DegRevLex())
-        return self._degrevlex
+    def groebner_basis(self, order: MonomialOrder | None = None) -> GroebnerBasis:
+        """The reduced basis under `order` (the ring's order by default),
+        built on first use and kept."""
+        if order is None:
+            order = self.ring.order
+        basis = self._bases.get(order)
+        if basis is None:
+            # the order argument keeps `order` on the zero ideal's empty basis
+            basis = self._bases[order] = buchberger(self.generators, order)
+        return basis
 
     def any_basis(self) -> GroebnerBasis:
         """A reduced basis for questions that any order answers: the one under
-        the ring's order if built, else the degrevlex one if built, else the
-        one under the ring's order, built now."""
-        if self._basis is None and self._degrevlex is not None:
-            return self._degrevlex
+        the ring's order if built, else the first one built, else the one
+        under the ring's order, built now."""
+        if self._bases and self.ring.order not in self._bases:
+            return next(iter(self._bases.values()))
         return self.groebner_basis()
-
-    def seed_basis(self, basis: GroebnerBasis) -> "Ideal":
-        """Cache `basis`, a reduced basis of this ideal under the ring's order;
-        the degrevlex slot is left as it is."""
-        self._basis = basis
-        return self
 
     def contains(self, f: Polynomial) -> bool:
         # the normal form moves f into the ring of the basis, but the zero
@@ -173,13 +160,12 @@ def unit_ideal(ring: PolyRing) -> Ideal:
 
 def ideal_equal(a: Ideal, b: Ideal) -> bool:
     """Equality via reduced Groebner bases under a's ring order (unique for a
-    fixed order; b is taken into a's ring), or at once for equal generators."""
+    fixed order; b keeps its basis under that order), or at once for equal
+    generators."""
     a._check(b)
     if a.generators == b.generators:
         return True
-    if b.ring is not a.ring:
-        b = Ideal(a.ring, b.generators)
-    return a.groebner_basis().elements == b.groebner_basis().elements
+    return a.groebner_basis().elements == b.groebner_basis(a.ring.order).elements
 
 
 # ---------------------------------------------------------------------------
@@ -188,10 +174,9 @@ def ideal_equal(a: Ideal, b: Ideal) -> bool:
 def bracket_power(ideal: Ideal, e: int) -> Ideal:
     """The ideal generated by the p^e-th powers of the generators.
 
-    Independent of the generating set.  Cached reduced bases, under the
-    ring's order and under degrevlex, transport for free: bracketing a reduced
-    Groebner basis over F_p yields the reduced basis of the bracket power
-    under the same order.
+    Independent of the generating set.  Every cached reduced basis transports
+    for free: bracketing a reduced Groebner basis over F_p yields the reduced
+    basis of the bracket power under the same order.
     """
     if e < 0:
         raise ValueError("bracket exponent must be non-negative")
@@ -201,10 +186,7 @@ def bracket_power(ideal: Ideal, e: int) -> Ideal:
     if e == 0:
         return ideal
     out = Ideal(ideal.ring, (g.frobenius(e) for g in ideal.generators))
-    if ideal._basis is not None:
-        out.seed_basis(ideal._basis.frobenius(e))
-    if ideal._degrevlex is not None:
-        out._degrevlex = ideal._degrevlex.frobenius(e)
+    out._bases = {o: b.frobenius(e) for o, b in ideal._bases.items()}
     return out
 
 
@@ -234,9 +216,15 @@ def intersect(a: Ideal, b: Ideal) -> Ideal:
     (`Polynomial.moved`), with t's exponent put in front or dropped.
     Setting t = 1 (t = 0) shows that t (1 - t) lies in the elimination ideal
     exactly when I (K) is the unit ideal; in a reduced basis that puts 1, t
-    or t - 1 first, and then K or I itself is returned.
+    or t - 1 first, and then K or I itself is returned.  The result lies in
+    I's ring: a K over a ring of another order is first taken into it, with
+    its bases, since a basis depends on the ideal and the order alone.
     """
     a._check(b)
+    if b.ring is not a.ring:
+        moved = Ideal(a.ring, b.generators)
+        moved._bases = dict(b._bases)
+        b = moved
     if a.is_zero():
         return a
     if b.is_zero():
@@ -256,7 +244,9 @@ def intersect(a: Ideal, b: Ideal) -> Ideal:
         return a
     out = (None,) + tuple(range(ring.nvars))
     contracted = [g.moved(ring, out) for g in basis if not g.leading_monomial()[0]]
-    return Ideal(ring, contracted).seed_basis(GroebnerBasis(tuple(contracted), ring.order))
+    meet = Ideal(ring, contracted)
+    meet._bases[ring.order] = GroebnerBasis(tuple(contracted), ring.order)
+    return meet
 
 
 def colon_element(ideal: Ideal, u: Polynomial) -> Ideal:
@@ -399,9 +389,9 @@ def _saturate_variable(ideal: Ideal, i: int) -> Ideal:
     colon chain and no elimination basis, so there is no step count.  h is
     the largest variable of the order; placed next to v, it made the bases of
     the Katzman levels slower.  The degrevlex basis comes from
-    `Ideal.degrevlex_basis`, so I keeps it, and later membership and length
-    questions on I read it instead of building I's basis under the ring's
-    order.
+    `Ideal.groebner_basis(DegRevLex())`, so I keeps it in its table, and later
+    membership and length questions on I read it instead of building I's
+    basis under the ring's order.
 
     Polynomials move into the ring of `_graded` on their packed terms
     (`Polynomial.moved`), with v's exponent put last and h's, the degree a
@@ -414,7 +404,7 @@ def _saturate_variable(ideal: Ideal, i: int) -> Ideal:
     off = graded.nvars - n  # 1 when h leads, else 0
     into = tuple(graded.nvars - 1 if j == i else j + off - (j > i) for j in range(n))
     fill = None if homogeneous else 0
-    sources = ideal.generators if homogeneous else ideal.degrevlex_basis()
+    sources = ideal.generators if homogeneous else ideal.groebner_basis(DegRevLex())
     gens = [g.moved(graded, into, fill) for g in sources]
     back = (None,) * off + tuple(j for j in range(n) if j != i) + (i,)
     parts, grew = [], False

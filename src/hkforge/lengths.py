@@ -22,8 +22,9 @@ chain.  J <= S holds by construction and is not checked, since the check
 would build a basis of S, which no length needs.
 
 The standard-monomial count and the span closure read J's basis through
-`Ideal.any_basis`: on a lex ring that is the degrevlex basis a saturation of
-J has already built, when there is one, so J gets no second basis.
+`Ideal.any_basis`: the basis under the ring's order if J's table holds it,
+else one the table already holds, such as the degrevlex basis a saturation
+of J has built on a lex ring, so J gets no second basis.
 """
 
 from __future__ import annotations

@@ -133,8 +133,9 @@ class _Ladder:
 
     Over A/(g) the bracket of an ideal holding g brackets the other generators
     and adds g back, not g^(p^e).  With no hypersurface, level 0 is I itself
-    and `bracket_power` hands each later level the reduced basis that level 0
-    has built by then; an eager list would make the levels before that.
+    and `bracket_power` hands each later level every reduced basis that level
+    0 has built by then, one per order; an eager list would make the levels
+    before that.
     """
 
     def __init__(self, ideal: Ideal, e_max: int, hypersurface: Polynomial | None):

@@ -158,6 +158,20 @@ def test_readme_session_syntax_round_trips():
     assert parse_session(session.pretty()).pretty() == session.pretty()
 
 
+def test_console_script_names_main():
+    """The `hkforge` command that installing the package makes runs the
+    `[project.scripts]` entry, which must name `hkforge.cli.main`.
+    pyproject.toml is read as plain text, since Python 3.10 has no tomllib."""
+    import importlib
+    import pathlib
+
+    pyproject = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
+    section = pyproject.read_text().split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    scripts = dict(line.split(" = ", 1) for line in section.splitlines() if line.strip())
+    module, attr = scripts["hkforge"].strip('"').split(":")
+    assert getattr(importlib.import_module(module), attr) is main
+
+
 def _parse_error(text: str, tmp_path, capsys) -> str:
     path = tmp_path / "bad.hk"
     path.write_text(text)

@@ -99,7 +99,7 @@ def test_bracket_transport_across_orders():
         gens = [random_nonzero_polynomial(rng, ring, 3) for _ in range(2)]
         ideal = Ideal(ring, gens)
         ideal.groebner_basis()
-        transported = bracket_power(ideal, 1)._basis
+        transported = bracket_power(ideal, 1)._bases[order]
         fresh = buchberger([g.frobenius(1) for g in gens], order)
         assert list(transported) == list(fresh)
 

@@ -19,6 +19,7 @@ from hkforge import (
     colon_element,
     colon_ideal,
     dimension,
+    finite_colength_length,
     ideal_equal,
     intersect,
     maximal_ideal,
@@ -26,7 +27,7 @@ from hkforge import (
     unit_ideal,
 )
 from hkforge.ideals import _elimination, _graded, _saturate_variable, _saturation_steps
-from hkforge.lengths import _m_saturation, oracle_ideal_member
+from hkforge.lengths import _m_saturation, _span_closure, oracle_ideal_member
 from hkforge.verify import build_construction
 
 from helpers import random_monomial, random_nonzero_polynomial
@@ -40,6 +41,16 @@ def f3xy():
 @pytest.fixture
 def construction54():
     return build_construction(5, 4)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """A list that gains one entry per Buchberger build made in `ideals`."""
+    from hkforge import ideals
+
+    made = []
+    monkeypatch.setattr(ideals, "buchberger", lambda *a: made.append(1) or buchberger(*a))
+    return made
 
 
 # -- bracket powers -------------------------------------------------------------
@@ -88,7 +99,7 @@ def test_bracket_transports_reduced_bases(f3xy):
         ideal = Ideal(f3xy, gens)
         ideal.groebner_basis()  # populate the cache
         bracketed = bracket_power(ideal, 1)
-        transported = bracketed._basis
+        transported = bracketed._bases[f3xy.order]
         fresh = buchberger([g.frobenius(1) for g in gens], f3xy.order)
         assert list(transported) == list(fresh)
 
@@ -167,10 +178,39 @@ def test_intersect_reads_the_unit_ideal_off_the_elimination_basis(f3xy):
     other = Ideal(f3xy, [y**2, x * y])
     assert intersect(unit, other) is other
     assert intersect(other, unit) is other
-    assert unit._basis is None and other._basis is None
+    assert unit._bases == {} and other._bases == {}
     assert intersect(unit, unit) is unit
     copy = Ideal(f3xy, [x + 1, x])
     assert intersect(unit, copy) is copy and intersect(copy, unit) is unit
+
+
+@pytest.mark.parametrize(
+    "a_gens, b_gens, returns_b",
+    [
+        ([], ["y"], False),
+        (["x"], [], True),
+        (["x", "x + 1"], ["y^2", "x*y"], True),
+        (["y^2", "x*y"], ["x", "x + 1"], False),
+        (["x^2 + y", "x*y"], ["y^2 - x", "x + y"], False),
+    ],
+    ids=["a-zero", "b-zero", "a-unit", "b-unit", "general"],
+)
+def test_intersect_answers_in_the_ring_of_its_first_argument(a_gens, b_gens, returns_b):
+    """With a over F_3[x, y] under lex and b over the degrevlex ring on the
+    same variables, every branch of `intersect` answers over a's ring, with
+    the generators of the answer when b is first taken into a's ring; where
+    the answer is b, b's bases travel with it."""
+    lex = PolyRing(3, ("x", "y"), Lex())
+    drl = lex.with_order(DegRevLex())
+    a = Ideal(lex, [lex.parse(g) for g in a_gens])
+    b = Ideal(drl, [drl.parse(g) for g in b_gens])
+    b_basis = b.groebner_basis()
+    meet = intersect(a, b)
+    same = intersect(a, Ideal(lex, b.generators))
+    assert meet.ring is a.ring
+    assert meet.generators == same.generators and ideal_equal(meet, same)
+    if returns_b:
+        assert meet._bases[DegRevLex()] is b_basis
 
 
 @pytest.mark.parametrize("order", [Lex(), DegRevLex()], ids=["lex", "degrevlex"])
@@ -530,7 +570,49 @@ def test_questions_on_a_saturated_level_read_its_degrevlex_basis():
             assert _saturation_steps(level, sat, multipliers) == _saturation_steps(
                 fresh, sat, multipliers
             )
-        assert level._basis is None
+        assert ring.order not in level._bases
+
+
+def test_an_ideal_builds_one_basis_per_order(builds):
+    """Counted on a lex Katzman level J = (x^3, y^3)^[3] + (g): saturating by
+    s builds J's degrevlex basis and the homogenized one; questions then read
+    the degrevlex basis; the lex basis is built once on request; the bracket
+    transports both; and `ideal_equal` keeps the basis it builds for b."""
+    data = build_construction(3, 4)
+    ring = data.ring
+    s, x, y = ring.gens()
+    level = bracket_power(Ideal(ring, [x**3, y**3]), 1) + Ideal(ring, [data.g])
+    sat = _saturate_variable(level, 0)
+    assert len(builds) == 2 and list(level._bases) == [DegRevLex()]
+    builds.clear()
+    assert level.contains(data.g) and not level.contains(s)
+    assert not finite_colength_length(level).finite
+    assert _span_closure(sat.generators, level) == 1
+    assert dimension(level) == 1
+    assert builds == []
+    lex_basis = level.groebner_basis()
+    assert len(builds) == 1
+    assert level.groebner_basis() is lex_basis and len(builds) == 1
+    builds.clear()
+    bracketed = bracket_power(level, 1)
+    assert builds == [] and list(bracketed._bases) == [DegRevLex(), Lex()]
+    frobenius = [g.frobenius(1) for g in level.generators]
+    for order, basis in bracketed._bases.items():
+        assert basis == buchberger(frobenius, order)
+
+    builds.clear()
+    drl = ring.with_order(DegRevLex())
+    level_drl = Ideal(drl, level.generators)
+    assert level_drl.groebner_basis(DegRevLex()) is level_drl.groebner_basis()
+    assert len(builds) == 1 and list(level_drl._bases) == [DegRevLex()]
+
+    builds.clear()
+    gens = [x * y - s**2, y**3 - x]
+    a = Ideal(ring, gens)
+    b = Ideal(drl, [gens[1], gens[0] + gens[1]])
+    assert ideal_equal(a, b) and len(builds) == 2
+    assert list(b._bases) == [Lex()]
+    assert ideal_equal(a, b) and len(builds) == 2
 
 
 def test_saturation_cap_diagnostic(f3xy):
@@ -551,14 +633,9 @@ def test_saturation_cap_diagnostic(f3xy):
             _saturation_steps(ideal, None, m.generators, cap=cap)
 
 
-def test_saturate_refuses_a_negative_cap(f3xy, monkeypatch):
+def test_saturate_refuses_a_negative_cap(f3xy, builds):
     """A negative cap is refused before any basis is built; a cap of 0 still
     allows the chain no step."""
-    from hkforge import ideals
-
-    builds = []
-    buchberger = ideals.buchberger
-    monkeypatch.setattr(ideals, "buchberger", lambda *a: builds.append(1) or buchberger(*a))
     x, y = f3xy.gens()
     ideal = Ideal(f3xy, [x**2, y**2])
     with pytest.raises(ValueError, match="cap must be non-negative, got -1"):
@@ -640,7 +717,7 @@ def test_ideal_equal_answers_equal_generators_with_no_basis():
     lex, drl = lex_and_degrevlex(gens)
     for a, b in ((lex, Ideal(ring, gens)), (lex, drl), (drl, lex)):
         assert ideal_equal(a, b)
-        assert a._basis is None and b._basis is None
+        assert a._bases == {} and b._bases == {}
     assert ideal_equal(lex, Ideal(ring, [gens[1], gens[0] + gens[1]]))
     assert not ideal_equal(lex, Ideal(ring, gens + [z]))
 

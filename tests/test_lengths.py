@@ -515,9 +515,9 @@ def test_gamma_length_katzman_level_one():
 def test_lengths_and_membership_agree_on_either_basis(p, shape, e):
     """The levels J^[q] + (g) and I^[q] + (g) of J = (x^a, y^b) <= I = (x, y)^k
     over F_p[s, x, y] under lex, with (k, a, b) = (p, p, p) for the Katzman
-    pair: once `_saturate_variable` has filled a level's degrevlex slot,
-    membership and lengths read that basis, and they answer as a fresh ideal
-    that builds its lex basis.  A level plus (s^2) has finite colength, so the
+    pair: once `_saturate_variable` has put a degrevlex basis in a level's
+    table, membership and lengths read that basis, and they answer as a fresh
+    ideal that builds its lex basis.  A level plus (s^2) has finite colength, so the
     standard-monomial count and the difference route are exercised too."""
     ring = PolyRing(p, ("s", "x", "y"), Lex())
     s, x, y = ring.gens()
@@ -532,7 +532,7 @@ def test_lengths_and_membership_agree_on_either_basis(p, shape, e):
     cut = Ideal(ring, [s**2])
     for level in (j_q, i_q, j_q + cut, i_q + cut):
         sat = _saturate_variable(level, 0)
-        assert level._basis is None and level._degrevlex is not None
+        assert Lex() not in level._bases and DegRevLex() in level._bases
         fresh = Ideal(ring, level.generators)
         answers = [level.contains(f) for f in probes]
         assert answers == [fresh.contains(f) for f in probes]
@@ -541,10 +541,10 @@ def test_lengths_and_membership_agree_on_either_basis(p, shape, e):
         assert finite_colength_length(level) == finite_colength_length(fresh)
         for method in ("auto", "rank"):
             assert _subquotient_length(sat, level, method) == _subquotient_length(sat, fresh, method)
-        assert level._basis is None
+        assert Lex() not in level._bases
         assert level.groebner_basis() == buchberger(level.generators, Lex())
         bracketed = [f.frobenius(1) for f in level.generators]
-        assert bracket_power(level, 1)._degrevlex == buchberger(bracketed, DegRevLex())
+        assert bracket_power(level, 1)._bases[DegRevLex()] == buchberger(bracketed, DegRevLex())
 
 
 def test_gamma_length_monotone_in_numerator(f5xy):
