@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 
 from . import config
-from .errors import CapExceeded, ContainmentError
+from .errors import CapExceeded, ContainmentError, RingMismatch
 from .ideals import Ideal, _saturate_variable, _saturation_steps, intersect
 from .linalg import rank_of_rows, reduce_row, row_reduce
 from .polyring import Monomial, PolyRing, Polynomial
@@ -375,9 +375,13 @@ def oracle_ideal_member(f: Polynomial, ideal: Ideal, *, slack: int = 3) -> bool:
     """Membership by linear algebra: is f in the span of generator multiples
     of degree <= deg(f) + slack?  One row reduction at that degree.  Sound for
     positives; a negative is exact only when the window is wide enough, since
-    the span grows with the window.  Needs `slack` >= 0."""
+    the span grows with the window.  Needs `slack` >= 0.  f may be over the
+    ideal's ring under any order; over another p or other variables it is
+    refused, as `Ideal.contains` refuses it."""
     if slack < 0:
         raise ValueError(f"slack must be non-negative, got {slack}")
+    if not ideal.ring.compatible(f.ring):
+        raise RingMismatch(f"{f.ring!r} vs {ideal.ring!r}")
     if f.is_zero():
         return True
     bound = f.total_degree() + slack

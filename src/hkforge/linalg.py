@@ -4,7 +4,11 @@ A row is a dict {column: residue} of Python ints holding only its nonzero
 entries, so elimination is exact for every prime and touches only nonzeros.
 Columns are ints; a row's lead is its least column.  These are the rows of
 an F4-style Macaulay matrix (Faugere, JPAA 1999; Faugere & Lachartre, PASCO
-2010); the oracle's matrices in `lengths` have under 1% nonzero entries.
+2010); the oracle's matrices in `lengths` have under 1% nonzero entries, and
+about half their rows are single monomials.  `row_reduce` takes the first
+step of structured Gaussian elimination (LaMacchia & Odlyzko, CRYPTO 1990):
+it pivots the one-entry rows outright and strikes their columns from the
+other rows before any of those is reduced.
 """
 
 from __future__ import annotations
@@ -44,13 +48,27 @@ def reduce_row(row: dict, echelon: dict, p: int) -> dict:
 def row_reduce(rows: list[dict], p: int) -> dict[int, dict]:
     """Echelon form of sparse `rows` mod p, as {lead column: row with lead 1}.
 
-    Shorter rows are pivoted first, so monomial rows become pivots before
-    they clear the longer ones.
+    First each one-entry row whose entry is nonzero mod p pivots its column
+    as entry 1.  Such a pivot clears its column from any other row with no
+    fill, so the longer rows, shortest first, just lose those columns; a row
+    left empty is dropped, and the rest go through `reduce_row`.  The echelon
+    equals the one that reducing every row, shortest first, through
+    `reduce_row` gives.
     """
     echelon: dict[int, dict] = {}
-    for row in sorted(rows, key=len):
-        row = reduce_row(row, echelon, p)
-        if row:
+    longer = []
+    for row in rows:
+        if len(row) == 1:
+            [(col, value)] = row.items()
+            if value % p:
+                echelon[col] = {col: 1}
+        else:
+            longer.append(row)
+    # a frozen copy: pivots found below must still be subtracted, not dropped
+    units = set(echelon)
+    for row in sorted(longer, key=len):
+        row = {col: value for col, value in row.items() if col not in units}
+        if row and (row := reduce_row(row, echelon, p)):
             lead = min(row)
             inv = pow(row[lead], p - 2, p)
             echelon[lead] = {col: value * inv % p for col, value in row.items()}

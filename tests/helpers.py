@@ -3,6 +3,7 @@
 import random
 
 from hkforge import Ideal, PolyRing, Polynomial
+from hkforge.linalg import reduce_row
 
 
 def random_monomial(rng: random.Random, ring: PolyRing, max_degree: int):
@@ -142,3 +143,19 @@ def gebauer_moller_update(leads: list, active: list, pairs: set, h: int):
         kept.add((i, j))
     still_active = [g for g in active if not _divides(lead, leads[g])] + [h]
     return still_active, kept | new
+
+
+# -- reference of the sparse elimination ---------------------------------------
+
+def reference_row_reduce(rows: list[dict], p: int) -> dict[int, dict]:
+    """Every row, shortest first, reduced by `reduce_row` against the pivots
+    found so far; a nonzero remainder becomes the pivot of its least column,
+    scaled to lead 1.  `linalg.row_reduce` must give exactly this echelon."""
+    echelon: dict[int, dict] = {}
+    for row in sorted(rows, key=len):
+        row = reduce_row(row, echelon, p)
+        if row:
+            lead = min(row)
+            inv = pow(row[lead], p - 2, p)
+            echelon[lead] = {col: value * inv % p for col, value in row.items()}
+    return echelon

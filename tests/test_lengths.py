@@ -7,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hkforge import (
+    Block,
     ContainmentError,
     DegRevLex,
     GroebnerBasis,
     Ideal,
     Lex,
     PolyRing,
+    RingMismatch,
     bracket_power,
     buchberger,
     colon_ideal,
@@ -145,6 +147,36 @@ def test_oracle_member_decides_in_one_window(f5xy):
     one = f5xy.one()
     assert [oracle_ideal_member(one, ideal, slack=k) for k in range(7)] == [False] * 4 + [True] * 3
     assert not oracle_ideal_member(one, ideal)
+
+
+def test_oracle_member_refuses_a_polynomial_of_another_ring():
+    """The oracle reads f's exponents as columns and its coefficients mod the
+    ideal's p, so f over another ring used to get an answer: u^2 over
+    F_5[u, v, w] shares a^2's column, and x^2 + 5y over F_5[x, y] is x^2."""
+    ring = PolyRing(7, ("a", "b"))
+    a, b = ring.gens()
+    ideal = Ideal(ring, [a**2, b**2])
+    u = PolyRing(5, ("u", "v", "w")).gen("u")
+    x, y = PolyRing(5, ("x", "y")).gens()
+    a5 = PolyRing(5, ("a", "b")).gen("a")
+    for f in (u**2, x**2 + 5 * y, a5**2, PolyRing(7, ("x", "y")).gen("x") ** 2):
+        with pytest.raises(RingMismatch):
+            oracle_ideal_member(f, ideal)
+        with pytest.raises(RingMismatch):
+            ideal.contains(f)
+    with pytest.raises(RingMismatch):
+        oracle_ideal_member(PolyRing(5, ("a", "b")).zero(), ideal)
+
+
+def test_oracle_member_answers_under_another_order():
+    ring = PolyRing(7, ("a", "b"), Lex())
+    a, b = ring.gens()
+    ideal = Ideal(ring, [a**2 - b, b**3])
+    for order in (DegRevLex(), Block(Lex())):
+        c, d = ring.with_order(order).gens()
+        assert oracle_ideal_member(c**2 - d, ideal)
+        assert oracle_ideal_member(c**2 * d**2 + 3 * d**3, ideal)
+        assert not oracle_ideal_member(c + d, ideal)
 
 
 def test_oracle_stabilizes_to_box_count():

@@ -4,9 +4,22 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hkforge import Ideal, PolyRing, finite_colength_length, oracle_quotient_dimension, subquotient_length
-from hkforge.linalg import in_row_span, rank, rank_of_rows
+from hkforge import (
+    DegRevLex,
+    Ideal,
+    PolyRing,
+    finite_colength_length,
+    linalg,
+    oracle_quotient_dimension,
+    subquotient_length,
+)
+from hkforge.lengths import _span_rows
+from hkforge.linalg import in_row_span, rank, rank_of_rows, reduce_row, row_reduce
+
+from helpers import reference_row_reduce
 
 # the least prime above 2**32: products of two residues overflow int64
 BIG_P = 4294967311
@@ -113,6 +126,117 @@ def test_kernel_agrees_with_sympy_domain_matrix(p):
         assert in_row_span(matrix, np.array(outside, dtype=object), p) == (
             sympy_rank(rows + [outside]) == expected
         )
+
+
+# -- the exact echelon ---------------------------------------------------------------
+
+PRIMES = [2, 3, 31, 2**31 - 1, BIG_P]
+
+
+def _assert_exact_echelon(rows, p):
+    """row_reduce gives the reference echelon, every row reduces to zero
+    against it, and each pivot is keyed by its least column, with lead 1 and
+    every entry a residue in 1..p-1: `_span_closure` and
+    `oracle_ideal_member` reduce against it as it is."""
+    echelon = row_reduce(rows, p)
+    assert echelon == reference_row_reduce(rows, p)
+    for row in rows:
+        assert reduce_row(row, echelon, p) == {}
+    for lead, row in echelon.items():
+        assert lead == min(row) and row[lead] == 1
+        assert all(0 < value < p for value in row.values())
+    return echelon
+
+
+def _tricky_rows(rng, p):
+    """Rows over a few columns, some of them pivoted by one-entry rows
+    (repeated, scaled past p or negative, some of them 0 mod p).  The longer
+    rows mix those columns with 0, 1 or more others, so they empty out, keep
+    one entry or keep several once the one-entry columns are gone; their
+    entries may be 0 mod p, negative or at least p."""
+
+    def entry():
+        return rng.choice(
+            [rng.randrange(1, p), -rng.randrange(1, p), p * rng.randint(-2, 2), rng.randrange(p, 3 * p)]
+        )
+
+    ncols = rng.randint(1, 10)
+    units = rng.sample(range(ncols), rng.randint(0, ncols))
+    rows = [{col: entry()} for col in units for _ in range(rng.randint(1, 2))]
+    others = [col for col in range(ncols) if col not in units]
+    for _ in range(rng.randint(0, 8)):
+        keep = rng.sample(others, min(len(others), rng.choice([0, 1, 1, 2, 3])))
+        cleared = rng.sample(units, rng.randint(0, len(units)))
+        rows.append({col: entry() for col in cleared + keep})
+    rows += [dict(rows[rng.randrange(len(rows))]) for _ in range(2 if rows else 0)]
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_row_reduce_gives_the_reference_echelon(p):
+    rng = random.Random(f"echelon:{p}")
+    for _ in range(300):
+        _assert_exact_echelon(_tricky_rows(rng, p), p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=st.sampled_from(PRIMES),
+    rows=st.lists(
+        st.dictionaries(st.integers(0, 7), st.integers(-70, 70), max_size=4),
+        max_size=12,
+    ),
+)
+def test_row_reduce_gives_the_reference_echelon_on_any_rows(p, rows):
+    _assert_exact_echelon(rows, p)
+
+
+@pytest.mark.parametrize("p", [3, 5, 2**31 - 1])
+def test_row_reduce_gives_the_reference_echelon_on_oracle_matrices(p):
+    """The oracle's matrices in the crosscheck benchmark's shape: x^a, y^b,
+    z^c plus sparse forms, at the bound a + b + c - 3."""
+    ring = PolyRing(p, ("x", "y", "z"), DegRevLex())
+    x, y, z = ring.gens()
+    cases = [
+        ([x**3, y**3, z**3, x * y + z**2], 6),
+        ([x**3, y**4, z**3, 2 * x * y * z + y**3, x**2 * z**2 + 3 * y**4], 7),
+        ([x**4, y**3, z**5, x**2 - y * z, y**2 * z + 4 * x * z**2 + z**3], 9),
+        ([x**2, y**2, z**2], 3),
+    ]
+    for gens, bound in cases:
+        rows = _span_rows(Ideal(ring, gens), bound)
+        echelon = _assert_exact_echelon(rows, p)
+        assert len(echelon) == rank_of_rows(rows, p)
+
+
+def _reduce_row_calls(monkeypatch, call):
+    calls = []
+    original = linalg.reduce_row
+
+    def counting(row, echelon, p):
+        calls.append(row)
+        return original(row, echelon, p)
+
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "reduce_row", counting)
+        result = call()
+    return result, len(calls)
+
+
+def test_oracle_pivots_one_entry_rows_without_reducing_them(monkeypatch):
+    """J = (x^3, y^3, z^3, xy + z^2) at bound 6 gives 95 rows, 60 of them
+    one-entry.  Those pivot outright, and only the 17 longer rows that keep
+    an entry once their columns are gone go through reduce_row; a matrix of
+    one-entry rows goes through it not at all."""
+    ring = PolyRing(5, ("x", "y", "z"), DegRevLex())
+    x, y, z = ring.gens()
+    j_ideal = Ideal(ring, [x**3, y**3, z**3, x * y + z**2])
+    rows = _span_rows(j_ideal, 6)
+    assert (len(rows), sum(len(row) == 1 for row in rows)) == (95, 60)
+    assert _reduce_row_calls(monkeypatch, lambda: oracle_quotient_dimension(j_ideal, 6)) == (13, 17)
+    monomial = Ideal(ring, [x**2, y**2, z**2])
+    assert _reduce_row_calls(monkeypatch, lambda: oracle_quotient_dimension(monomial, 6)) == (8, 0)
 
 
 def test_import_leaves_numpy_out():
