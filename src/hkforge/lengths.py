@@ -8,9 +8,11 @@ Three measurement routes, kept deliberately independent of each other:
 * subquotient measurement for (U + J)/J: the span of the normal forms of
   U's generators modulo J, closed under multiplication by the variables, one
   sparse row per normal form keyed by packed monomial;
-* a brute-force oracle that never looks at Groebner bases: sparse Gaussian
-  elimination (`linalg.row_reduce`) on one row per raw generator multiple up
-  to a degree bound, its columns the monomials coded in a fixed radix.
+* a brute-force oracle that never looks at Groebner bases: the generator
+  multiples up to a degree bound, over the monomials coded in a fixed radix
+  as columns.  The monomial generators' multiples are taken as pivot columns
+  outright, and sparse Gaussian elimination (`linalg.row_reduce`) runs on one
+  row per multiple of another generator, with those columns struck.
 
 Gamma_m is realized on ideals: Gamma_m(I/J) = H/J for
 H = (J : m^infinity) ∩ I.  `gamma_submodule` builds H; `gamma_length`
@@ -38,7 +40,7 @@ from . import config
 from .errors import CapExceeded, ContainmentError, RingMismatch
 from .ideals import Ideal, _saturate_variable, _saturation_steps, intersect
 from .linalg import rank_of_rows, reduce_row, row_reduce
-from .polyring import Monomial, PolyRing, Polynomial
+from .polyring import Monomial, Polynomial
 
 __all__ = [
     "LengthResult",
@@ -160,20 +162,6 @@ def gamma_submodule(j_ideal: Ideal, i_ideal: Ideal) -> Ideal:
 
 # ---------------------------------------------------------------------------
 # subquotient length
-
-@functools.lru_cache(maxsize=256)
-def _monomials_of_degree(nvars: int, degree: int) -> tuple[Monomial, ...]:
-    """The exponent tuples of total degree `degree`, sorted ascending."""
-    if degree == 0:
-        return ((0,) * nvars,)
-    out = []
-    for combo in itertools.combinations_with_replacement(range(nvars), degree):
-        mon = [0] * nvars
-        for i in combo:
-            mon[i] += 1
-        out.append(tuple(mon))
-    return tuple(sorted(out))
-
 
 def nilpotency_exponent(u_ideal: Ideal, j_ideal: Ideal, cap: int) -> int | None:
     """Least n <= cap with m^n * U <= J, or None if the cap is exhausted: the
@@ -323,11 +311,17 @@ def _gamma_length(
 # ---------------------------------------------------------------------------
 # brute-force oracles (no Groebner bases anywhere below)
 
-def _monomials_up_to(ring: PolyRing, degree: int) -> list[Monomial]:
-    out = []
-    for d in range(degree + 1):
-        out.extend(_monomials_of_degree(ring.nvars, d))
-    return out
+@functools.lru_cache(maxsize=256)
+def _shift_codes(nvars: int, bound: int) -> tuple[int, ...]:
+    """The `_code`s at radix bound + 1 of the monomials of degree <= bound,
+    by ascending degree, so those of degree <= d are a prefix.  The code of
+    variable i is radix**i, and a product's code is the sum of its factors'."""
+    radix = bound + 1
+    return tuple(
+        sum(radix**i for i in combo)
+        for degree in range(bound + 1)
+        for combo in itertools.combinations_with_replacement(range(nvars), degree)
+    )
 
 
 def _code(mon: Monomial, radix: int) -> int:
@@ -340,27 +334,46 @@ def _code(mon: Monomial, radix: int) -> int:
     return code
 
 
-def _span_rows(ideal: Ideal, degree_bound: int) -> list[dict[int, int]]:
-    """One sparse row per generator multiple of degree <= bound, its columns
-    the `_code`s of the monomials at radix bound + 1."""
+def _span_rows(ideal: Ideal, bound: int) -> tuple[set[int], list[dict[int, int]]]:
+    """The generator multiples of degree <= bound, as `(units, rows)` over the
+    columns `_code`d at radix bound + 1.
+
+    `units` holds the columns of the monomial generators' multiples, each a
+    one-entry row that no row dict is built for.  `rows` holds one sparse row
+    per multiple of another generator with the unit columns struck out, and
+    no row that the strike leaves empty.  Each unit pivots its column, and
+    striking that column from another row is a row operation, so the span of
+    all the multiples has rank len(units) + the rank of `rows`.
+    """
     ring = ideal.ring
-    radix = degree_bound + 1
-    # monomials come by ascending degree, so those of degree <= d are a prefix
-    shifts = [_code(mon, radix) for mon in _monomials_up_to(ring, degree_bound)]
-    rows = []
+    radix = bound + 1
+    shifts = _shift_codes(ring.nvars, bound)
+    multiples = []
     for g in ideal.generators:
-        room = degree_bound - g.total_degree()
-        if room < 0:
-            continue
-        terms = [(_code(m, radix), c) for m, c in g.terms]
-        for shift in shifts[: math.comb(ring.nvars + room, room)]:
-            rows.append({code + shift: c for code, c in terms})
-    return rows
+        room = bound - g.total_degree()
+        if room >= 0:
+            terms = [(_code(m, radix), c) for m, c in g.terms]
+            multiples.append((terms, shifts[: math.comb(ring.nvars + room, room)]))
+    units = set()
+    for terms, reach in multiples:
+        if len(terms) == 1:
+            [(code, _)] = terms
+            units.update(code + shift for shift in reach)
+    rows = []
+    for terms, reach in multiples:
+        if len(terms) > 1:
+            for shift in reach:
+                row = {col: c for code, c in terms if (col := code + shift) not in units}
+                if row:
+                    rows.append(row)
+    return units, rows
 
 
 def oracle_quotient_dimension(ideal: Ideal, degree_bound: int) -> int:
     """dim over F_p of (monomials of degree <= bound) modulo the span of all
-    generator multiples of degree <= bound, by Gaussian elimination.
+    generator multiples of degree <= bound, by Gaussian elimination: the
+    monomials, less the unit columns of `_span_rows`, less the rank of its
+    struck rows.
 
     For a finite-colength ideal this stabilizes to len(R/I) as the bound
     grows.  Entirely independent of the Groebner machinery.
@@ -368,7 +381,8 @@ def oracle_quotient_dimension(ideal: Ideal, degree_bound: int) -> int:
     if degree_bound < 0:
         raise ValueError("degree bound must be non-negative")
     monomials = math.comb(ideal.ring.nvars + degree_bound, degree_bound)
-    return monomials - rank_of_rows(_span_rows(ideal, degree_bound), ideal.ring.p)
+    units, rows = _span_rows(ideal, degree_bound)
+    return monomials - len(units) - rank_of_rows(rows, ideal.ring.p)
 
 
 def oracle_ideal_member(f: Polynomial, ideal: Ideal, *, slack: int = 3) -> bool:
@@ -386,6 +400,6 @@ def oracle_ideal_member(f: Polynomial, ideal: Ideal, *, slack: int = 3) -> bool:
         return True
     bound = f.total_degree() + slack
     p = ideal.ring.p
-    echelon = row_reduce(_span_rows(ideal, bound), p)
-    row = {_code(m, bound + 1): c for m, c in f.terms}
-    return not reduce_row(row, echelon, p)
+    units, rows = _span_rows(ideal, bound)
+    row = {col: c for m, c in f.terms if (col := _code(m, bound + 1)) not in units}
+    return not reduce_row(row, row_reduce(rows, p), p)

@@ -4,11 +4,14 @@ A row is a dict {column: residue} of Python ints holding only its nonzero
 entries, so elimination is exact for every prime and touches only nonzeros.
 Columns are ints; a row's lead is its least column.  These are the rows of
 an F4-style Macaulay matrix (Faugere, JPAA 1999; Faugere & Lachartre, PASCO
-2010); the oracle's matrices in `lengths` have under 1% nonzero entries, and
-about half their rows are single monomials.  `row_reduce` takes the first
-step of structured Gaussian elimination (LaMacchia & Odlyzko, CRYPTO 1990):
-it pivots the one-entry rows outright and strikes their columns from the
-other rows before any of those is reduced.
+2010); the oracle's matrices in `lengths` have under 1% nonzero entries.
+The oracle takes the columns of its monomial generators' multiples as
+pivots before it builds a row, and strikes them from the rows it builds, so
+most of the rows that reach `row_reduce` keep one entry or a few.
+`row_reduce` takes the next step of structured Gaussian elimination
+(LaMacchia & Odlyzko, CRYPTO 1990): it pivots the one-entry rows outright
+and strikes their columns from the other rows before any of those is
+reduced.
 """
 
 from __future__ import annotations

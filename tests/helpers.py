@@ -1,8 +1,10 @@
 """Shared random generators for the test suite (always seeded by the caller)."""
 
+import itertools
 import random
 
 from hkforge import Ideal, PolyRing, Polynomial
+from hkforge.lengths import _code
 from hkforge.linalg import reduce_row
 
 
@@ -159,3 +161,20 @@ def reference_row_reduce(rows: list[dict], p: int) -> dict[int, dict]:
             inv = pow(row[lead], p - 2, p)
             echelon[lead] = {col: value * inv % p for col, value in row.items()}
     return echelon
+
+
+def reference_span_rows(ideal: Ideal, bound: int) -> list[dict]:
+    """One sparse row per generator multiple of degree <= bound, nothing
+    struck, over the columns `lengths._code` gives at radix bound + 1: the
+    full matrix whose rank `oracle_quotient_dimension` subtracts from the
+    number of monomials."""
+    radix = bound + 1
+    rows = []
+    for g in ideal.generators:
+        room = bound - g.total_degree()
+        for shift in itertools.product(range(room + 1), repeat=ideal.ring.nvars):
+            if sum(shift) <= room:
+                rows.append(
+                    {_code(tuple(a + b for a, b in zip(m, shift)), radix): c for m, c in g.terms}
+                )
+    return rows

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+import sys
 import time
 
 import pytest
@@ -29,17 +31,26 @@ from hkforge import (
     subquotient_length,
     unit_ideal,
 )
+from hkforge import groebner, polyring
 from hkforge.ideals import _saturate_variable
 from hkforge.lengths import (
+    _code,
     _m_saturation,
     _subquotient_length,
     count_standard_monomials,
     nilpotency_exponent,
     oracle_ideal_member,
 )
+from hkforge.linalg import rank_of_rows, reduce_row
 from hkforge.verify import build_construction
 
-from helpers import random_monomial_ideal, random_primary_pair
+from helpers import (
+    random_monomial_ideal,
+    random_polynomial,
+    random_primary_pair,
+    reference_row_reduce,
+    reference_span_rows,
+)
 
 
 @pytest.fixture
@@ -191,6 +202,135 @@ def test_oracle_stabilizes_to_box_count():
                 stable = oracle_quotient_dimension(ideal, bound)
                 assert stable == oracle_quotient_dimension(ideal, bound + 1)
                 assert stable == expected
+
+
+# the least prime above 2**61
+BIG_P = 2**61 + 15
+
+
+def _oracle_edge_cases(ring):
+    """(generators, bound, polynomials to test) for the edge cases of the
+    unit columns."""
+    x, y, z = ring.gens()
+    return [
+        # a constant generator: every column is a unit
+        ([x**2, ring.one() * 3, x * y + z], 4, [x + 1, y * z]),
+        # a repeated and a scaled monomial generator
+        ([x**2, 3 * x**2, x**2, y**2, z**3, x * y + 2 * z**2], 5, [x * y**2, x * y + z]),
+        # a zero generator
+        ([ring.zero(), x**2, y * z + x], 4, [x * y * z + x * y, y * z]),
+        # a generator of degree above the bound
+        ([x**2, y**2, z**2, x**5 * y + z**7], 4, [x * y * z, z**2 + x * y]),
+        # no monomial generator
+        ([x**2 + y * z, y**2 + x * z, z**2 + x * y], 5, [x**3 + x * y * z, x * y]),
+        # only monomial generators
+        ([x**2, y**3, x * z, z**2], 6, [x * y + 1, y**3 * z + 2 * x * z]),
+        # f's terms in unit columns: all of them, some of them, none of them
+        (
+            [x**3, y**2, z**3, x * y * z + 4 * z**2],
+            6,
+            [x**3 * y + 2 * y**2 * z, x**4 + y * z, x * z + 1, x * y * z + 4 * z**2],
+        ),
+    ]
+
+
+def _random_oracle_case(rng, ring):
+    """A crosscheck-shaped ideal, x^a, y^b, z^c and sparse forms, or one with
+    some pure powers left out, at a bound up to a + b + c - 3, with random
+    polynomials and random members to test."""
+    x, y, z = ring.gens()
+    powers = [v ** rng.randint(1, 3) for v in (x, y, z)]
+    forms = [random_polynomial(rng, ring, rng.randint(1, 3), 3) for _ in range(rng.randint(1, 2))]
+    gens = rng.sample(powers, rng.randint(0, 3)) + forms
+    bound = rng.randint(0, 6)
+    fs = [random_polynomial(rng, ring, 3, 4) for _ in range(3)]
+    fs.append(sum((random_polynomial(rng, ring, 1, 2) * g for g in gens), ring.zero()))
+    return gens, bound, fs
+
+
+def _reference_member(f, ideal, slack):
+    bound = f.total_degree() + slack
+    echelon = reference_row_reduce(reference_span_rows(ideal, bound), ideal.ring.p)
+    row = {_code(m, bound + 1): c for m, c in f.terms}
+    return not reduce_row(row, echelon, ideal.ring.p)
+
+
+@pytest.mark.parametrize("p", [3, 5, 2**31 - 1, BIG_P])
+def test_oracle_agrees_with_the_full_reference_matrix(p):
+    """The dimension is the number of monomials less the rank of one row per
+    generator multiple, and membership is membership in that row span, with
+    nothing struck."""
+    rng = random.Random(29 + p % 1000)
+    ring = PolyRing(p, ("x", "y", "z"), DegRevLex())
+    cases = _oracle_edge_cases(ring) + [_random_oracle_case(rng, ring) for _ in range(12)]
+    for gens, bound, fs in cases:
+        ideal = Ideal(ring, gens)
+        monomials = math.comb(bound + 3, 3)
+        full = rank_of_rows(reference_span_rows(ideal, bound), p)
+        assert oracle_quotient_dimension(ideal, bound) == monomials - full
+        for f in fs:
+            for slack in (0, 2):
+                expected = f.is_zero() or _reference_member(f, ideal, slack)
+                assert oracle_ideal_member(f, ideal, slack=slack) == expected
+
+
+def test_oracle_edge_cases_read_as_expected():
+    """The edge cases' answers, read off by hand."""
+    ring = PolyRing(5, ("x", "y", "z"), DegRevLex())
+    x, y, z = ring.gens()
+    [constant, scaled, zero, high, _, monomial, partial] = [
+        Ideal(ring, gens) for gens, _, _ in _oracle_edge_cases(ring)
+    ]
+    assert oracle_quotient_dimension(constant, 4) == 0
+    assert oracle_ideal_member(y * z, constant, slack=0)
+    # R/(x^2, y^2, z^3, xy + 2z^2) has the basis 1, x, y, z, xz, yz, z^2
+    assert oracle_quotient_dimension(scaled, 5) == finite_colength_length(scaled).expect() == 7
+    without_zero = Ideal(ring, [x**2, y * z + x])
+    assert oracle_quotient_dimension(zero, 4) == oracle_quotient_dimension(without_zero, 4)
+    assert oracle_quotient_dimension(high, 4) == 8
+    assert oracle_quotient_dimension(monomial, 6) == finite_colength_length(monomial).expect()
+    assert not oracle_ideal_member(x * y + 1, monomial)
+    assert oracle_ideal_member(y**3 * z + 2 * x * z, monomial, slack=0)
+    # all of f's terms in unit columns, some, none, and none in a member
+    fs = _oracle_edge_cases(ring)[-1][2]
+    assert [oracle_ideal_member(f, partial, slack=0) for f in fs] == [True, False, False, True]
+
+
+def _count_calls(monkeypatch, *functions):
+    """Rebind each of `functions` wherever a module of hkforge holds it, to
+    a wrapper that counts its calls into the returned dict."""
+    calls = {f.__name__: 0 for f in functions}
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "hkforge"]
+    for original in functions:
+
+        def counting(*args, _original=original, **kwargs):
+            calls[_original.__name__] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            for attr, value in vars(module).items():
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+def test_the_oracle_builds_no_basis_and_makes_no_normal_form(monkeypatch):
+    """The oracle checks the lengths that Groebner bases give, so it must not
+    reach them: no Buchberger call, no normal form, no reduction, and no
+    basis left in the ideal's table.  The same counters see membership by a
+    basis, so they are live."""
+    ring = PolyRing(7, ("x", "y", "z"), DegRevLex())
+    x, y, z = ring.gens()
+    calls = _count_calls(
+        monkeypatch, groebner.buchberger, polyring.normal_form, polyring._reduce_sorted
+    )
+    ideal = Ideal(ring, [x**3, y**2, z**3, x * y * z + 4 * z**2, x**2 - y * z])
+    assert oracle_quotient_dimension(ideal, 6) == 7
+    assert oracle_ideal_member(x**2 * z + 3 * x * y * z, ideal)
+    assert not oracle_ideal_member(x * y, ideal)
+    assert calls == dict.fromkeys(calls, 0) and ideal._bases == {}
+    assert ideal.contains(x**2 * z + 3 * x * y * z)
+    assert all(calls.values())
 
 
 # -- gamma submodule -------------------------------------------------------------------

@@ -19,7 +19,7 @@ from hkforge import (
 from hkforge.lengths import _span_rows
 from hkforge.linalg import in_row_span, rank, rank_of_rows, reduce_row, row_reduce
 
-from helpers import reference_row_reduce
+from helpers import reference_row_reduce, reference_span_rows
 
 # the least prime above 2**32: products of two residues overflow int64
 BIG_P = 4294967311
@@ -195,7 +195,10 @@ def test_row_reduce_gives_the_reference_echelon_on_any_rows(p, rows):
 @pytest.mark.parametrize("p", [3, 5, 2**31 - 1])
 def test_row_reduce_gives_the_reference_echelon_on_oracle_matrices(p):
     """The oracle's matrices in the crosscheck benchmark's shape: x^a, y^b,
-    z^c plus sparse forms, at the bound a + b + c - 3."""
+    z^c plus sparse forms, at the bound a + b + c - 3.  Both the full
+    reference matrix, one row per multiple, and the rows `_span_rows` keeps
+    once the unit columns are struck; the units and the struck rows have the
+    full matrix's rank."""
     ring = PolyRing(p, ("x", "y", "z"), DegRevLex())
     x, y, z = ring.gens()
     cases = [
@@ -205,9 +208,12 @@ def test_row_reduce_gives_the_reference_echelon_on_oracle_matrices(p):
         ([x**2, y**2, z**2], 3),
     ]
     for gens, bound in cases:
-        rows = _span_rows(Ideal(ring, gens), bound)
-        echelon = _assert_exact_echelon(rows, p)
-        assert len(echelon) == rank_of_rows(rows, p)
+        ideal = Ideal(ring, gens)
+        full = reference_span_rows(ideal, bound)
+        units, rows = _span_rows(ideal, bound)
+        assert all(row and not units & row.keys() for row in rows)
+        assert len(_assert_exact_echelon(full, p)) == rank_of_rows(full, p)
+        assert len(units) + len(_assert_exact_echelon(rows, p)) == rank_of_rows(full, p)
 
 
 def _reduce_row_calls(monkeypatch, call):
@@ -225,17 +231,20 @@ def _reduce_row_calls(monkeypatch, call):
 
 
 def test_oracle_pivots_one_entry_rows_without_reducing_them(monkeypatch):
-    """J = (x^3, y^3, z^3, xy + z^2) at bound 6 gives 95 rows, 60 of them
-    one-entry.  Those pivot outright, and only the 17 longer rows that keep
-    an entry once their columns are gone go through reduce_row; a matrix of
-    one-entry rows goes through it not at all."""
+    """J = (x^3, y^3, z^3, xy + z^2) at bound 6 has 57 unit columns, the
+    multiples of x^3, y^3 and z^3, and 17 rows of xy + z^2 multiples that keep
+    an entry once those columns are struck, 13 of them with one entry.  Those
+    pivot outright, and only the other 4 go through reduce_row; a monomial
+    ideal has no rows, so reduce_row is not called at all."""
     ring = PolyRing(5, ("x", "y", "z"), DegRevLex())
     x, y, z = ring.gens()
     j_ideal = Ideal(ring, [x**3, y**3, z**3, x * y + z**2])
-    rows = _span_rows(j_ideal, 6)
-    assert (len(rows), sum(len(row) == 1 for row in rows)) == (95, 60)
-    assert _reduce_row_calls(monkeypatch, lambda: oracle_quotient_dimension(j_ideal, 6)) == (13, 17)
+    units, rows = _span_rows(j_ideal, 6)
+    assert (len(units), len(rows), sum(len(row) == 1 for row in rows)) == (57, 17, 13)
+    assert _reduce_row_calls(monkeypatch, lambda: oracle_quotient_dimension(j_ideal, 6)) == (13, 4)
     monomial = Ideal(ring, [x**2, y**2, z**2])
+    units, rows = _span_rows(monomial, 6)
+    assert (len(units), rows) == (76, [])
     assert _reduce_row_calls(monkeypatch, lambda: oracle_quotient_dimension(monomial, 6)) == (8, 0)
 
 
