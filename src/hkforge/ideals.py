@@ -4,12 +4,14 @@ dimension of the quotient.
 
 An Ideal is a generator list plus a table of reduced Groebner bases, one per
 monomial order that is asked for, each built on first use
-(`Ideal.groebner_basis`): the ring's order, to print and compare bases, and
-degrevlex, for a saturation by a variable (`_saturate_variable`).  Questions
-that any order answers take a basis already built (`Ideal.any_basis`):
-membership, lengths, the unit test, the dimension and saturation step counts,
-since a normal form modulo any basis is canonical and every order counts the
-same standard monomials and gives the same dimension.  Intersections go
+(`Ideal.groebner_basis`): the ring's order, to print bases, and degrevlex,
+for a saturation by a variable (`_saturate_variable`).  Questions that any
+order answers take a basis already built (`Ideal.any_basis`): membership,
+lengths, the unit test, the dimension and saturation step counts, since a
+normal form modulo any basis is canonical and every order counts the same
+standard monomials and gives the same dimension.  Equality is such a question
+too, as each order has one reduced basis per ideal, so `ideal_equal` compares
+under an order that one side already holds.  Intersections go
 through an elimination variable t with a block order t > (ring order): for
 ideals I and K, the ideal t*I + (1-t)*K contracts to I ∩ K, and the
 contraction inherits a reduced Groebner basis from the elimination basis for
@@ -159,13 +161,19 @@ def unit_ideal(ring: PolyRing) -> Ideal:
 
 
 def ideal_equal(a: Ideal, b: Ideal) -> bool:
-    """Equality via reduced Groebner bases under a's ring order (unique for a
-    fixed order; b keeps its basis under that order), or at once for equal
-    generators."""
+    """Equality via reduced Groebner bases, which are unique for each fixed
+    order, or at once for equal generators.  The order is one a side already
+    holds a basis under: the first of a's that b holds too, else b's first,
+    else a's first, else a's ring order.  Either side keeps the basis built
+    for it."""
     a._check(b)
     if a.generators == b.generators:
         return True
-    return a.groebner_basis().elements == b.groebner_basis(a.ring.order).elements
+    order = next(
+        itertools.chain((o for o in a._bases if o in b._bases), b._bases, a._bases),
+        a.ring.order,
+    )
+    return a.groebner_basis(order).elements == b.groebner_basis(order).elements
 
 
 # ---------------------------------------------------------------------------

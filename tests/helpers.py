@@ -4,8 +4,10 @@ import itertools
 import random
 
 from hkforge import Ideal, PolyRing, Polynomial
+from hkforge.groebner import GroebnerCertificate, s_polynomial
 from hkforge.lengths import _code
 from hkforge.linalg import reduce_row
+from hkforge.polyring import DegRevLex, DivisorTable, division
 
 
 def random_monomial(rng: random.Random, ring: PolyRing, max_degree: int):
@@ -178,3 +180,25 @@ def reference_span_rows(ideal: Ideal, bound: int) -> list[dict]:
                     {_code(tuple(a + b for a, b in zip(m, shift)), radix): c for m, c in g.terms}
                 )
     return rows
+
+
+# -- reference of the S-pair certificate ---------------------------------------
+
+def reference_certify(basis, order=None) -> GroebnerCertificate:
+    """Every S-pair of `basis`, term pairs too, formed by `s_polynomial` and
+    divided against one `DivisorTable`, in the pair order of
+    `groebner.certify_groebner`, which must give exactly this certificate."""
+    basis = tuple(basis)
+    if not basis:
+        return GroebnerCertificate((), order or DegRevLex(), True, ())
+    ring = basis[0].ring if order is None else basis[0].ring.with_order(order)
+    basis, order = tuple(g.resorted(ring) for g in basis), ring.order
+    table = DivisorTable(basis)
+    entries = []
+    for k in range(len(basis)):
+        for j in range(k):
+            quots, rem = division(s_polynomial(basis[j], basis[k]), table)
+            if not rem.is_zero():
+                return GroebnerCertificate(basis, order, False, tuple(entries), (j, k, rem))
+            entries.append((j, k, tuple(quots)))
+    return GroebnerCertificate(basis, order, True, tuple(entries))

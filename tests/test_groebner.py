@@ -29,6 +29,7 @@ from helpers import (
     random_monomial,
     random_nonzero_polynomial,
     random_polynomial,
+    reference_certify,
 )
 
 
@@ -547,6 +548,90 @@ def test_certificate_json_round_trips():
     assert payload["pass"] is True
     assert payload["order"] == "lex"
     assert len(payload["pairs"]) == 1
+
+
+def _certify_cases():
+    """Seeded (basis, order) cases for the reference comparison: bases of
+    single-term elements only, with scaled monomials and constants among them,
+    mixed reduced bases and the 14-element elimination basis, and bases of
+    terms with one longer element among them, most of which fail."""
+    rng = random.Random(3031)
+    lex = PolyRing(7, ("s", "x", "y"), Lex())
+    s, x, y = lex.gens()
+    cases = [
+        ([x**2, y], None),
+        ([3 * x**2, 5 * x * y, 2 * y**3], None),
+        ([lex.one(), x, y**2], None),
+        ([lex.constant(4), 6 * s], DegRevLex()),
+        ([lex.one()], None),
+        ([x**2 + y, lex.one(), y], None),
+        ([x**2, x * y + y**2], None),
+        ([y**3, s, x**2, x * y + y**2], None),
+        (aux_saturation_basis(3, 4)[1], Lex()),
+    ]
+    for _ in range(10):
+        terms = {random_monomial(rng, lex, 4) for _ in range(rng.randint(1, 5))}
+        basis = [lex.polynomial({m: rng.randint(1, 6)}) for m in sorted(terms)]
+        cases.append((basis, rng.choice([None, DegRevLex()])))
+    for _ in range(10):
+        # homogeneous quadrics and cubics, whose bases keep longer elements
+        order = rng.choice([Lex(), DegRevLex()])
+        gens = []
+        for degree in rng.choice([(2, 2), (2, 3), (2, 2, 3)]):
+            terms = [random_monomial(rng, lex, 3) for _ in range(9)]
+            terms = [m for m in terms if sum(m) == degree]
+            gens.append(lex.polynomial({m: rng.randint(1, 6) for m in terms}) + x**degree)
+        elements = buchberger(gens, order).elements
+        cases.append(([rng.randint(1, 6) * g for g in elements], order))
+    for _ in range(10):
+        basis = [rng.choice(lex.gens()) * x ** rng.randint(0, 2) for _ in range(3)]
+        longer = random_nonzero_polynomial(rng, lex, 3)
+        while len(longer) < 2:
+            longer = random_nonzero_polynomial(rng, lex, 3)
+        basis.insert(rng.randint(1, 3), longer)
+        cases.append((basis, rng.choice([None, DegRevLex()])))
+    return cases
+
+
+def test_certify_matches_the_reference():
+    """Recording term pairs without dividing them changes no certificate: the
+    same entries, quotients and first failing pair, byte for byte."""
+    passed, failed_after_term_pairs = 0, 0
+    for basis, order in _certify_cases():
+        cert, ref = certify_groebner(basis, order), reference_certify(basis, order)
+        assert cert.to_json() == ref.to_json()
+        assert cert == ref
+        assert cert.check() == ref.ok
+        passed += ref.ok
+        failed_after_term_pairs += not ref.ok and bool(ref.entries)
+    assert passed >= 20 and failed_after_term_pairs >= 3
+
+
+def test_certify_forms_no_s_polynomial_of_two_terms(monkeypatch):
+    """On the 14-element elimination basis only pairs with an element of two
+    or more terms are formed and divided; `check` still forms all 91."""
+    from hkforge import groebner
+
+    calls = {"s_polynomial": 0, "division": 0}
+    for name in calls:
+        original = getattr(groebner, name)
+
+        def counted(*a, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*a)
+
+        monkeypatch.setattr(groebner, name, counted)
+    aux, entries = aux_saturation_basis(3, 4)
+    cert = certify_groebner(entries, aux.order)
+    longer = sum(
+        1
+        for k in range(len(entries))
+        for j in range(k)
+        if not (entries[j].is_monomial() and entries[k].is_monomial())
+    )
+    assert cert.ok and len(cert.entries) == 91 and longer < 91
+    assert calls == {"s_polynomial": longer, "division": longer}
+    assert cert.check() and calls["s_polynomial"] == longer + 91
 
 
 # -- membership --------------------------------------------------------------------

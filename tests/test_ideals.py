@@ -722,6 +722,61 @@ def test_ideal_equal_answers_equal_generators_with_no_basis():
     assert not ideal_equal(lex, Ideal(ring, gens + [z]))
 
 
+def _equality_cases():
+    """Seeded pairs of generator lists, each over the lex or the degrevlex
+    ring of x, y, z: a generating set against another one of the same ideal
+    and against a larger ideal, the zero ideal and the unit ideal."""
+    rng = random.Random(3037)
+    lex = PolyRing(5, ("x", "y", "z"), Lex())
+    drl = lex.with_order(DegRevLex())
+    x, y, z = lex.gens()
+    cases = [
+        ([], lex, [x], drl),
+        ([], drl, [], lex),
+        ([lex.one()], lex, [x, x + 1], drl),
+        ([lex.one()], drl, [x * y - z**2], lex),
+        ([x * y - z**2, y**3 - x], lex, [y**3 - x, x * y - z**2 + 2 * (y**3 - x)], drl),
+    ]
+    for _ in range(8):
+        gens = [random_nonzero_polynomial(rng, lex, 3) for _ in range(rng.randint(1, 3))]
+        same = [rng.randint(1, 4) * g for g in reversed(gens)] + [gens[0] * gens[-1]]
+        larger = gens + [random_nonzero_polynomial(rng, lex, 2)]
+        for other in (same, larger):
+            cases.append((gens, rng.choice([lex, drl]), other, rng.choice([lex, drl])))
+    return cases
+
+
+def test_ideal_equal_does_not_depend_on_the_tables(builds):
+    """`ideal_equal` gives the answer of lex bases built afresh whichever bases
+    the two tables hold beforehand: none, a's only, b's only or both, one or
+    two orders each.  It builds nothing when both hold a basis under one
+    order; otherwise it builds one basis, under b's first order if b holds
+    any, else under a's first order."""
+    rng = random.Random(3041)
+    orders = [Lex(), DegRevLex(), Block(DegRevLex())]
+    answers = []
+    for a_gens, a_ring, b_gens, b_ring in _equality_cases():
+        expected = buchberger(a_gens, Lex()).elements == buchberger(b_gens, Lex()).elements
+        answers.append(expected)
+        for a_holds, b_holds in ((False, False), (True, False), (False, True), (True, True)):
+            a = Ideal(a_ring, [g.resorted(a_ring) for g in a_gens])
+            b = Ideal(b_ring, [g.resorted(b_ring) for g in b_gens])
+            for ideal, holds in ((a, a_holds), (b, b_holds)):
+                for order in rng.sample(orders, rng.randint(1, 2)) if holds else ():
+                    ideal.groebner_basis(order)
+            a_held, b_held = list(a._bases), list(b._bases)
+            builds.clear()
+            assert ideal_equal(a, b) == expected
+            if set(a_held) & set(b_held) or a.generators == b.generators:
+                assert builds == []
+            elif b_held:
+                assert len(builds) == 1 and list(a._bases) == a_held + b_held[:1]
+            elif a_held:
+                assert len(builds) == 1 and list(b._bases) == a_held[:1]
+            assert ideal_equal(b, a) == expected
+    assert answers.count(True) >= 6 and answers.count(False) >= 6
+
+
 def test_dimension_does_not_depend_on_the_order(construction54):
     rng = random.Random(67)
     ring = PolyRing(5, ("x", "y", "z"), Lex())

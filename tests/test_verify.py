@@ -244,7 +244,7 @@ def _sandwich_of_katzman_pair_refused() -> bool:
 @pytest.mark.parametrize(
     "run,calls",
     [
-        (lambda: verify_construction(3, 4).ok, 8),
+        (lambda: verify_construction(3, 4).ok, 7),
         (lambda: verify_katzman(3, 1).ok, 6),
         (_rjj_of_katzman_pair, 6),
         (_katzman_pair_run(sjj_sequence, [1, 0]), 5),
@@ -276,7 +276,10 @@ def test_ideal_layer_builds_a_pinned_number_of_bases(monkeypatch, run, calls):
     the per-level re-checks J^[q] <= H^[q] and (J + m*I)^[q] <= I^[q] built
     bases of levels of H and I that no span closure reads.  Before lengths and
     membership read the degrevlex basis a saturation had built, rjj, sjj and
-    fdiff of the Katzman pair built 8, 6 and 14."""
+    fdiff of the Katzman pair built 8, 6 and 14.  Before `ideal_equal`
+    compared under an order one side already held, the construction built 8:
+    claim 6 built lex bases of e's saturation and of h, although h held a
+    degrevlex one."""
     from hkforge import ideals
 
     count = [0]
@@ -294,7 +297,7 @@ def test_ideal_layer_builds_a_pinned_number_of_bases(monkeypatch, run, calls):
 @pytest.mark.parametrize(
     "run,spairs,zeros",
     [
-        (lambda: verify_construction(3, 4).ok, 120, 95),
+        (lambda: verify_construction(3, 4).ok, 101, 81),
         (_rjj_of_katzman_pair, 61, 48),
     ],
     ids=["construction-3-4", "rjj-katzman-3-1"],
@@ -310,7 +313,9 @@ def test_buchberger_forms_a_pinned_number_of_spairs(monkeypatch, run, spairs, ze
     the colon chain, the construction formed 515, of which 382; before claim 4
     read (e : f) = m off the membership tests and claim 6 saturated e once,
     214, of which 167; before lengths read the degrevlex basis a saturation
-    had built, rjj of the Katzman pair formed 83, of which 64."""
+    had built, rjj of the Katzman pair formed 83, of which 64; before claim 6
+    compared e's saturation with h under the degrevlex order h held, the
+    construction formed 120, of which 95."""
     from hkforge import groebner
 
     count = {"spairs": 0, "zeros": 0}
