@@ -7,7 +7,6 @@ division algorithm on every pair, so a basis is never taken on faith.
 """
 
 from hkforge import Lex, PolyRing, buchberger, certify_groebner, s_polynomial
-from hkforge.verify import aux_saturation_basis
 
 ring = PolyRing(5, ("s", "x", "y"), Lex())
 s, x, y = ring.gens()
@@ -37,8 +36,23 @@ bad = certify_groebner([x**2, x * y + y**2], ring.order)
 j, k, remainder = bad.failure
 print(f"\n{{x^2, x*y + y^2}} fails at pair ({j}, {k}) with remainder {remainder}")
 
-# A hand-written 14-entry basis for the elimination ideal behind the
-# s-saturation of the worked example certifies as well.
-aux, entries = aux_saturation_basis(3, 4)
+
+# A hand-written 14-entry basis of t*h + (1-t)*(s) in F_3[t, s, x, y] under
+# lex, for h = (x^9, y^9, g, f) with f = sum_{j=2}^{8} (-1)^j x^(10-j) y^j,
+# certifies as well: its t-free elements generate h ∩ (s).
+m, n = 4, 9
+aux = PolyRing(3, ("t", "s", "x", "y"), Lex())
+t, s, x, y = aux.gens()
+g = x * y * (x - y) * (x + y - s * y)
+f = aux.zero()
+for j in range(2, n):
+    f = f + (-1) ** j * x ** (n + 1 - j) * y**j
+c = t * x**3 * y - t * x * y**3 - s * x**2 * y**2 + s * x * y**3
+d = m * t * x**2 * y ** (n - 1)
+for j in range(1, n - 2):
+    d = d + (-1) ** (j - 1) * j * s * x ** (n - 1 - j) * y ** (j + 2)
+entries = [t * s - s, t * x**n, c, d, t * y**n, -(s * g), s * x**n, s * f]
+entries += [s * x ** (n - j) * y ** (j + 2) for j in range(2, n - 2)]
+entries += [s * y**n]
 print("\nhand-built elimination basis:", len(entries), "entries;",
       "certifies:", certify_groebner(entries, aux.order).ok)

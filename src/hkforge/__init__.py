@@ -74,7 +74,6 @@ from .sequences import (
 from .verify import (
     ClaimReport,
     ConstructionData,
-    aux_saturation_basis,
     build_construction,
     construction_basis,
     verify_construction,

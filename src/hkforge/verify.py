@@ -12,8 +12,10 @@ Seven claims are checked outright: b <= e; s*f in e; x*f and y*f in e;
 f not in e with (e : f) equal to the maximal ideal; h is s-saturated;
 the s- and m-saturations of e both equal h; and the m-torsion of A/e has
 length exactly 1.  On top of that, an explicitly written-down generating set
-of e is certified to be a Groebner basis.  The (n+5)-entry elimination basis
-of `aux_saturation_basis`, which saturates h at s, is only a demo and test aid.
+of e is certified to be a Groebner basis.  Claims 5 and 6 share e's one
+saturation at s: once claims 2-3 put m*f inside e, h/e is the line F_p*f,
+so e : s^inf <= h is read off normal forms modulo e's basis (`_within_line`),
+and h = e : s^inf is then s-saturated itself.
 
 The Katzman pair takes J = (x^p, y^p) and I = (x, y)^p modulo g; for q = p^e
 the bracketed pair J^[q] + (g) <= I^[q] + (g) reproduces the family with
@@ -45,7 +47,6 @@ __all__ = [
     "ClaimReport",
     "build_construction",
     "construction_basis",
-    "aux_saturation_basis",
     "verify_construction",
     "verify_katzman",
 ]
@@ -136,31 +137,34 @@ def construction_basis(data: ConstructionData) -> list[Polynomial]:
     return basis
 
 
-def aux_saturation_basis(p: int, m: int) -> tuple[PolyRing, list[Polynomial]]:
-    """The explicit (n+5)-entry Groebner basis of t*h*B + (1-t)*s*B in
-    B = F_p[t, s, x, y] under lex, used to read off h ∩ (s).
+def _within_line(ideal: Ideal, e: Ideal, f: Polynomial) -> bool:
+    """ideal <= e + (f), for an f with m*f <= e.
 
-    Returns (B, entries); entry order follows the hand construction: the
-    relation t*s - s first, then the t-multiples of the monomial generators
-    and the two mixed elements, then the s-multiples.
-    """
-    data = build_construction(p, m)
-    n = data.n
-    aux = PolyRing(p, ("t", "s", "x", "y"), Lex())
-    t, s, x, y = aux.gens()
-    g, f = (h.moved(aux, (1, 2, 3)) for h in (data.g, data.f))
-    c = t * x**3 * y - t * x * y**3 - s * x**2 * y**2 + s * x * y**3
-    d = m * t * x**2 * y ** (n - 1)
-    for j in range(1, n - 2):
-        d = d + ((-1) ** (j - 1)) * j * s * x ** (n - 1 - j) * y ** (j + 2)
-    entries = [t * s - s, t * x**n, c, d, t * y**n, -(s * g), s * x**n, s * f]
-    entries += [s * x ** (n - j) * y ** (j + 2) for j in range(2, n - 2)]
-    entries += [s * y**n]
-    return aux, entries
+    Then (e + (f))/e is the line F_p*f, since A = F_p + m, so a generator
+    lies in e + (f) exactly when its normal form modulo e is a scalar
+    multiple of f's, zero included; a normal form is F_p-linear with kernel
+    e.  Both are read off e's basis under the ring's order."""
+    basis = e.groebner_basis()
+    line = basis.reduce(f)
+    for g in ideal.generators:
+        nf = basis.reduce(g)
+        if not nf:
+            continue
+        if not line:
+            return False
+        c = nf.leading_term()[0] * pow(line.leading_term()[0], -1, e.ring.p)
+        if nf != line * c:
+            return False
+    return True
 
 
 def verify_construction(p: int, m: int) -> ClaimReport:
-    """Check all seven claims of the family plus the explicit-basis certificate."""
+    """Check all seven claims of the family plus the explicit-basis certificate.
+
+    Claims 5 and 6 build no basis beyond e's saturation at s: claim 6 reads
+    sat <= h off `_within_line` once claims 2-3 hold and h is e + (f), and
+    falls back to `ideal_equal` otherwise; claim 5 saturates h only when
+    claim 6 fails."""
     data = build_construction(p, m)
     ring = data.ring
     s, x, y = ring.gens()
@@ -188,19 +192,27 @@ def verify_construction(p: int, m: int) -> ClaimReport:
         f"f outside: {f_outside}, colon equals (s,x,y): {colon_is_max}",
     )
 
-    # buchberger's bases are reduced, so no element of the basis that
-    # saturates h at s holds s, and h comes back itself, unless h : s != h
-    s_index = ring.variables.index("s")
-    record("5: (h : s) = h", _saturate_variable(data.h, s_index) is data.h, "h is s-saturated")
-
     # one saturation serves both: e : m^inf <= e : s^inf = sat, and the m-walk
     # ends only once m^k * sat <= e, which puts sat inside e : m^inf
+    s_index = ring.variables.index("s")
     sat = _saturate_variable(data.e, s_index)
     steps_s = _saturation_steps(data.e, sat, [s])
     steps_m = _saturation_steps(data.e, sat, ring.gens())
+    if sf and xf and yf and data.h.generators == data.e.generators + (data.f,):
+        # h <= sat, as e <= sat and s*f in e; m*f <= e, so sat <= h is a
+        # question about the line h/e
+        sat_is_h = _within_line(sat, data.e, data.f)
+    else:
+        sat_is_h = ideal_equal(sat, data.h)
+
+    # h = sat is s-saturated; otherwise saturate h itself: buchberger's bases
+    # are reduced, so no element of the basis that saturates h at s holds s,
+    # and h comes back itself, unless h : s != h
+    h_saturated = sat_is_h or _saturate_variable(data.h, s_index) is data.h
+    record("5: (h : s) = h", h_saturated, "h is s-saturated")
     record(
         "6: e : s^inf = e : m^inf = h",
-        ideal_equal(sat, data.h),
+        sat_is_h,
         f"s-saturation in {steps_s} step(s), m-saturation in {steps_m} step(s)",
     )
 
@@ -228,6 +240,9 @@ def verify_katzman(p: int, e: int, slow: bool = False) -> ClaimReport:
     """Check the nested-pair witnesses at q = p^e.
 
     Levels e >= 2 bracket up to n = p^(e+1) and are gated behind `slow`.
+    The torsion of claim v is measured first, so that the degrevlex basis of
+    J^[q] + (g) its saturation builds answers claims ii and iii; the claims
+    are still recorded i to v.
     """
     if not is_prime(p) or p == 2:
         raise PreconditionError(f"p must be an odd prime, got {p}")
@@ -261,6 +276,11 @@ def verify_katzman(p: int, e: int, slow: bool = False) -> ClaimReport:
     if not ideal_equal(j_q, data.e):
         raise EngineError("internal: J^[q] + (g) must equal (x^n, y^n, g)")
 
+    # the torsion goes first: the saturation in it builds the degrevlex basis
+    # of J^[q] + (g), which then answers claims ii and iii, so no basis of it
+    # under the ring's order is built
+    torsion = gamma_length(j_q, i_q)
+
     record("i: z in I^[q] + (g)", i_q.contains(z), f"q = {q}")
     record("ii: z not in J^[q] + (g)", not j_q.contains(z), f"n = {n}")
     # m is maximal: (J^[q] + (g)) : z = m iff z is outside it and every v*z inside
@@ -282,7 +302,6 @@ def verify_katzman(p: int, e: int, slow: bool = False) -> ClaimReport:
         "non-membership holds after saturation and at s-powers 0, 1, 2",
     )
 
-    torsion = gamma_length(j_q, i_q)
     record(
         "v: len Gamma_m(I^[q]/J^[q]) = 1",
         torsion.finite and torsion.value == 1,

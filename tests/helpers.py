@@ -3,11 +3,12 @@
 import itertools
 import random
 
-from hkforge import Ideal, PolyRing, Polynomial
+from hkforge import Ideal, Lex, PolyRing, Polynomial
 from hkforge.groebner import GroebnerCertificate, s_polynomial
 from hkforge.lengths import _code
 from hkforge.linalg import reduce_row
 from hkforge.polyring import DegRevLex, DivisorTable, division
+from hkforge.verify import build_construction
 
 
 def random_monomial(rng: random.Random, ring: PolyRing, max_degree: int):
@@ -202,3 +203,29 @@ def reference_certify(basis, order=None) -> GroebnerCertificate:
                 return GroebnerCertificate(basis, order, False, tuple(entries), (j, k, rem))
             entries.append((j, k, tuple(quots)))
     return GroebnerCertificate(basis, order, True, tuple(entries))
+
+
+# -- the hand-built elimination basis of the construction ----------------------
+
+def aux_saturation_basis(p: int, m: int) -> tuple[PolyRing, list[Polynomial]]:
+    """The explicit (n+5)-entry Groebner basis of t*h*B + (1-t)*s*B in
+    B = F_p[t, s, x, y] under lex, for h of `build_construction(p, m)`, from
+    which h ∩ (s) is read off.
+
+    Returns (B, entries); entry order follows the hand construction: the
+    relation t*s - s first, then the t-multiples of the monomial generators
+    and the two mixed elements, then the s-multiples.
+    """
+    data = build_construction(p, m)
+    n = data.n
+    aux = PolyRing(p, ("t", "s", "x", "y"), Lex())
+    t, s, x, y = aux.gens()
+    g, f = (h.moved(aux, (1, 2, 3)) for h in (data.g, data.f))
+    c = t * x**3 * y - t * x * y**3 - s * x**2 * y**2 + s * x * y**3
+    d = m * t * x**2 * y ** (n - 1)
+    for j in range(1, n - 2):
+        d = d + ((-1) ** (j - 1)) * j * s * x ** (n - 1 - j) * y ** (j + 2)
+    entries = [t * s - s, t * x**n, c, d, t * y**n, -(s * g), s * x**n, s * f]
+    entries += [s * x ** (n - j) * y ** (j + 2) for j in range(2, n - 2)]
+    entries += [s * y**n]
+    return aux, entries

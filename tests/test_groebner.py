@@ -11,6 +11,7 @@ from hkforge import (
     Ideal,
     Lex,
     PolyRing,
+    Polynomial,
     ZeroPolynomial,
     buchberger,
     certify_groebner,
@@ -18,12 +19,12 @@ from hkforge import (
     normal_form,
     s_polynomial,
 )
-from hkforge.groebner import _gm_update
+from hkforge.groebner import _gm_update, _spoly_terms
 from hkforge.lengths import oracle_ideal_member
-from hkforge.polyring import packing_for
-from hkforge.verify import aux_saturation_basis
+from hkforge.polyring import _Overflow, packing_for
 
 from helpers import (
+    aux_saturation_basis,
     gebauer_moller_update,
     is_reduced_basis,
     random_monomial,
@@ -401,6 +402,46 @@ def test_pair_degree_past_the_packing_restarts_buchberger_wider():
     ]
     assert basis[0].packing.width > max(g.packing.width for g in gens)
     assert certify_groebner(list(basis)).ok
+
+
+def test_spolynomial_terms_refuse_a_product_past_narrow_entries():
+    """`_spoly_terms` itself raises `_Overflow`: x + y^250 and y^10 pack at 8
+    bits, their lcm x*y^10 fits, but y^10 * y^250 does not.  Buchberger
+    would widen on a later check too, so only this call shows the guard."""
+    ring = PolyRing(5, ("x", "y"), Lex())
+    x, y = ring.gens()
+
+    def spoly(width):
+        pk = packing_for(Lex(), 2, width)
+        fi, fj = (
+            pk.reducer(pk.pack_terms(g.terms), pow(g.leading_term()[0], -1, 5))
+            for g in (x + y**250, 3 * y**10)
+        )
+        return pk, _spoly_terms(pk, fi, fj, pk.pack((1, 10)), 5)
+
+    with pytest.raises(_Overflow):
+        spoly(8)
+    pk, terms = spoly(16)
+    assert Polynomial(ring, pk, terms) == s_polynomial(x + y**250, 3 * y**10)
+
+
+def test_pair_update_refuses_a_degree_past_narrow_leads():
+    """`_gm_update` itself raises `_Overflow`: the degrevlex leads
+    x^200 y^10 and x^10 y^200 fit 8-bit fields, but the degree 400 of their
+    lcm does not fit the 8-bit degree field."""
+
+    def update(width):
+        pk = packing_for(DegRevLex(), 2, width)
+        lms = [(pk.pack(m) ^ pk.flip) & pk.exponents for m in ((200, 10), (10, 200))]
+        active, pairs = _gm_update(pk, lms, [], [], 0)
+        return pk, _gm_update(pk, lms, active, pairs, 1)
+
+    with pytest.raises(_Overflow):
+        update(8)
+    pk, (active, pairs) = update(16)
+    assert active == [0, 1] and [(packed, i, j) for packed, i, j, _ in pairs] == [
+        (pk.pack((200, 200)), 0, 1)
+    ]
 
 
 def test_order_argument_resorts_into_the_ring_under_that_order():

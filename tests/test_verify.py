@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -15,14 +16,17 @@ from hkforge import (
     vjj_sequence,
 )
 from hkforge.groebner import certify_groebner
+from hkforge.ideals import _saturate_variable
 from hkforge.verify import (
     PreconditionError,
-    aux_saturation_basis,
+    _within_line,
     build_construction,
     construction_basis,
     verify_construction,
     verify_katzman,
 )
+
+from helpers import aux_saturation_basis
 
 
 # -- construction data ---------------------------------------------------------
@@ -105,12 +109,110 @@ def test_explicit_basis_matches_computed_leads():
     assert certify_groebner(explicit, data.ring.order).ok
 
 
-@pytest.mark.parametrize(
-    "p,m",
-    [(p, m) for p in (3, 5, 7) for m in (4, 5, 6, 7) if m % p != 0],
-)
+_GRID = [(p, m) for p in (3, 5, 7) for m in (4, 5, 6, 7) if m % p != 0]
+
+
+@pytest.mark.parametrize("p,m", _GRID)
 def test_construction_grid(p, m):
     assert verify_construction(p, m).ok
+
+
+# -- claims 5 and 6 from e's one saturation ------------------------------------------
+
+def _s_saturation(data):
+    return _saturate_variable(data.e, data.ring.variables.index("s"))
+
+
+@pytest.mark.parametrize("p,m", [(3, 4), (5, 4)])
+def test_line_test_refuses_an_f_inside_e(p, m):
+    """With f replaced by an element of e (s*f, x*f, g or x^n), h' = e + (f')
+    is e, and e : s^inf is not: the line test and `ideal_equal` both say
+    no.  A multiple of f, or f plus an element of e, gives h back: both say
+    yes."""
+    data = build_construction(p, m)
+    s, x, y = data.ring.gens()
+    sat = _s_saturation(data)
+    inside = [s * data.f, x * data.f, data.g, x**data.n]
+    for f in inside + [2 * data.f, data.f + y**data.n]:
+        expected = f not in inside
+        assert _within_line(sat, data.e, f) is expected
+        assert ideal_equal(sat, data.e + Ideal(data.ring, [f])) is expected
+
+
+@pytest.mark.parametrize("p,m", _GRID)
+def test_line_test_agrees_with_ideal_equal_on_the_grid(p, m):
+    """Claim 6's decision equals `ideal_equal(sat, h)` on every grid point,
+    and on other ideals and other f' with m*f' <= e it equals containment
+    in e + (f')."""
+    data = build_construction(p, m)
+    s, x, y = data.ring.gens()
+    sat = _s_saturation(data)
+    assert _within_line(sat, data.e, data.f) is ideal_equal(sat, data.h) is True
+    wider = sat + Ideal(data.ring, [x ** (data.n - 1)])
+    for ideal in (sat, data.e, wider):
+        for f in (data.f, s * data.f):
+            h = data.e + Ideal(data.ring, [f])
+            assert _within_line(ideal, data.e, f) is h.contains_ideal(ideal)
+
+
+def _replaced(monkeypatch, fields):
+    """Run `verify_construction(3, 4)` on the family with the fields that
+    `fields(data)` gives replaced, counting the saturations and the
+    `ideal_equal` calls it makes; returns ({claim number: passed}, counts)."""
+    from hkforge import verify
+
+    calls = {"saturate": [], "equal": 0}
+    build, saturate, equal = verify.build_construction, verify._saturate_variable, verify.ideal_equal
+
+    def saturate_counted(ideal, i):
+        calls["saturate"].append(ideal)
+        return saturate(ideal, i)
+
+    def equal_counted(a, b):
+        calls["equal"] += 1
+        return equal(a, b)
+
+    def build_replaced(p, m):
+        data = build(p, m)
+        return dataclasses.replace(data, **fields(data))
+
+    monkeypatch.setattr(verify, "build_construction", build_replaced)
+    monkeypatch.setattr(verify, "_saturate_variable", saturate_counted)
+    monkeypatch.setattr(verify, "ideal_equal", equal_counted)
+    passed = {claim.label.split(":")[0]: claim.passed for claim in verify_construction(3, 4).claims}
+    return passed, calls
+
+
+def test_claims_5_and_6_fail_when_h_is_e(monkeypatch):
+    """With h = e, h's generators are not e's plus f: claim 6 falls back to
+    `ideal_equal`, fails, and claim 5 then saturates h itself and fails."""
+    passed, calls = _replaced(monkeypatch, lambda data: {"h": data.e})
+    assert not passed["5"] and not passed["6"]
+    assert all(passed[label] for label in ("1", "2", "3", "4", "7", "basis"))
+    assert calls["equal"] == 1 and len(calls["saturate"]) == 2
+
+
+def test_claims_5_and_6_fail_when_f_lies_in_e(monkeypatch):
+    """With f replaced by s*f, which lies in e, h = e + (s*f) is e: claims 2
+    and 3 still hold, so claim 6 takes the line test and fails without
+    `ideal_equal`, and claim 5 saturates h itself and fails."""
+
+    def fields(data):
+        f = data.ring.gen("s") * data.f
+        return {"f": f, "h": data.e + Ideal(data.ring, [f])}
+
+    passed, calls = _replaced(monkeypatch, fields)
+    assert passed["2"] and passed["3"] and not passed["4"]
+    assert not passed["5"] and not passed["6"]
+    assert calls["equal"] == 0 and len(calls["saturate"]) == 2
+
+
+def test_claim_5_follows_from_claim_6(monkeypatch):
+    """On the family itself claim 6 holds, so claim 5 saturates nothing more:
+    e is the one ideal saturated, and no `ideal_equal` runs."""
+    passed, calls = _replaced(monkeypatch, lambda data: {})
+    assert all(passed.values())
+    assert calls["equal"] == 0 and len(calls["saturate"]) == 1
 
 
 # -- the auxiliary elimination vector -------------------------------------------------
@@ -244,8 +346,8 @@ def _sandwich_of_katzman_pair_refused() -> bool:
 @pytest.mark.parametrize(
     "run,calls",
     [
-        (lambda: verify_construction(3, 4).ok, 7),
-        (lambda: verify_katzman(3, 1).ok, 6),
+        (lambda: verify_construction(3, 4).ok, 4),
+        (lambda: verify_katzman(3, 1).ok, 5),
         (_rjj_of_katzman_pair, 6),
         (_katzman_pair_run(sjj_sequence, [1, 0]), 5),
         (_katzman_pair_run(vjj_sequence, [2, 7]), 3),
@@ -279,7 +381,11 @@ def test_ideal_layer_builds_a_pinned_number_of_bases(monkeypatch, run, calls):
     fdiff of the Katzman pair built 8, 6 and 14.  Before `ideal_equal`
     compared under an order one side already held, the construction built 8:
     claim 6 built lex bases of e's saturation and of h, although h held a
-    degrevlex one."""
+    degrevlex one.  Before claim 6 read sat <= h off normal forms modulo e and
+    claim 5 followed from it, the construction built 7: degrevlex bases of h,
+    of h homogenized and of e's saturation; before the Katzman torsion ran
+    first, so that its degrevlex basis of J^[q] + (g) answered claims ii and
+    iii, the Katzman pair built 6."""
     from hkforge import ideals
 
     count = [0]
@@ -297,7 +403,7 @@ def test_ideal_layer_builds_a_pinned_number_of_bases(monkeypatch, run, calls):
 @pytest.mark.parametrize(
     "run,spairs,zeros",
     [
-        (lambda: verify_construction(3, 4).ok, 101, 81),
+        (lambda: verify_construction(3, 4).ok, 54, 40),
         (_rjj_of_katzman_pair, 61, 48),
     ],
     ids=["construction-3-4", "rjj-katzman-3-1"],
@@ -315,7 +421,8 @@ def test_buchberger_forms_a_pinned_number_of_spairs(monkeypatch, run, spairs, ze
     214, of which 167; before lengths read the degrevlex basis a saturation
     had built, rjj of the Katzman pair formed 83, of which 64; before claim 6
     compared e's saturation with h under the degrevlex order h held, the
-    construction formed 120, of which 95."""
+    construction formed 120, of which 95; before claim 6 read sat <= h off
+    normal forms modulo e and claim 5 followed from it, 101, of which 81."""
     from hkforge import groebner
 
     count = {"spairs": 0, "zeros": 0}
