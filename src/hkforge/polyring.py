@@ -583,10 +583,9 @@ class Packing:
 
     Terms move between packings, of one ring or of two, only by `move`, on
     the plain ints: variable j of the source goes to a slot of the target,
-    and fields that stay side by side move together by one shift and mask.
-    `repack` (widening within one layout) is its identity case.  A move never
-    narrows, and a degree that would not fit the target's degree field widens
-    the target instead of wrapping.
+    one field at a time.  `repack` (widening within one layout) is its
+    identity case.  A move never narrows, and a degree that would not fit the
+    target's degree field widens the target instead of wrapping.
     """
 
     __slots__ = (
@@ -675,8 +674,7 @@ class Packing:
         meet.  `divide`, the plain int of a monomial dividing every term, is
         subtracted first.  Slot `fill` receives the degree the term lacks of
         the largest degree of the moved terms (homogenization).  The target's
-        degree field is summed afresh, unless it sums exactly the variables of
-        the source's one, which then moves as a field.
+        degree field is summed afresh.
 
         This packing must be at least as wide as `src`, so every exponent
         fits.  A degree fits too when the source's degree field sums every
@@ -688,7 +686,7 @@ class Packing:
         plan = self._plans.get(key)
         if plan is None:
             plan = self._plans[key] = self._plan(src, places, fill)
-        runs, back, bounded, summed, fill_sum = plan
+        fields, bounded, summed, fill_sum = plan
         if bounded and terms:
             peak, mask, bound = src.top(terms), src.mask, 0
             for shift in src.shifts:
@@ -696,14 +694,14 @@ class Packing:
             if bound > self.mask:
                 wider = packing_for(self.order, len(self.shifts), packing_width(bound))
                 return wider.move(terms, src, places, fill, divide)
-        sflip, flip = src.flip, self.flip
+        sflip, flip, mask = src.flip, self.flip, src.mask
         moved = []
         for m, _ in terms:
             e = (m ^ sflip) - divide
             x = 0
-            for mask, shift in runs:
-                x |= (e & mask) << shift
-            moved.append(x >> back)
+            for a, b in fields:
+                x |= ((e >> a) & mask) << b
+            moved.append(x)
         if fill_sum is not None:
             exponents, spread, top, field, shift = fill_sum
             degrees = [((x & exponents) * spread >> top) & field for x in moved]
@@ -719,12 +717,11 @@ class Packing:
         return self, [(x ^ flip, t[1]) for x, t in zip(moved, terms)]
 
     def _plan(self, src: "Packing", places: tuple[int | None, ...], fill: int | None) -> tuple:
-        """How `move` takes terms of `src` here: (runs, back, bounded, summed,
-        fill_sum).  Each run is (source mask, left shift) for fields adjacent
-        in both packings; the shifts are offset so that none is negative, and
-        `back` takes the offset off again.  `bounded` asks for the degree
-        bound, `summed` for the degree field's sum, and `fill_sum` holds the
-        constants that sum every exponent field for the filled slot."""
+        """How `move` takes terms of `src` here: (fields, bounded, summed,
+        fill_sum).  Each field is (source shift, target shift) of one kept
+        variable.  `bounded` asks for the degree bound, `summed` for the
+        degree field's sum, and `fill_sum` holds the constants that sum every
+        exponent field for the filled slot."""
         slots = [k for k in places if k is not None] + ([] if fill is None else [fill])
         if (
             len(places) != len(src.shifts)
@@ -734,34 +731,11 @@ class Packing:
             raise ValueError(f"cannot move {len(src.shifts)} variables to slots {places}, fill {fill}")
         if src.width > self.width:
             raise ValueError(f"cannot move width-{src.width} terms to width {self.width}")
-        step_in, step = src.width + 1, self.width + 1
-        fields = [(src.shifts[j], self.shifts[k]) for j, k in enumerate(places) if k is not None]
-        carried = (
-            self.deg_shift is not None
-            and src.deg_shift is not None
-            and fill not in self._deg_vars
-            and all(places[j] is not None for j in src._deg_vars)
-            and sorted(places[j] for j in src._deg_vars) == sorted(self._deg_vars)
-        )
-        if carried:
-            fields.append((src.deg_shift, self.deg_shift))
-        fields.sort()
-        spans: list[list[int]] = []  # [source bit, target bit, fields]
-        for a, b in fields:
-            if spans and step_in == step:
-                first_a, first_b, n = spans[-1]
-                if (a, b) == (first_a + n * step, first_b + n * step):
-                    spans[-1][2] += 1
-                    continue
-            spans.append([a, b, 1])
-        back = max([0] + [a - b for a, b, _ in spans])
-        runs = tuple(
-            (((1 << n * step_in) - 1) << a, b - a + back) for a, b, n in spans
-        )
-        summed = self.deg_shift is not None and not carried
+        fields = tuple((src.shifts[j], self.shifts[k]) for j, k in enumerate(places) if k is not None)
+        summed = self.deg_shift is not None
         fill_sum = None
         if fill is not None:
-            nfields = len(self.layout[1])
+            nfields, step = len(self.layout[1]), self.width + 1
             fill_sum = (
                 self.exponents,
                 sum(1 << i * step for i in range(nfields)),
@@ -770,7 +744,7 @@ class Packing:
                 self.shifts[fill],
             )
         bounded = (summed or fill is not None) and not src.graded
-        return runs, back, bounded, summed, fill_sum
+        return fields, bounded, summed, fill_sum
 
     def top(self, terms: Iterable[tuple[int, int]]) -> int:
         """The field-wise max of the plain monomials of `terms`: a product
@@ -1026,9 +1000,9 @@ def tokenize_expression(text: str):
             i = text.find("\n", i)
             if i < 0:
                 break
-        elif ch.isdigit():
+        elif "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             yield ("int", text[i:j], i)
             i = j

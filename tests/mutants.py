@@ -9,8 +9,10 @@ and caches, is copied into a fresh directory under DIR (the system's
 temporary directory by default), one snippet of one file under src/hkforge is
 replaced, and tier-1 runs there, stopping at the first failure.  A mutant is
 "killed" when a test fails and "survived" when every test passes.  The
-unmutated copy runs first and must pass.  The exit status is 1 when a mutant
-survived.  pytest does not collect this file: its name does not start with
+unmutated copy runs first and must pass.  The exit status is 0 when every
+mutant is killed, 1 when one survived or a snippet does not occur exactly
+once in its file (the script then stops), and 2 when the unmutated copy
+fails.  pytest does not collect this file: its name does not start with
 `test_`.  Re-run it after a change that rewrites the packed core.
 """
 
@@ -77,6 +79,51 @@ MUTANTS = {
         "verify.py",
         "    h_saturated = sat_is_h or _saturate_variable(data.h, s_index) is data.h\n",
         "    h_saturated = True\n",
+    ),
+    "product-never-widens": (
+        "polyring.py",
+        "        while (a._bound() + b._bound()) & a.packing.guard:\n",
+        "        while False:\n",
+    ),
+    "mul-term-overflow-check": (
+        "polyring.py",
+        "            if not ((t ^ pk.flip) + self._bound()) & pk.guard:\n",
+        "            if True:\n",
+    ),
+    "mul-term-degree-check": (
+        "polyring.py",
+        "        if c and self.packed and sum(mon) <= pk.mask:\n",
+        "        if c and self.packed:\n",
+    ),
+    "move-degree-bound": (
+        "polyring.py",
+        "            if bound > self.mask:\n",
+        "            if False:\n",
+    ),
+    "frobenius-keeps-its-width": (
+        "polyring.py",
+        "        width = max(src.width, packing_width(q * self.total_degree()))\n",
+        "        width = src.width\n",
+    ),
+    "table-never-widens": (
+        "polyring.py",
+        "        if self._packing is None or self._packing.width < width:\n",
+        "        if self._packing is None:\n",
+    ),
+    "span-closure-keeps-a-narrow-echelon": (
+        "lengths.py",
+        "                echelon = row_reduce([dict(pk.repack(f.packed, f.packing)) for f in kept], ring.p)\n",
+        "                pass\n",
+    ),
+    "move-sums-no-degree-field": (
+        "polyring.py",
+        "        if summed:\n",
+        "        if False:\n",
+    ),
+    "move-fills-no-slot": (
+        "polyring.py",
+        "        if fill_sum is not None:\n",
+        "        if False:\n",
     ),
 }
 

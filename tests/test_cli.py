@@ -174,7 +174,7 @@ def test_console_script_names_main():
 
 def _parse_error(text: str, tmp_path, capsys) -> str:
     path = tmp_path / "bad.hk"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     assert main(["run", str(path)]) == EXIT_PARSE
     err = capsys.readouterr().err
     assert err.startswith("parse error: ")
@@ -189,8 +189,12 @@ def _parse_error(text: str, tmp_path, capsys) -> str:
         ("verify construction p=x m=4;", "1:23: "),
         ("ring p=3317044064679887385961981 vars=x order=lex;", "1:1: "),
         ("ring p=3 vars=x,x order=lex;", "1:1: variables must be distinct"),
+        ("ring p=\u00b3 vars=x order=lex;", "1:8: unexpected character '\u00b3'"),
     ],
-    ids=["ring-p", "seq-e_max", "verify-p", "p-past-primality-bound", "repeated-variable"],
+    ids=[
+        "ring-p", "seq-e_max", "verify-p", "p-past-primality-bound", "repeated-variable",
+        "superscript-p",
+    ],
 )
 def test_malformed_value_is_a_located_parse_error(text, location, tmp_path, capsys):
     assert _parse_error(text, tmp_path, capsys).startswith(location)
@@ -204,6 +208,9 @@ def test_malformed_value_is_a_located_parse_error(text, location, tmp_path, caps
         ("ideal E = x, y w;", "2:16: expected ';'"),
         ("ideal E = x, w;", "2:14: unknown name 'w'"),
         ("poly F = x $ y;", "2:12: unexpected character '$'"),
+        # Unicode digits are digits to str.isdigit, but no integer here
+        ("poly F = x^\u00b2;", "2:12: unexpected character '\u00b2'"),
+        ("poly F = x^\u0661\u0662;", "2:12: unexpected character '\u0661'"),
     ],
 )
 def test_expression_errors_point_at_the_offending_token(statement, expected, tmp_path, capsys):

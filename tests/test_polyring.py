@@ -21,6 +21,7 @@ from hkforge.polyring import (
     GT,
     MILLER_RABIN_BOUND,
     DivisorTable,
+    ExpressionError,
     Polynomial,
     is_prime,
     monomial_div,
@@ -428,6 +429,16 @@ def test_parse_unknown_name(lex_sxy):
 def test_parse_trailing_garbage(lex_sxy):
     with pytest.raises(ValueError):
         lex_sxy.parse("x + y)")
+
+
+def test_parse_refuses_non_ascii_digits(lex_sxy):
+    """A superscript is a digit to `str.isdigit` but no integer here."""
+    with pytest.raises(ExpressionError) as info:
+        lex_sxy.parse("x^\u00b2")
+    assert info.value.offset == 2
+    with pytest.raises(ExpressionError) as info:
+        lex_sxy.parse("x^\u0661\u0662")
+    assert info.value.offset == 2
 
 
 def test_print_parse_round_trip():
