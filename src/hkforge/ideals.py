@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import config
 from .errors import (
@@ -37,7 +37,19 @@ from .errors import (
     ZeroDivisor,
 )
 from .groebner import GroebnerBasis, buchberger
-from .polyring import Block, DegRevLex, DivisorTable, MonomialOrder, PolyRing, Polynomial, division
+from .polyring import (
+    Block,
+    DegRevLex,
+    DivisorTable,
+    MonomialOrder,
+    Packing,
+    PolyRing,
+    Polynomial,
+    _mul_sorted,
+    _reduce_sorted,
+    division,
+    packing_width,
+)
 
 
 class Ideal:
@@ -339,6 +351,23 @@ def _unstable(cap: int) -> CapExceeded:
     )
 
 
+def _walk(
+    ideal: Ideal, kernel: Callable[..., object], cap: int | None, *groups: Sequence[Polynomial]
+):
+    """kernel(packing, entries, p, cap, *groups): a walk of normal forms
+    modulo `ideal`, run by `DivisorTable.run` on the table of
+    `Ideal.any_basis`, with each group of polynomials moved into the basis's
+    ring and the packing at least as wide as each of them.  The zero ideal's
+    basis is empty, and its walk runs on a table with no entries under the
+    ring's order, so that every normal form is the polynomial itself."""
+    basis = ideal.any_basis()
+    table = basis._divisors if len(basis) else DivisorTable((), ideal.ring)
+    ring = table.ring
+    groups = tuple([f.resorted(ring) for f in group] for group in groups)
+    width = max((f.packing.width for group in groups for f in group), default=packing_width(0))
+    return table.run(width, kernel, ring.p, cap, *groups)[1]
+
+
 def _saturation_steps(
     ideal: Ideal,
     sat: Ideal | None,
@@ -356,17 +385,41 @@ def _saturation_steps(
     products of n multipliers with a generator of sat, and it is empty exactly
     when K^n * sat <= I.  Raises `CapExceeded` as the chain does when level
     `cap` is not empty.
+
+    The walk is `_steps_kernel`, run on I's basis by `_walk`.  A multiplier
+    may be any polynomial: a product is one packed shift per term of the
+    multiplier, merged, so a variable costs one shift.
     """
     if cap is None:
         cap = config.DEFAULT_SATURATION_CAP
-    basis = ideal.any_basis()
     gens = sat.generators if sat is not None else (ideal.ring.one(),)
-    level = dict.fromkeys(filter(None, map(basis.reduce, gens)))
+    return _walk(ideal, _steps_kernel, cap, gens, multipliers)
+
+
+def _steps_kernel(
+    pk: Packing,
+    entries: list[tuple],
+    p: int,
+    cap: int,
+    gens: list[Polynomial],
+    multipliers: list[Polynomial],
+) -> int:
+    """`_saturation_steps`'s walk for `DivisorTable.run`, on packed term
+    lists: each normal form is `_reduce_sorted` against the entries, and a
+    level keeps its distinct nonzero forms, told apart by their packed terms,
+    as every form of the walk lies in the one packing."""
+    factors = [pk.repack(k.packed, k.packing) for k in multipliers]
+    forms = (_reduce_sorted(pk.repack(g.packed, g.packing), entries, pk, p) for g in gens)
+    level = dict.fromkeys(tuple(h) for h in forms if h)
     for step in range(cap + 1):
         if not level:
             return step
-        products = (basis.reduce(k * f) for f in level for k in multipliers)
-        level = dict.fromkeys(filter(None, products))
+        forms = []
+        for f in level:
+            top = pk.top(f)
+            for k in factors:
+                forms.append(_reduce_sorted(_mul_sorted(f, top, k, pk, p), entries, pk, p))
+        level = dict.fromkeys(tuple(h) for h in forms if h)
     raise _unstable(cap)
 
 
@@ -396,7 +449,9 @@ def _saturate_variable(ideal: Ideal, i: int) -> Ideal:
     homogenization and h is left out.  Unlike `saturate`, this builds no
     colon chain and no elimination basis, so there is no step count.  h is
     the largest variable of the order; placed next to v, it made the bases of
-    the Katzman levels slower.  The degrevlex basis comes from
+    the Katzman levels slower.  When no generator involves v, v is a
+    nonzerodivisor on R/I, so I : v^infinity = I, and I comes back itself
+    with no basis built.  The degrevlex basis comes from
     `Ideal.groebner_basis(DegRevLex())`, so I keeps it in its table, and later
     membership and length questions on I read it instead of building I's
     basis under the ring's order.
@@ -406,6 +461,8 @@ def _saturate_variable(ideal: Ideal, i: int) -> Ideal:
     term lacks, put in front; the basis moves back the same way, h dropped
     and divided by the power of v that its lead, and so every term, holds.
     """
+    if not any(mon[i] for g in ideal.generators for mon, _ in g.terms):
+        return ideal
     ring, n = ideal.ring, ideal.ring.nvars
     homogeneous = all(g.is_homogeneous() for g in ideal.generators)
     graded = _graded(ring, i, not homogeneous)

@@ -6,8 +6,13 @@ Three measurement routes, kept deliberately independent of each other:
   must contain a pure power of every variable; the staircase is counted by a
   sweep over the exponents of the leads, with no grid);
 * subquotient measurement for (U + J)/J: the span of the normal forms of
-  U's generators modulo J, closed under multiplication by the variables, one
-  sparse row per normal form keyed by packed monomial;
+  U's generators modulo J, closed under multiplication by the variables
+  (FGLM's walk).  The walk is a kernel of the division table of J's basis
+  (`DivisorTable.run`), so it stays on packed term lists from the first
+  normal form to the last: a product by a variable is one packed shift, each
+  normal form is the division core's, and the rows are the forms' packed
+  term lists, kept in echelon by their leads.  When a product would not fit
+  its fields, the table widens and the walk starts again;
 * a brute-force oracle that never looks at Groebner bases: the generator
   multiples up to a degree bound, over the monomials coded in a fixed radix
   as columns.  The monomial generators' multiples are taken as pivot columns
@@ -38,9 +43,9 @@ from dataclasses import dataclass
 
 from . import config
 from .errors import CapExceeded, ContainmentError, RingMismatch
-from .ideals import Ideal, _saturate_variable, _saturation_steps, intersect
+from .ideals import Ideal, _saturate_variable, _saturation_steps, _walk, intersect
 from .linalg import rank_of_rows, reduce_row, row_reduce
-from .polyring import Monomial, Polynomial
+from .polyring import Monomial, Packing, Polynomial, _merge_sub, _mul_sorted, _reduce_sorted
 
 __all__ = [
     "LengthResult",
@@ -241,31 +246,50 @@ def _span_closure(gens: tuple[Polynomial, ...], j_ideal: Ideal, cap: int | None 
     is F_p-linear with kernel J, so the span of the normal forms has the
     dimension of (U + J)/J under every order.
 
-    A normal form that the echelon of the rows kept so far does not reduce to
-    zero is kept, and its products with the variables make the next level.
-    If f lies in the span of earlier rows, x_i * f lies in that of their
-    x_i-multiples, queued already, so the first level that adds nothing ends
-    the closure.
+    The walk is `_closure_kernel`, run on J's basis by `ideals._walk`.
     """
-    basis = j_ideal.any_basis()
-    ring = j_ideal.ring
-    steps = [tuple(int(i == j) for j in range(ring.nvars)) for i in range(ring.nvars)]
-    # the columns are packed monomials under the widest packing seen so far
-    pk, kept, echelon = None, [], {}
-    level = [basis.reduce(u) for u in gens]
+    return _walk(j_ideal, _closure_kernel, cap, gens)
+
+
+def _closure_kernel(
+    pk: Packing, entries: list[tuple], p: int, cap: int | None, gens: list[Polynomial]
+) -> int | None:
+    """`_span_closure`'s walk (FGLM's, Faugere, Gianni, Lazard & Mora, JSC
+    1993) for `DivisorTable.run`, on packed term lists.
+
+    Level 0 holds the normal forms of the generators, `_reduce_sorted`
+    against the entries.  A form that the rows kept so far do not reduce to
+    zero is kept, and its products with the variables, each one packed shift
+    (`polyring._mul_sorted`), make the next level.  If f lies in the span of
+    earlier rows, x_i * f lies in that of their x_i-multiples, queued
+    already, so the first level that adds nothing ends the closure.
+
+    The rows are packed term lists, with packed monomials as columns, keyed
+    by their leads.  A form's lead is struck while a kept row has it, and
+    what is left, if anything, becomes a row, scaled to lead 1.  Rows with
+    distinct leads are independent, so the length is the number of rows.
+    """
+    n = len(pk.shifts)
+    steps = [[(pk.pack(tuple(int(i == j) for j in range(n))), 1)] for i in range(n)]
+    rows: dict[int, list] = {}
+    level = [_reduce_sorted(pk.repack(g.packed, g.packing), entries, pk, p) for g in gens]
     for _ in itertools.count() if cap is None else range(cap + 1):
-        start = len(kept)
-        for nf in filter(None, level):
-            if pk is None or nf.packing.width > pk.width:
-                pk = nf.packing
-                echelon = row_reduce([dict(pk.repack(f.packed, f.packing)) for f in kept], ring.p)
-            row = reduce_row(dict(pk.repack(nf.packed, nf.packing)), echelon, ring.p)
+        kept = []
+        for nf in level:
+            row = nf
+            while row and (pivot := rows.get(row[0][0])) is not None:
+                row = _merge_sub(row, 0, pivot, 0, row[0][1], p)
             if row:
-                echelon.update(row_reduce([row], ring.p))
+                inv = pow(row[0][1], -1, p)
+                rows[row[0][0]] = [(m, c * inv % p) for m, c in row]
                 kept.append(nf)
-        if len(kept) == start:
-            return len(kept)
-        level = [basis.reduce(nf.mul_term(step, 1)) for nf in kept[start:] for step in steps]
+        if not kept:
+            return len(rows)
+        level = []
+        for nf in kept:
+            top = pk.top(nf)
+            for step in steps:
+                level.append(_reduce_sorted(_mul_sorted(nf, top, step, pk, p), entries, pk, p))
     return None
 
 

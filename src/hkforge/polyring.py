@@ -807,6 +807,27 @@ def _merge_sub(h: list, start: int, g: list, delta: int, c: int, p: int) -> list
     return out
 
 
+def _mul_sorted(terms: Sequence, top: int, factor: list, packing: Packing, p: int) -> list:
+    """Descending `terms` times the descending `factor`, both packed under
+    `packing`: one shift of `terms` per term of the factor, the first taken
+    as it is (a product by a variable is one shift) and the others merged
+    in.  `top` is `Packing.top` of `terms`; raises `_Overflow` before
+    forming a shift that would not fit."""
+    flip, guard = packing.flip, packing.guard
+    out: list = []
+    for t, c in factor:
+        if ((t ^ flip) + top) & guard:
+            raise _Overflow
+        delta = t - flip
+        if out:
+            out = _merge_sub(out, 0, terms, delta, p - c, p)
+        elif c == 1:
+            out = [(m + delta, k) for m, k in terms]
+        else:
+            out = [(m + delta, k * c % p) for m, k in terms]
+    return out
+
+
 def _reduce_sorted(
     h: list,
     table: Sequence[tuple],
@@ -862,13 +883,17 @@ class DivisorTable:
     one of (u), and `buchberger` one whose entries start its basis.  `run`
     packs the table again, twice as wide, only when a product does not fit;
     packed at any width it picks the same divisors, so its quotients and
-    remainders equal a fresh list's.
+    remainders equal a fresh list's.  `ring` is the divisors' ring, read off
+    them when there are any; a table with no divisors packs under it and has
+    no entries, so a kernel run on it divides nothing (the zero ideal's walks
+    in `lengths` and `ideals`).
     """
 
-    __slots__ = ("divisors", "_width", "_packing", "_entries")
+    __slots__ = ("divisors", "ring", "_width", "_packing", "_entries")
 
-    def __init__(self, divisors: Sequence[Polynomial]):
+    def __init__(self, divisors: Sequence[Polynomial], ring: PolyRing | None = None):
         self.divisors = tuple(divisors)
+        self.ring = self.divisors[0].ring if self.divisors else ring
         self._width = max((g.packing.width for g in self.divisors), default=0)
         self._packing: Packing | None = None
         self._entries: list[tuple] = []
@@ -881,7 +906,7 @@ class DivisorTable:
         if self._packing is None or self._packing.width < width:
             if any(g.is_zero() for g in self.divisors):
                 raise ZeroPolynomial("cannot divide by the zero polynomial")
-            ring = self.divisors[0].ring
+            ring = self.ring
             pk = packing_for(ring.order, ring.nvars, max(width, self._width))
             entries = []
             for g in self.divisors:
@@ -917,7 +942,7 @@ def _divide(f: Polynomial, divisors: Sequence[Polynomial] | DivisorTable, with_q
     or None, packed remainder)."""
     if isinstance(divisors, DivisorTable):
         table = divisors
-        f = f.resorted(table.divisors[0].ring)
+        f = f.resorted(table.ring)
     else:
         table = DivisorTable([g.resorted(f.ring) for g in divisors])
     pk, (quotients, remainder) = table.run(f.packing.width, _divide_kernel, f, with_quotients)

@@ -4,9 +4,11 @@ import itertools
 import random
 
 from hkforge import Ideal, Lex, PolyRing, Polynomial
+from hkforge import config
 from hkforge.groebner import GroebnerCertificate, s_polynomial
+from hkforge.ideals import _unstable
 from hkforge.lengths import _code
-from hkforge.linalg import reduce_row
+from hkforge.linalg import reduce_row, row_reduce
 from hkforge.polyring import DegRevLex, DivisorTable, division
 from hkforge.verify import build_construction
 
@@ -181,6 +183,65 @@ def reference_span_rows(ideal: Ideal, bound: int) -> list[dict]:
                     {_code(tuple(a + b for a, b in zip(m, shift)), radix): c for m, c in g.terms}
                 )
     return rows
+
+
+# -- references of the normal-form walks ---------------------------------------
+
+def reference_span_closure(gens, j_ideal: Ideal, cap: int | None = None) -> int | None:
+    """`lengths._span_closure` as a walk of `Polynomial`s: each normal form
+    by `GroebnerBasis.reduce`, each product by `Polynomial.mul_term`, and the
+    rows as sparse dicts over packed monomials, held in a `linalg` echelon
+    that is rebuilt whenever a normal form arrives wider than the rows."""
+    basis = j_ideal.any_basis()
+    ring = j_ideal.ring
+    steps = [tuple(int(i == j) for j in range(ring.nvars)) for i in range(ring.nvars)]
+    # the columns are packed monomials under the widest packing seen so far
+    pk, kept, echelon = None, [], {}
+    level = [basis.reduce(u) for u in gens]
+    for _ in itertools.count() if cap is None else range(cap + 1):
+        start = len(kept)
+        for nf in filter(None, level):
+            if pk is None or nf.packing.width > pk.width:
+                pk = nf.packing
+                echelon = row_reduce([dict(pk.repack(f.packed, f.packing)) for f in kept], ring.p)
+            row = reduce_row(dict(pk.repack(nf.packed, nf.packing)), echelon, ring.p)
+            if row:
+                echelon.update(row_reduce([row], ring.p))
+                kept.append(nf)
+        if len(kept) == start:
+            return len(kept)
+        level = [basis.reduce(nf.mul_term(step, 1)) for nf in kept[start:] for step in steps]
+    return None
+
+
+def reference_saturation_levels(
+    ideal: Ideal, sat: Ideal | None, multipliers, cap: int | None = None
+) -> list[list[Polynomial]]:
+    """The nonempty levels of `ideals._saturation_steps`'s walk, as lists of
+    `Polynomial` normal forms by `GroebnerBasis.reduce`, each product by
+    `Polynomial.__mul__` and each level's repeats dropped by `Polynomial`
+    equality.  Raises `CapExceeded` when level `cap` is not empty."""
+    if cap is None:
+        cap = config.DEFAULT_SATURATION_CAP
+    basis = ideal.any_basis()
+    gens = sat.generators if sat is not None else (ideal.ring.one(),)
+    level = dict.fromkeys(filter(None, map(basis.reduce, gens)))
+    levels = []
+    for _ in range(cap + 1):
+        if not level:
+            return levels
+        levels.append(list(level))
+        products = (basis.reduce(k * f) for f in level for k in multipliers)
+        level = dict.fromkeys(filter(None, products))
+    raise _unstable(cap)
+
+
+def reference_saturation_steps(
+    ideal: Ideal, sat: Ideal | None, multipliers, cap: int | None = None
+) -> int:
+    """The step count `ideals._saturation_steps` must give: the number of
+    nonempty levels of `reference_saturation_levels`."""
+    return len(reference_saturation_levels(ideal, sat, multipliers, cap))
 
 
 # -- reference of the S-pair certificate ---------------------------------------

@@ -110,10 +110,25 @@ MUTANTS = {
         "        if self._packing is None or self._packing.width < width:\n",
         "        if self._packing is None:\n",
     ),
-    "span-closure-keeps-a-narrow-echelon": (
+    "product-overflow-check": (
+        "polyring.py",
+        "        if ((t ^ flip) + top) & guard:\n",
+        "        if False:\n",
+    ),
+    "table-run-never-restarts": (
+        "polyring.py",
+        "            except _Overflow:\n                width = 2 * pk.width\n",
+        "            except _Overflow:\n                raise\n",
+    ),
+    "product-skips-its-scale": (
+        "polyring.py",
+        "        elif c == 1:\n",
+        "        elif True:\n",
+    ),
+    "closure-keeps-every-form": (
         "lengths.py",
-        "                echelon = row_reduce([dict(pk.repack(f.packed, f.packing)) for f in kept], ring.p)\n",
-        "                pass\n",
+        "            while row and (pivot := rows.get(row[0][0])) is not None:\n",
+        "            while False:\n",
     ),
     "move-sums-no-degree-field": (
         "polyring.py",

@@ -30,7 +30,12 @@ from hkforge.ideals import _elimination, _graded, _saturate_variable, _saturatio
 from hkforge.lengths import _m_saturation, _span_closure, oracle_ideal_member
 from hkforge.verify import build_construction
 
-from helpers import random_monomial, random_nonzero_polynomial
+from helpers import (
+    random_monomial,
+    random_nonzero_polynomial,
+    reference_saturation_levels,
+    reference_saturation_steps,
+)
 
 
 @pytest.fixture
@@ -539,6 +544,24 @@ def test_saturate_variable_returns_the_ideal_itself_exactly_when_v_is_no_zero_di
 
 
 @pytest.mark.parametrize("order", [Lex(), DegRevLex()], ids=["lex", "degrevlex"])
+def test_saturate_variable_builds_nothing_when_no_generator_holds_v(order, builds):
+    """No generator of (x^9, y^9, xy(x - y)) involves s, so s is a
+    nonzerodivisor modulo it and the ideal comes back itself with no basis
+    built, as in claim iv of `verify_katzman`.  With s in one generator
+    only, the saturation still runs and matches the colon chain."""
+    ring = PolyRing(3, ("s", "x", "y"), order)
+    s, x, y = ring.gens()
+    ideal = Ideal(ring, [x**9, y**9, x * y * (x - y)])
+    assert _saturate_variable(ideal, 0) is ideal
+    assert builds == [] and ideal._bases == {}
+    held = Ideal(ring, [x**3, y**3, s * x * y])
+    sat = _saturate_variable(held, 0)
+    assert builds and sat is not held
+    assert ideal_equal(sat, Ideal(ring, [x**3, y**3, x * y]))
+    assert ideal_equal(sat, saturate(held, s)[0])
+
+
+@pytest.mark.parametrize("order", [Lex(), DegRevLex()], ids=["lex", "degrevlex"])
 def test_fresh_variables_avoid_the_ring_names(order):
     """On F_3[h, t, x] the homogenizing variable is named hh and the
     elimination variable tt, and the homogenized saturation by each variable
@@ -613,6 +636,109 @@ def test_an_ideal_builds_one_basis_per_order(builds):
     assert ideal_equal(a, b) and len(builds) == 2
     assert list(b._bases) == [Lex()]
     assert ideal_equal(a, b) and len(builds) == 2
+
+
+BIG_P = 2**61 + 15  # the least prime above 2**61
+
+
+@pytest.mark.parametrize(
+    "order", [Lex(), DegRevLex(), Block(DegRevLex())], ids=["lex", "degrevlex", "block"]
+)
+@pytest.mark.parametrize("p", [2, 3, 2**31 - 1, BIG_P], ids=["2", "3", "2^31-1", "big"])
+def test_saturation_steps_match_the_polynomial_walk(p, order):
+    """The packed kernel counts the steps of the `Polynomial` walk of
+    `reference_saturation_steps`, or raises `CapExceeded` with it, on seeded
+    ideals with the variables, s alone and polynomial multipliers, and on the
+    zero ideal and the unit ideal."""
+    rng = random.Random(f"steps:{p}:{order.describe()}")
+    ring = PolyRing(p, ("s", "x", "y"), order)
+    s, x, y = ring.gens()
+    # 2xy leads 2xy + y^2 + x under every order here
+    multiplier_lists = [ring.gens(), [s], [x * y, 2 * x * y + y**2 + x, ring.zero()]]
+    cases = []
+    for _ in range(4):
+        gens = [x ** rng.randint(1, 2), y ** rng.randint(1, 2), s ** rng.randint(1, 2)]
+        for _ in range(2):
+            gens.append(random_nonzero_polynomial(rng, ring, max_degree=2) * rng.choice((s, x, y)))
+        ideal = Ideal(ring, gens)
+        sat = Ideal(ring, [random_nonzero_polynomial(rng, ring, max_degree=2) for _ in range(2)])
+        cases += [(ideal, sat), (ideal, None)]
+    zero, unit = Ideal(ring, []), unit_ideal(ring)
+    cases += [(zero, Ideal(ring, [x])), (zero, zero), (unit, None), (unit, Ideal(ring, [x * y]))]
+    outcomes = set()
+    for ideal, sat in cases:
+        for multipliers in multiplier_lists:
+            for cap in (2, 8):
+                try:
+                    expected = reference_saturation_steps(ideal, sat, multipliers, cap)
+                except CapExceeded:
+                    with pytest.raises(CapExceeded, match="stabilize"):
+                        _saturation_steps(ideal, sat, multipliers, cap)
+                    outcomes.add("cap")
+                else:
+                    assert _saturation_steps(ideal, sat, multipliers, cap) == expected
+                    outcomes.add(expected)
+    assert "cap" in outcomes and outcomes - {"cap", 0}
+
+
+def test_saturation_steps_reduce_once_per_level_entry_and_multiplier(f3xy, monkeypatch):
+    """The walk makes one normal form against I's basis per generator of sat
+    and one per (level entry, multiplier), the level entries being the
+    distinct nonzero forms of `reference_saturation_levels`.  Counted at the
+    division core that the kernel calls."""
+    from hkforge import ideals
+
+    reduce, tables = ideals._reduce_sorted, []
+
+    def counting_reduce(h, table, *args):
+        tables.append(table)
+        return reduce(h, table, *args)
+
+    rng = random.Random(83)
+    x, y = f3xy.gens()
+    for _ in range(10):
+        ideal = Ideal(f3xy, [x**3, y**2, random_nonzero_polynomial(rng, f3xy, max_degree=3)])
+        sat = Ideal(f3xy, [random_nonzero_polynomial(rng, f3xy, max_degree=2) for _ in range(2)])
+        for multipliers in (f3xy.gens(), [x * y + y**2]):
+            levels = reference_saturation_levels(ideal, sat, multipliers)
+            tables.clear()
+            monkeypatch.setattr(ideals, "_reduce_sorted", counting_reduce)
+            assert _saturation_steps(ideal, sat, multipliers) == len(levels)
+            monkeypatch.undo()
+            entries = ideal.any_basis()._divisors.packed(0)[1]
+            made = sum(table is entries for table in tables)
+            expected = len(sat.generators) + len(multipliers) * sum(map(len, levels))
+            assert made == len(tables) == expected
+
+
+def test_saturation_steps_restart_at_a_wider_packing(monkeypatch):
+    """x * y^k outgrows the 8-bit fields of (x^2)'s table near k = 255, so the
+    walk by y runs again from the start at 16 bits, once, and hits its cap of
+    300 as the reference does.  The basis's table keeps the wider packing,
+    so a walk by x on the same ideal runs at 16 bits; on a fresh ideal, at 8."""
+    from hkforge import ideals
+
+    kernel, runs = ideals._steps_kernel, []
+
+    def counting_kernel(pk, *args):
+        runs.append(pk.width)
+        return kernel(pk, *args)
+
+    monkeypatch.setattr(ideals, "_steps_kernel", counting_kernel)
+    ring = PolyRing(5, ("x", "y"))
+    x, y = ring.gens()
+    ideal, sat = Ideal(ring, [x**2]), Ideal(ring, [x])
+    with pytest.raises(CapExceeded):
+        _saturation_steps(ideal, sat, [y], cap=300)
+    assert runs == [8, 16]
+    with pytest.raises(CapExceeded):
+        reference_saturation_steps(ideal, sat, [y], cap=300)
+    for fresh, width in ((False, 16), (True, 8)):
+        runs.clear()
+        if fresh:
+            ideal = Ideal(ring, [x**2])
+        assert _saturation_steps(ideal, sat, [x], cap=300) == 1
+        assert runs == [width]
 
 
 def test_saturation_cap_diagnostic(f3xy):

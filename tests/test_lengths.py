@@ -12,7 +12,6 @@ from hkforge import (
     Block,
     ContainmentError,
     DegRevLex,
-    GroebnerBasis,
     Ideal,
     Lex,
     PolyRing,
@@ -31,11 +30,12 @@ from hkforge import (
     subquotient_length,
     unit_ideal,
 )
-from hkforge import groebner, polyring
+from hkforge import groebner, lengths, polyring
 from hkforge.ideals import _saturate_variable
 from hkforge.lengths import (
     _code,
     _m_saturation,
+    _span_closure,
     _subquotient_length,
     count_standard_monomials,
     nilpotency_exponent,
@@ -49,6 +49,7 @@ from helpers import (
     random_polynomial,
     random_primary_pair,
     reference_row_reduce,
+    reference_span_closure,
     reference_span_rows,
 )
 
@@ -540,22 +541,24 @@ def test_rank_and_difference_methods_agree(f5xy):
 def test_rank_route_reduces_each_kept_form_once_per_variable(f5xy, monkeypatch):
     """The closure makes one normal form against J's basis per generator of U
     and one per variable for each of the `length` forms it keeps, and no pass
-    over a box of monomial multiples."""
-    reduce, counted = GroebnerBasis.reduce, []
+    over a box of monomial multiples.  Counted at the division core that the
+    closure's kernel calls, against the entries of J's basis."""
+    reduce, tables = lengths._reduce_sorted, []
 
-    def counting_reduce(basis, f):
-        counted.append(basis)
-        return reduce(basis, f)
+    def counting_reduce(h, table, *args):
+        tables.append(table)
+        return reduce(h, table, *args)
 
-    monkeypatch.setattr(GroebnerBasis, "reduce", counting_reduce)
+    monkeypatch.setattr(lengths, "_reduce_sorted", counting_reduce)
     rng = random.Random(79)
     for _ in range(10):
         j_ideal, i_ideal = random_primary_pair(rng, f5xy, max_degree=3)
         basis = j_ideal.groebner_basis()
-        counted.clear()
+        tables.clear()
         length = subquotient_length(i_ideal, j_ideal, method="rank").expect()
-        made = sum(b is basis for b in counted)
-        assert made == len(i_ideal.generators) + f5xy.nvars * length
+        entries = basis._divisors.packed(0)[1]
+        made = sum(table is entries for table in tables)
+        assert made == len(tables) == len(i_ideal.generators) + f5xy.nvars * length
 
 
 def test_rank_and_difference_agree_off_the_origin(f5xy):
@@ -569,8 +572,8 @@ def test_rank_and_difference_agree_off_the_origin(f5xy):
 
 
 def test_rank_route_widens_its_columns_mid_closure(f5xy):
-    """x * y^k outgrows 8-bit exponent fields near k = 255, so the echelon
-    is rebuilt under the wider packing partway through the closure."""
+    """x * y^k outgrows 8-bit exponent fields near k = 255, so the closure
+    restarts under the wider packing partway through."""
     x, y = f5xy.gens()
     result = subquotient_length(Ideal(f5xy, [x]), Ideal(f5xy, [x**2]), nilpotency_cap=300)
     assert not result.finite
@@ -581,6 +584,69 @@ def test_rank_route_widens_its_columns_mid_closure(f5xy):
     j_ideal = Ideal(f5xy, [x**2, y**3])
     assert subquotient_length(u_ideal, j_ideal, method="rank").expect() == 3
     assert subquotient_length(u_ideal, j_ideal, method="difference").expect() == 3
+
+
+def _walk_ideals(rng, ring):
+    """Seeded (U, J) pairs over a ring in s, x, y: J with pure powers of x
+    and y and a random form, so that some closures end and others run into
+    a cap; U with J's generators and a few random forms; then the zero ideal
+    and the unit ideal on either side."""
+    s, x, y = ring.gens()
+    pairs = []
+    for _ in range(4):
+        j_gens = [x ** rng.randint(1, 3), y ** rng.randint(1, 3)]
+        if rng.random() < 0.5:
+            j_gens.append(s ** rng.randint(1, 2))
+        j_gens.append(random_polynomial(rng, ring, max_degree=3, max_terms=3))
+        u_gens = j_gens + [random_polynomial(rng, ring, max_degree=2, max_terms=3) for _ in range(2)]
+        pairs.append((Ideal(ring, u_gens), Ideal(ring, j_gens)))
+    zero, unit = Ideal(ring, []), unit_ideal(ring)
+    pairs += [(zero, zero), (unit, zero), (Ideal(ring, [x * y + s]), zero), (unit, unit)]
+    return pairs
+
+
+@pytest.mark.parametrize(
+    "order", [Lex(), DegRevLex(), Block(DegRevLex())], ids=["lex", "degrevlex", "block"]
+)
+@pytest.mark.parametrize("p", [2, 3, 2**31 - 1, BIG_P], ids=["2", "3", "2^31-1", "big"])
+def test_span_closure_matches_the_polynomial_walk(p, order):
+    """The packed kernel gives the length of the `Polynomial` walk of
+    `reference_span_closure`, or None with it when the cap is hit, on seeded
+    pairs, the zero ideal and the unit ideal."""
+    rng = random.Random(f"closure:{p}:{order.describe()}")
+    ring = PolyRing(p, ("s", "x", "y"), order)
+    capped = 0
+    for u_ideal, j_ideal in _walk_ideals(rng, ring):
+        for cap in (2, 6):
+            got = _span_closure(u_ideal.generators, j_ideal, cap)
+            assert got == reference_span_closure(u_ideal.generators, j_ideal, cap)
+            capped += got is None
+    assert capped
+
+
+def test_span_closure_restarts_once_at_a_wider_packing(f5xy, monkeypatch):
+    """On the x * y^k data of the test above, the first closure overflows its
+    8-bit fields partway and runs again from the start at 16 bits, once; the
+    second starts at 16 bits, the width of its widest generator.  Both agree
+    with the reference."""
+    kernel, runs = lengths._closure_kernel, []
+
+    def counting_kernel(pk, *args):
+        runs.append(pk.width)
+        return kernel(pk, *args)
+
+    monkeypatch.setattr(lengths, "_closure_kernel", counting_kernel)
+    x, y = f5xy.gens()
+    cases = [
+        (Ideal(f5xy, [x]), Ideal(f5xy, [x**2]), 300, None),
+        (Ideal(f5xy, [x, y**3, x + x * y**300]), Ideal(f5xy, [x**2, y**3]), None, 3),
+    ]
+    widths = [[8, 16], [16]]
+    for (u_ideal, j_ideal, cap, expected), width in zip(cases, widths):
+        runs.clear()
+        assert _span_closure(u_ideal.generators, j_ideal, cap) == expected
+        assert runs == width
+        assert reference_span_closure(u_ideal.generators, j_ideal, cap) == expected
 
 
 def _brute_force_nilpotency(u_ideal, j_ideal, cap):

@@ -136,8 +136,8 @@ PRIMES = [2, 3, 31, 2**31 - 1, BIG_P]
 def _assert_exact_echelon(rows, p):
     """row_reduce gives the reference echelon, every row reduces to zero
     against it, and each pivot is keyed by its least column, with lead 1 and
-    every entry a residue in 1..p-1: `_span_closure` and
-    `oracle_ideal_member` reduce against it as it is."""
+    every entry a residue in 1..p-1: `oracle_ideal_member` and the reference
+    span closure of `tests/helpers.py` reduce against it as it is."""
     echelon = row_reduce(rows, p)
     assert echelon == reference_row_reduce(rows, p)
     for row in rows:

@@ -23,6 +23,8 @@ from hkforge.polyring import (
     DivisorTable,
     ExpressionError,
     Polynomial,
+    _mul_sorted,
+    _Overflow,
     is_prime,
     monomial_div,
     packing_for,
@@ -459,6 +461,28 @@ def test_monomial_refuses_negative_exponents():
         ring.monomial(-1, 2)
     with pytest.raises(DimensionError):
         ring.monomial(1)
+
+
+@pytest.mark.parametrize("order", FIVE_ORDERS, ids=ORDER_IDS)
+def test_packed_product_matches_polynomial_multiplication(order):
+    """`_mul_sorted` on packed terms gives the terms of `Polynomial.__mul__`
+    when the product fits, scaled factors and single terms included, and
+    raises `_Overflow` instead of forming a shift that would not fit."""
+    rng = random.Random(f"product:{order.describe()}")
+    ring = PolyRing(7, ("x", "y", "z"), order)
+    pk = packing_for(order, 3, 8)
+    for _ in range(20):
+        f = random_nonzero_polynomial(rng, ring, max_degree=5, max_terms=5)
+        k = random_nonzero_polynomial(rng, ring, max_degree=3, max_terms=rng.choice((1, 3)))
+        terms = pk.repack(f.packed, f.packing)
+        got = _mul_sorted(terms, pk.top(terms), pk.repack(k.packed, k.packing), pk, ring.p)
+        assert got == pk.repack((f * k).packed, (f * k).packing)
+    terms = [(pk.pack((250, 0, 0)), 3)]  # fills its width-8 field to 250
+    with pytest.raises(_Overflow):
+        _mul_sorted(terms, pk.top(terms), [(pk.pack((6, 0, 0)), 1)], pk, ring.p)
+    assert _mul_sorted(terms, pk.top(terms), [(pk.pack((5, 0, 0)), 2)], pk, ring.p) == [
+        (pk.pack((255, 0, 0)), 6)
+    ]
 
 
 def test_mul_term_refuses_bad_exponent_vectors():
