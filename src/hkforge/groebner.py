@@ -64,8 +64,8 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
 class GroebnerBasis:
     """The reduced Groebner basis under `order`, the order of the ring its
     elements share: monic elements, no term of one divisible by the lead of
-    another, sorted lead-descending.  `buchberger` builds it so, its elements
-    made monic by `_reduce_basis`, as do `frobenius` and the contraction in
+    another, sorted lead-descending.  `buchberger` builds it so, in the one
+    sweep of `_reduce_basis`, as do `frobenius` and the contraction in
     `ideals.intersect`; code that builds one directly must do the same."""
 
     elements: tuple[Polynomial, ...]
@@ -124,24 +124,23 @@ def _gm_update(packing: Packing, lms: list[int], active: list[int], pairs: list,
 
     `lms` holds the plain leading monomials without a degree field, `active`
     the basis indices in ascending order, and `pairs` is a heap of (packed
-    lcm, i, j, plain lcm), which the update may change in place.  New pairs
-    (g, h) are grouped by lcm.  Criterion F: a class yields one pair, none if
-    it holds a coprime pair.  Criterion M: a class whose lcm another class's
-    lcm (coprime ones included) properly divides yields none.  Criterion B:
-    an old pair (i, j) goes when lm(h) divides its lcm and lcm(i, h),
-    lcm(h, j) both differ from it.  Two departures from the published order
-    of deletions (Gebauer & Moeller, JSC 1988) keep the same pairs: classes
-    are visited in ascending order, not by degree, as every monomial order
-    refines divisibility; and a class keeps its smallest g.  Active elements
-    whose lead lm(h) divides then retire.
+    lcm, i, j, plain lcm); both come back updated, `pairs` as a new heap.
+    New pairs (g, h) are grouped by lcm.  Criterion F: a class yields one
+    pair, none if it holds a coprime pair.  Criterion M: a class whose lcm
+    another class's lcm (coprime ones included) properly divides yields none.
+    Criterion B: an old pair (i, j) goes when lm(h) divides its lcm and
+    lcm(i, h), lcm(h, j) both differ from it.  Two departures from the
+    published order of deletions (Gebauer & Moeller, JSC 1988) keep the same
+    pairs: classes are visited in ascending order, not by degree, as every
+    monomial order refines divisibility; and a class keeps its smallest g.
+    Active elements whose lead lm(h) divides then retire.
 
-    A pair's key is unique, so the heap pops the same sequence however it was
-    built: it is rebuilt only when criterion B removes a pair, and otherwise
-    the new pairs are pushed onto it.  The lcms are field-wise maxima of the
-    plain ints, formed inline (SWAR: a guard bit survives (a | guard) - b
-    exactly in the fields where a >= b); a degrevlex part's degree field is
-    then summed afresh by one multiply, raising `_Overflow` if it does not
-    fit.
+    The new pairs and the old ones criterion B spares are heapified as one
+    list; a pair's key is unique, so the heap pops the same sequence however
+    it was built.  The lcms are field-wise maxima of the plain ints, formed
+    inline (SWAR: a guard bit survives (a | guard) - b exactly in the fields
+    where a >= b); a degrevlex part's degree field is then summed afresh by
+    one multiply, raising `_Overflow` if it does not fit.
     """
     guard, width, flip = packing.guard, packing.width, packing.flip
     mh = lms[h]
@@ -186,25 +185,19 @@ def _gm_update(packing: Packing, lms: list[int], active: list[int], pairs: list,
             if g >= 0:
                 new_pairs.append((packed, g, h, lcm))
 
-    removed = False
-    for at, pair in enumerate(pairs):
+    kept = new_pairs
+    for pair in pairs:
         lcm = pair[3]
-        if (lcm - mh) & guard:
-            continue
-        for m in (lms[pair[1]], lms[pair[2]]):
-            d = (mh_guard - m) & guard
-            if m ^ ((mh ^ m) & (d - (d >> width))) == lcm:
-                break
-        else:
-            pairs[at], removed = None, True
-    if removed:
-        pairs = [pair for pair in pairs if pair is not None]
-        pairs += new_pairs
-        heapq.heapify(pairs)
-    else:
-        for pair in new_pairs:
-            heapq.heappush(pairs, pair)
-    return still_active, pairs
+        if not (lcm - mh) & guard:
+            for m in (lms[pair[1]], lms[pair[2]]):
+                d = (mh_guard - m) & guard
+                if m ^ ((mh ^ m) & (d - (d >> width))) == lcm:
+                    break
+            else:
+                continue
+        kept.append(pair)
+    heapq.heapify(kept)
+    return still_active, kept
 
 
 def buchberger(gens: Sequence[Polynomial], order: MonomialOrder | None = None) -> GroebnerBasis:
@@ -248,25 +241,30 @@ def _packed_buchberger(packing: Packing, entries: list[tuple], p: int):
             lms.append(table[-1][0] & exponents)
             active, pairs = _gm_update(packing, lms, active, pairs, len(table) - 1)
             reducers = [table[a] for a in active]
-    return _reduce_basis(packing, [table[a] for a in sorted(active)], p)
+    return _reduce_basis(packing, [table[a] for a in active], p)
 
 
 def _reduce_basis(packing: Packing, basis: list[tuple], p: int) -> list[list]:
-    """Minimalize and tail-reduce reducer entries into the reduced basis, as
-    monic term lists, lm-descending."""
+    """The reduced basis of the Groebner basis held by reducer entries, as
+    monic term lists, lm-descending.
+
+    One sweep in ascending lead order: an entry goes when a kept lead divides
+    its lead; otherwise it is reduced against the kept entries alone, which
+    are already reduced and monic, made monic and kept.  This is the basis a
+    reduction against all the other entries gives.  A lead that divides a
+    term below the entry's lead is itself smaller, so it is a kept lead or a
+    multiple of one.  No term of the remainder but its lead then lies in the
+    lead ideal, and the reduced basis has one such monic element per lead.
+    """
     guard = packing.guard
-    minimal: list[tuple] = []
+    kept: list[tuple] = []
     for entry in sorted(basis, key=lambda entry: entry[2][0][0]):
-        if any(not (entry[0] - kept[0]) & guard for kept in minimal):
+        if any(not (entry[0] - other[0]) & guard for other in kept):
             continue
-        minimal.append(entry)
-    reduced = []
-    for idx, entry in enumerate(minimal):
-        rem = _reduce_sorted(entry[2], minimal[:idx] + minimal[idx + 1 :], packing, p)
+        rem = _reduce_sorted(entry[2], kept, packing, p)
         c = pow(rem[0][1], -1, p)
-        reduced.append([(m, k * c % p) for m, k in rem])
-    reduced.sort(key=lambda t: t[0][0], reverse=True)
-    return reduced
+        kept.append(packing.reducer([(m, k * c % p) for m, k in rem], 1))
+    return [entry[2] for entry in reversed(kept)]
 
 
 # ---------------------------------------------------------------------------

@@ -1045,6 +1045,11 @@ def tokenize_expression(text: str):
     yield ("end", "", n)
 
 
+# How deep parentheses and unary minus may nest in one expression; deeper
+# text is refused as a syntax error before the descent exhausts Python's stack.
+_MAX_NESTING = 100
+
+
 class _ExprParser:
     """Recursive descent for +, -, *, ^, parentheses over ring variables."""
 
@@ -1053,6 +1058,7 @@ class _ExprParser:
         self.tokens = list(tokens)
         self.pos = 0
         self.names = names or {}
+        self.depth = 0  # open parentheses and unary minus signs
 
     def peek(self):
         return self.tokens[self.pos]
@@ -1120,12 +1126,17 @@ class _ExprParser:
             if value in self.names:
                 return self.names[value].resorted(self.ring)
             self.fail(f"unknown name {value!r}", at)
-        if kind == "op" and value == "(":
-            inner = self.parse_expr()
-            self.expect_op(")")
+        if kind == "op" and value in ("(", "-"):
+            if self.depth == _MAX_NESTING:
+                self.fail(f"expression nested deeper than {_MAX_NESTING} levels", at)
+            self.depth += 1
+            if value == "(":
+                inner = self.parse_expr()
+                self.expect_op(")")
+            else:
+                inner = -self.parse_factor()
+            self.depth -= 1
             return inner
-        if kind == "op" and value == "-":
-            return -self.parse_factor()
         self.fail(f"unexpected token {value!r}", at)
 
 
@@ -1136,7 +1147,8 @@ def parse_polynomial(
 
     `names` supplies bindings for non-variable identifiers.  A `#` comment may
     follow the expression.  Malformed text raises ExpressionError, a
-    ValueError whose message ends in `at position N`.
+    ValueError whose message ends in `at position N`; so does text whose
+    parentheses and unary minus signs nest more than `_MAX_NESTING` deep.
     """
     parser = _ExprParser(ring, tokenize_expression(text), names)
     result = parser.parse_expr()

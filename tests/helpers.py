@@ -9,7 +9,7 @@ from hkforge.groebner import GroebnerCertificate, s_polynomial
 from hkforge.ideals import _unstable
 from hkforge.lengths import _code
 from hkforge.linalg import reduce_row, row_reduce
-from hkforge.polyring import DegRevLex, DivisorTable, division
+from hkforge.polyring import DegRevLex, DivisorTable, _reduce_sorted, division
 from hkforge.verify import build_construction
 
 
@@ -150,6 +150,29 @@ def gebauer_moller_update(leads: list, active: list, pairs: set, h: int):
         kept.add((i, j))
     still_active = [g for g in active if not _divides(lead, leads[g])] + [h]
     return still_active, kept | new
+
+
+# -- two-pass reference of the reduced-basis step -------------------------------
+
+def reference_reduce_basis(packing, basis: list[tuple], p: int) -> list[list]:
+    """Reducer entries of a Groebner basis to the reduced basis in two passes,
+    as monic term lists, lm-descending: keep the entries, in ascending lead
+    order, whose lead no kept lead divides, then reduce each kept entry
+    against all the other kept ones as they came in.  `groebner._reduce_basis`
+    must give exactly this."""
+    guard = packing.guard
+    minimal: list[tuple] = []
+    for entry in sorted(basis, key=lambda entry: entry[2][0][0]):
+        if any(not (entry[0] - kept[0]) & guard for kept in minimal):
+            continue
+        minimal.append(entry)
+    reduced = []
+    for idx, entry in enumerate(minimal):
+        rem = _reduce_sorted(entry[2], minimal[:idx] + minimal[idx + 1 :], packing, p)
+        c = pow(rem[0][1], -1, p)
+        reduced.append([(m, k * c % p) for m, k in rem])
+    reduced.sort(key=lambda t: t[0][0], reverse=True)
+    return reduced
 
 
 # -- reference of the sparse elimination ---------------------------------------

@@ -47,8 +47,18 @@ MUTANTS = {
     ),
     "criterion-b-keeps-pairs": (
         "groebner.py",
-        "            pairs[at], removed = None, True\n",
-        "            pass\n",
+        "            else:\n                continue\n        kept.append(pair)\n",
+        "            else:\n                pass\n        kept.append(pair)\n",
+    ),
+    "reduced-basis-keeps-non-minimal-leads": (
+        "groebner.py",
+        "        if any(not (entry[0] - other[0]) & guard for other in kept):\n",
+        "        if False:\n",
+    ),
+    "reduced-basis-reduces-against-nothing": (
+        "groebner.py",
+        "        rem = _reduce_sorted(entry[2], kept, packing, p)\n",
+        "        rem = _reduce_sorted(entry[2], [], packing, p)\n",
     ),
     "merge-drops-a-long-tail": (
         "polyring.py",

@@ -211,6 +211,15 @@ def test_malformed_value_is_a_located_parse_error(text, location, tmp_path, caps
         # Unicode digits are digits to str.isdigit, but no integer here
         ("poly F = x^\u00b2;", "2:12: unexpected character '\u00b2'"),
         ("poly F = x^\u0661\u0662;", "2:12: unexpected character '\u0661'"),
+        # nesting past the parser's bound is a syntax error, not a RecursionError
+        pytest.param(
+            "poly F = " + "(" * 3000 + "x" + ")" * 3000 + ";",
+            "2:110: expression nested deeper",
+            id="3000-parentheses",
+        ),
+        pytest.param(
+            "poly F = " + "-" * 3000 + "x;", "2:111: expression nested deeper", id="3000-minus"
+        ),
     ],
 )
 def test_expression_errors_point_at_the_offending_token(statement, expected, tmp_path, capsys):

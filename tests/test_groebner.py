@@ -19,7 +19,7 @@ from hkforge import (
     normal_form,
     s_polynomial,
 )
-from hkforge.groebner import _gm_update, _spoly_terms
+from hkforge.groebner import _gm_update, _reduce_basis, _spoly_terms
 from hkforge.lengths import oracle_ideal_member
 from hkforge.polyring import _Overflow, packing_for
 
@@ -31,6 +31,7 @@ from helpers import (
     random_nonzero_polynomial,
     random_polynomial,
     reference_certify,
+    reference_reduce_basis,
 )
 
 
@@ -275,6 +276,70 @@ def test_pair_update_matches_a_tuple_reference(order, nvars):
                 ref_pairs,
                 key=lambda ij: (order.key(tuple(map(max, leads[ij[0]], leads[ij[1]]))), ij),
             )
+
+
+@pytest.mark.parametrize(
+    "order", [Lex(), DegRevLex(), Block(DegRevLex())], ids=lambda order: order.describe()
+)
+@pytest.mark.parametrize("width", [8, 32])
+def test_reduce_basis_sweep_matches_the_two_pass_reference(order, width):
+    """`_reduce_basis` gives the term lists of the two-pass reference, which
+    are the reduced basis, on Groebner bases that are far from reduced:
+    elements with smaller multiples of others added to them (tails to
+    reduce), copies scaled by constants (duplicate leads), multiples (leads
+    that divide later leads), and, in every third list, the constant 1."""
+    rng = random.Random(59 + width)
+    ring = PolyRing(5, ("t", "x", "y"), order)
+    pk = packing_for(order, 3, width)
+    key = order.key
+    for trial in range(12):
+        gens = [random_nonzero_polynomial(rng, ring, max_degree=3) for _ in range(3)]
+        basis = buchberger(gens).elements
+        entries = []
+        for g in basis:
+            f = g.scale(rng.randint(1, 4))
+            for h in basis:
+                th = h.mul_term(random_monomial(rng, ring, 2), rng.randint(1, 4))
+                if key(th.leading_monomial()) < key(g.leading_monomial()):
+                    f = f + th
+            multiple = g.mul_term(random_monomial(rng, ring, 2), rng.randint(1, 4))
+            entries += [f, g.scale(rng.randint(2, 4)), multiple]
+        if trial % 3 == 2:
+            entries.append(ring.one())
+            basis = (ring.one(),)
+        rng.shuffle(entries)
+        table = []
+        for f in entries:
+            terms = pk.repack(f.packed, f.packing)
+            table.append(pk.reducer(terms, pow(terms[0][1], -1, ring.p)))
+        expected = [pk.repack(g.packed, g.packing) for g in basis]
+        assert reference_reduce_basis(pk, table, ring.p) == expected
+        assert _reduce_basis(pk, table, ring.p) == expected
+
+
+def test_buchberger_on_non_minimal_leads_matches_the_reference(monkeypatch):
+    """Generators whose leads repeat or divide each other, such as x, x^2 + y
+    and x + y, give the basis Buchberger gives with the two-pass reference in
+    place of `_reduce_basis`."""
+    from hkforge import groebner
+
+    ring = PolyRing(5, ("x", "y", "z"), DegRevLex())
+    x, y, z = ring.gens()
+    cases = [
+        [x, x**2 + y, x + y],
+        [x * y + z, x**2 * y + x * z + y, 2 * x * y + 2 * z + x, y**2],
+        [x**2 - y * z, x**3 - x * y * z + z**2, x * z - y**2, x**2 * z - y**2 * x],
+    ]
+    rng = random.Random(61)
+    for _ in range(6):
+        gens = [random_nonzero_polynomial(rng, ring, max_degree=3) for _ in range(3)]
+        cases.append(gens + [g * random_nonzero_polynomial(rng, ring, max_degree=1) for g in gens])
+    with monkeypatch.context() as patched:
+        patched.setattr(groebner, "_reduce_basis", reference_reduce_basis)
+        expected = [buchberger(gens).elements for gens in cases]
+    for gens, basis in zip(cases, expected):
+        assert buchberger(gens).elements == basis
+    assert expected[0] == (x, y)
 
 
 def test_reduced_basis_is_unique_under_permutation_and_scaling():

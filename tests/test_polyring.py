@@ -443,6 +443,22 @@ def test_parse_refuses_non_ascii_digits(lex_sxy):
     assert info.value.offset == 2
 
 
+def test_parse_refuses_deep_nesting_at_an_offset(lex_sxy):
+    """Parentheses and unary minus nest to a fixed bound: 50 deep parses, and
+    3000 deep is an `ExpressionError` at the first token past the bound, not
+    a `RecursionError`."""
+    x = lex_sxy.gen("x")
+    assert lex_sxy.parse("(" * 50 + "x" + ")" * 50) == x
+    assert lex_sxy.parse("-" * 50 + "x") == x
+    assert lex_sxy.parse("-(" * 50 + "x" + ")" * 50) == x
+    with pytest.raises(ExpressionError) as info:
+        lex_sxy.parse("(" * 3000 + "x" + ")" * 3000)
+    assert info.value.offset == 100
+    with pytest.raises(ExpressionError) as info:
+        lex_sxy.parse("-" * 3000 + "x")
+    assert info.value.offset == 101  # the leading sign is no nesting
+
+
 def test_print_parse_round_trip():
     rng = random.Random(23)
     ring = PolyRing(7, ("a", "b", "c"))
