@@ -20,7 +20,10 @@ no basis of either is built for that question.  `saturate` runs the colon
 chain, which counts its steps.  Saturation by one variable goes through
 homogenization instead, with no elimination, and `_saturation_steps` reads
 the chain's step count off a known saturation by a walk of normal forms;
-`verify_construction` uses both and builds no chain.
+`verify_construction` uses both and builds no chain.  The walk, like
+`lengths._span_closure`, multiplies by variables only: `_walk` runs it on the
+basis's `DivisorTable`, and `_next_level` forms each level from the one
+before, one packed shift and one normal form per form and variable.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from .polyring import (
     Packing,
     PolyRing,
     Polynomial,
-    _mul_sorted,
+    _Overflow,
     _reduce_sorted,
     division,
     packing_width,
@@ -351,74 +354,88 @@ def _unstable(cap: int) -> CapExceeded:
     )
 
 
-def _walk(
-    ideal: Ideal, kernel: Callable[..., object], cap: int | None, *groups: Sequence[Polynomial]
-):
-    """kernel(packing, entries, p, cap, *groups): a walk of normal forms
+def _walk(ideal: Ideal, kernel: Callable[..., object], gens: Sequence[Polynomial], *args):
+    """kernel(packing, entries, p, gens, *args): a walk of normal forms
     modulo `ideal`, run by `DivisorTable.run` on the table of
-    `Ideal.any_basis`, with each group of polynomials moved into the basis's
-    ring and the packing at least as wide as each of them.  The zero ideal's
-    basis is empty, and its walk runs on a table with no entries under the
-    ring's order, so that every normal form is the polynomial itself."""
+    `Ideal.any_basis`, with `gens` moved into the basis's ring and the
+    packing at least as wide as each of them.  The zero ideal's basis is
+    empty, and its walk runs on a table with no entries under the ring's
+    order, so that every normal form is the polynomial itself."""
     basis = ideal.any_basis()
     table = basis._divisors if len(basis) else DivisorTable((), ideal.ring)
     ring = table.ring
-    groups = tuple([f.resorted(ring) for f in group] for group in groups)
-    width = max((f.packing.width for group in groups for f in group), default=packing_width(0))
-    return table.run(width, kernel, ring.p, cap, *groups)[1]
+    gens = [f.resorted(ring) for f in gens]
+    width = max((f.packing.width for f in gens), default=packing_width(0))
+    return table.run(width, kernel, ring.p, gens, *args)[1]
+
+
+def _next_level(
+    pk: Packing, entries: list[tuple], p: int, forms: Iterable, variables: Sequence[int]
+) -> list:
+    """The level after `forms` in a walk: the normal forms modulo the entries
+    of x_i * f, for each packed form f and each variable index i, in that
+    order.  A product by a variable is one shift by its `Packing.units`
+    entry, taken after the guard test, which raises `_Overflow` when the
+    shift would not fit."""
+    flip, guard = pk.flip, pk.guard
+    steps = [pk.units[i] for i in variables]
+    level = []
+    for f in forms:
+        top = pk.top(f)
+        for t in steps:
+            if ((t ^ flip) + top) & guard:
+                raise _Overflow
+            delta = t - flip
+            level.append(_reduce_sorted([(m + delta, c) for m, c in f], entries, pk, p))
+    return level
 
 
 def _saturation_steps(
     ideal: Ideal,
     sat: Ideal | None,
-    multipliers: Sequence[Polynomial],
+    variables: Sequence[int],
     cap: int | None = None,
 ) -> int:
     """The step count of `saturate(I, K)`, for sat = I : K^infinity (None for
-    the unit ideal) and K generated by `multipliers`, with no colon.
+    the unit ideal) and K generated by the variables of index `variables`,
+    with no colon.
 
     The chain I : K^n stops growing at the least n with I : K^n = sat, that
     is with K^n * sat <= I.  Level 0 holds the nonzero normal forms of sat's
-    generators modulo I's basis, and level n + 1 those of k * f for each
-    multiplier k and each f of level n.  A normal form depends only on the
-    class modulo I, so level n lists the distinct nonzero normal forms of the
-    products of n multipliers with a generator of sat, and it is empty exactly
-    when K^n * sat <= I.  Raises `CapExceeded` as the chain does when level
-    `cap` is not empty.
+    generators modulo I's basis, and level n + 1 those of v * f for each
+    variable v of K and each f of level n.  A normal form depends only on
+    the class modulo I, so level n lists the distinct nonzero normal forms of
+    the products of n variables of K with a generator of sat, and it is empty
+    exactly when K^n * sat <= I.  Raises `CapExceeded` as the chain does when
+    level `cap` is not empty.
 
-    The walk is `_steps_kernel`, run on I's basis by `_walk`.  A multiplier
-    may be any polynomial: a product is one packed shift per term of the
-    multiplier, merged, so a variable costs one shift.
+    The walk is `_steps_kernel`, run on I's basis by `_walk`.
     """
     if cap is None:
         cap = config.DEFAULT_SATURATION_CAP
     gens = sat.generators if sat is not None else (ideal.ring.one(),)
-    return _walk(ideal, _steps_kernel, cap, gens, multipliers)
+    return _walk(ideal, _steps_kernel, gens, cap, variables)
 
 
 def _steps_kernel(
     pk: Packing,
     entries: list[tuple],
     p: int,
-    cap: int,
     gens: list[Polynomial],
-    multipliers: list[Polynomial],
+    cap: int,
+    variables: Sequence[int],
 ) -> int:
     """`_saturation_steps`'s walk for `DivisorTable.run`, on packed term
-    lists: each normal form is `_reduce_sorted` against the entries, and a
-    level keeps its distinct nonzero forms, told apart by their packed terms,
-    as every form of the walk lies in the one packing."""
-    factors = [pk.repack(k.packed, k.packing) for k in multipliers]
+    lists: level 0 is `_reduce_sorted` against the entries, and each level
+    after it comes from the one before by `_next_level`.  A level keeps its
+    distinct nonzero forms, told apart by their packed terms, as every form
+    of the walk lies in the one packing."""
     forms = (_reduce_sorted(pk.repack(g.packed, g.packing), entries, pk, p) for g in gens)
     level = dict.fromkeys(tuple(h) for h in forms if h)
     for step in range(cap + 1):
         if not level:
             return step
-        forms = []
-        for f in level:
-            top = pk.top(f)
-            for k in factors:
-                forms.append(_reduce_sorted(_mul_sorted(f, top, k, pk, p), entries, pk, p))
+        forms = _next_level(pk, entries, p, level, variables)
         level = dict.fromkeys(tuple(h) for h in forms if h)
     raise _unstable(cap)
 
@@ -503,10 +520,9 @@ def dimension(ideal: Ideal) -> int:
         if not any(lm):
             raise EmptyVariety("the unit ideal defines the empty variety")
         supports.append(frozenset(i for i, e in enumerate(lm) if e))
-    best = 0
     for size in range(nvars, 0, -1):
         for combo in itertools.combinations(range(nvars), size):
             s = set(combo)
             if all(not supp <= s for supp in supports):
                 return size
-    return best
+    return 0

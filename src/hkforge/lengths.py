@@ -43,9 +43,9 @@ from dataclasses import dataclass
 
 from . import config
 from .errors import CapExceeded, ContainmentError, RingMismatch
-from .ideals import Ideal, _saturate_variable, _saturation_steps, _walk, intersect
+from .ideals import Ideal, _next_level, _saturate_variable, _saturation_steps, _walk, intersect
 from .linalg import rank_of_rows, reduce_row, row_reduce
-from .polyring import Monomial, Packing, Polynomial, _merge_sub, _mul_sorted, _reduce_sorted
+from .polyring import Monomial, Packing, Polynomial, _merge_sub, _reduce_sorted
 
 __all__ = [
     "LengthResult",
@@ -170,9 +170,9 @@ def gamma_submodule(j_ideal: Ideal, i_ideal: Ideal) -> Ideal:
 
 def nilpotency_exponent(u_ideal: Ideal, j_ideal: Ideal, cap: int) -> int | None:
     """Least n <= cap with m^n * U <= J, or None if the cap is exhausted: the
-    walk of `ideals._saturation_steps` with the variables as multipliers."""
+    walk of `ideals._saturation_steps` by every variable."""
     try:
-        return _saturation_steps(j_ideal, u_ideal, j_ideal.ring.gens(), cap)
+        return _saturation_steps(j_ideal, u_ideal, range(j_ideal.ring.nvars), cap)
     except CapExceeded:
         return None
 
@@ -248,19 +248,19 @@ def _span_closure(gens: tuple[Polynomial, ...], j_ideal: Ideal, cap: int | None 
 
     The walk is `_closure_kernel`, run on J's basis by `ideals._walk`.
     """
-    return _walk(j_ideal, _closure_kernel, cap, gens)
+    return _walk(j_ideal, _closure_kernel, gens, cap)
 
 
 def _closure_kernel(
-    pk: Packing, entries: list[tuple], p: int, cap: int | None, gens: list[Polynomial]
+    pk: Packing, entries: list[tuple], p: int, gens: list[Polynomial], cap: int | None
 ) -> int | None:
     """`_span_closure`'s walk (FGLM's, Faugere, Gianni, Lazard & Mora, JSC
     1993) for `DivisorTable.run`, on packed term lists.
 
     Level 0 holds the normal forms of the generators, `_reduce_sorted`
     against the entries.  A form that the rows kept so far do not reduce to
-    zero is kept, and its products with the variables, each one packed shift
-    (`polyring._mul_sorted`), make the next level.  If f lies in the span of
+    zero is kept, and the normal forms of its products with the variables
+    make the next level (`ideals._next_level`).  If f lies in the span of
     earlier rows, x_i * f lies in that of their x_i-multiples, queued
     already, so the first level that adds nothing ends the closure.
 
@@ -269,8 +269,6 @@ def _closure_kernel(
     what is left, if anything, becomes a row, scaled to lead 1.  Rows with
     distinct leads are independent, so the length is the number of rows.
     """
-    n = len(pk.shifts)
-    steps = [[(pk.pack(tuple(int(i == j) for j in range(n))), 1)] for i in range(n)]
     rows: dict[int, list] = {}
     level = [_reduce_sorted(pk.repack(g.packed, g.packing), entries, pk, p) for g in gens]
     for _ in itertools.count() if cap is None else range(cap + 1):
@@ -285,11 +283,7 @@ def _closure_kernel(
                 kept.append(nf)
         if not kept:
             return len(rows)
-        level = []
-        for nf in kept:
-            top = pk.top(nf)
-            for step in steps:
-                level.append(_reduce_sorted(_mul_sorted(nf, top, step, pk, p), entries, pk, p))
+        level = _next_level(pk, entries, p, kept, range(len(pk.shifts)))
     return None
 
 

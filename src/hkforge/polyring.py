@@ -249,7 +249,9 @@ class PolyRing:
         return self.polynomial((((0,) * self.nvars, c),))
 
     def gen(self, name: str) -> "Polynomial":
-        i = self._var_index[name]
+        i = self._var_index.get(name)
+        if i is None:
+            raise ValueError(f"no variable {name!r}; the ring's variables are {self.variables}")
         return self.polynomial(((tuple(int(j == i) for j in range(self.nvars)), 1),))
 
     def gens(self) -> tuple["Polynomial", ...]:
@@ -591,7 +593,7 @@ class Packing:
     __slots__ = (
         "order", "layout", "width", "mask", "shifts", "guard", "flip", "exponents",
         "_deg_vars", "deg_shift", "sum_low", "sum_spread", "sum_top", "field_mask",
-        "graded", "_plans",
+        "graded", "_plans", "units",
     )
 
     def __init__(self, order: MonomialOrder, nvars: int, width: int):
@@ -626,6 +628,8 @@ class Packing:
         # a degree field of every variable is the topmost field, so then
         # m >> deg_shift is the total degree of a packed m
         self.graded = len(self._deg_vars) == nvars
+        # the packed variables, by which the normal-form walks multiply
+        self.units = [self.pack(tuple(int(i == j) for j in range(nvars))) for i in range(nvars)]
 
     def pack(self, mon: Monomial) -> int:
         e = 0
@@ -804,27 +808,6 @@ def _merge_sub(h: list, start: int, g: list, delta: int, c: int, p: int) -> list
         else:
             append((m, neg * cg % p))
     out += h[i:]
-    return out
-
-
-def _mul_sorted(terms: Sequence, top: int, factor: list, packing: Packing, p: int) -> list:
-    """Descending `terms` times the descending `factor`, both packed under
-    `packing`: one shift of `terms` per term of the factor, the first taken
-    as it is (a product by a variable is one shift) and the others merged
-    in.  `top` is `Packing.top` of `terms`; raises `_Overflow` before
-    forming a shift that would not fit."""
-    flip, guard = packing.flip, packing.guard
-    out: list = []
-    for t, c in factor:
-        if ((t ^ flip) + top) & guard:
-            raise _Overflow
-        delta = t - flip
-        if out:
-            out = _merge_sub(out, 0, terms, delta, p - c, p)
-        elif c == 1:
-            out = [(m + delta, k) for m, k in terms]
-        else:
-            out = [(m + delta, k * c % p) for m, k in terms]
     return out
 
 

@@ -188,7 +188,7 @@ def verify_construction(p: int, m: int) -> ClaimReport:
     colon_is_max = f_outside and sf and xf and yf
     record(
         "4: f not in e and (e : f) = m",
-        f_outside and colon_is_max,
+        colon_is_max,
         f"f outside: {f_outside}, colon equals (s,x,y): {colon_is_max}",
     )
 
@@ -196,8 +196,8 @@ def verify_construction(p: int, m: int) -> ClaimReport:
     # ends only once m^k * sat <= e, which puts sat inside e : m^inf
     s_index = ring.variables.index("s")
     sat = _saturate_variable(data.e, s_index)
-    steps_s = _saturation_steps(data.e, sat, [s])
-    steps_m = _saturation_steps(data.e, sat, ring.gens())
+    steps_s = _saturation_steps(data.e, sat, [s_index])
+    steps_m = _saturation_steps(data.e, sat, range(ring.nvars))
     if sf and xf and yf and data.h.generators == data.e.generators + (data.f,):
         # h <= sat, as e <= sat and s*f in e; m*f <= e, so sat <= h is a
         # question about the line h/e

@@ -121,19 +121,14 @@ MUTANTS = {
         "        if self._packing is None:\n",
     ),
     "product-overflow-check": (
-        "polyring.py",
-        "        if ((t ^ flip) + top) & guard:\n",
-        "        if False:\n",
+        "ideals.py",
+        "            if ((t ^ flip) + top) & guard:\n",
+        "            if False:\n",
     ),
     "table-run-never-restarts": (
         "polyring.py",
         "            except _Overflow:\n                width = 2 * pk.width\n",
         "            except _Overflow:\n                raise\n",
-    ),
-    "product-skips-its-scale": (
-        "polyring.py",
-        "        elif c == 1:\n",
-        "        elif True:\n",
     ),
     "closure-keeps-every-form": (
         "lengths.py",

@@ -30,7 +30,7 @@ from hkforge import (
     subquotient_length,
     unit_ideal,
 )
-from hkforge import groebner, lengths, polyring
+from hkforge import groebner, ideals, lengths, polyring
 from hkforge.ideals import _saturate_variable
 from hkforge.lengths import (
     _code,
@@ -541,15 +541,17 @@ def test_rank_and_difference_methods_agree(f5xy):
 def test_rank_route_reduces_each_kept_form_once_per_variable(f5xy, monkeypatch):
     """The closure makes one normal form against J's basis per generator of U
     and one per variable for each of the `length` forms it keeps, and no pass
-    over a box of monomial multiples.  Counted at the division core that the
-    closure's kernel calls, against the entries of J's basis."""
+    over a box of monomial multiples.  Counted at the division core, against
+    the entries of J's basis, where the closure's kernel calls it for level 0
+    and `ideals._next_level` for each level after it."""
     reduce, tables = lengths._reduce_sorted, []
 
     def counting_reduce(h, table, *args):
         tables.append(table)
         return reduce(h, table, *args)
 
-    monkeypatch.setattr(lengths, "_reduce_sorted", counting_reduce)
+    for module in (lengths, ideals):
+        monkeypatch.setattr(module, "_reduce_sorted", counting_reduce)
     rng = random.Random(79)
     for _ in range(10):
         j_ideal, i_ideal = random_primary_pair(rng, f5xy, max_degree=3)
@@ -705,8 +707,6 @@ def test_subquotient_detects_possibly_infinite(f5xy):
 def test_subquotient_refuses_a_negative_cap(monkeypatch):
     """A negative cap is refused before any basis is built; a cap of 0 still
     measures a length that the first level closes."""
-    from hkforge import ideals
-
     builds = []
     buchberger = ideals.buchberger
     monkeypatch.setattr(ideals, "buchberger", lambda *a: builds.append(1) or buchberger(*a))

@@ -16,6 +16,7 @@ from hkforge import (
     normal_form,
 )
 from hkforge.groebner import buchberger
+from hkforge.ideals import _next_level
 from hkforge.polyring import (
     EQ,
     GT,
@@ -23,7 +24,6 @@ from hkforge.polyring import (
     DivisorTable,
     ExpressionError,
     Polynomial,
-    _mul_sorted,
     _Overflow,
     is_prime,
     monomial_div,
@@ -166,6 +166,14 @@ def test_a_refused_ring_is_never_kept(p, variables):
     ring = PolyRing(5, ("x", "y"))
     x, y = ring.gens()
     assert (x + y) ** 5 == x**5 + y**5
+
+
+def test_gen_refuses_a_name_the_ring_lacks():
+    """A name outside the ring is a ValueError that names its variables."""
+    ring = PolyRing(5, ("x", "y"))
+    with pytest.raises(ValueError, match=r"no variable 'z'; the ring's variables are \('x', 'y'\)"):
+        ring.gen("z")
+    assert ring.gen("y") == ring.monomial(0, 1)
 
 
 @pytest.mark.parametrize(
@@ -480,25 +488,29 @@ def test_monomial_refuses_negative_exponents():
 
 
 @pytest.mark.parametrize("order", FIVE_ORDERS, ids=ORDER_IDS)
-def test_packed_product_matches_polynomial_multiplication(order):
-    """`_mul_sorted` on packed terms gives the terms of `Polynomial.__mul__`
-    when the product fits, scaled factors and single terms included, and
-    raises `_Overflow` instead of forming a shift that would not fit."""
-    rng = random.Random(f"product:{order.describe()}")
+def test_next_level_matches_reduced_products_by_variables(order):
+    """`ideals._next_level` at 8 and 16 bits gives, form by form and
+    variable by variable, the normal form by `GroebnerBasis.reduce` of the
+    product by `Polynomial.__mul__`, and raises `_Overflow` instead of
+    forming a shift that would not fit its fields."""
+    rng = random.Random(f"level:{order.describe()}")
     ring = PolyRing(7, ("x", "y", "z"), order)
-    pk = packing_for(order, 3, 8)
-    for _ in range(20):
-        f = random_nonzero_polynomial(rng, ring, max_degree=5, max_terms=5)
-        k = random_nonzero_polynomial(rng, ring, max_degree=3, max_terms=rng.choice((1, 3)))
-        terms = pk.repack(f.packed, f.packing)
-        got = _mul_sorted(terms, pk.top(terms), pk.repack(k.packed, k.packing), pk, ring.p)
-        assert got == pk.repack((f * k).packed, (f * k).packing)
-    terms = [(pk.pack((250, 0, 0)), 3)]  # fills its width-8 field to 250
-    with pytest.raises(_Overflow):
-        _mul_sorted(terms, pk.top(terms), [(pk.pack((6, 0, 0)), 1)], pk, ring.p)
-    assert _mul_sorted(terms, pk.top(terms), [(pk.pack((5, 0, 0)), 2)], pk, ring.p) == [
-        (pk.pack((255, 0, 0)), 6)
-    ]
+    x, y, z = ring.gens()
+    basis = buchberger([x**3 - y * z, y**2 * z + 2 * x, z**3 + x * y + 1], order)
+    variables = [2, 0, 1]
+    for width in (8, 16):
+        pk, entries = DivisorTable(basis.elements).packed(width)
+        assert pk.width == width
+        forms = [random_nonzero_polynomial(rng, ring, max_degree=5, max_terms=5) for _ in range(6)]
+        packed = [pk.repack(f.packed, f.packing) for f in forms]
+        level = _next_level(pk, entries, ring.p, packed, variables)
+        expected = [basis.reduce(ring.gens()[i] * f) for f in forms for i in variables]
+        assert [pk.unpack_terms(h) for h in level] == [r.terms for r in expected]
+        edge = [(pk.pack((pk.mask - 1, 0, 0)), 3)]  # x^(mask - 1) fits its field with one to spare
+        assert _next_level(pk, [], ring.p, [edge], [0]) == [[(pk.pack((pk.mask, 0, 0)), 3)]]
+        full = [(pk.pack((pk.mask, 0, 0)), 3)]
+        with pytest.raises(_Overflow):
+            _next_level(pk, [], ring.p, [full], [0])
 
 
 def test_mul_term_refuses_bad_exponent_vectors():

@@ -272,7 +272,7 @@ def test_katzman_p5_e1_passes():
     assert report.ok, report.to_json()
 
 
-@pytest.mark.parametrize("p,e", [(7, 1), pytest.param(5, 2, marks=pytest.mark.slow)])
+@pytest.mark.parametrize("p,e", [(7, 1), (5, 2)])
 def test_katzman_larger_instances(p, e):
     """The torsion stays exactly one-dimensional out to n = p^(e+1) = 125."""
     report = verify_katzman(p, e, slow=True)
