@@ -3,7 +3,12 @@
 Buchberger runs on the packed entries of one `DivisorTable` of its
 generators, as division does, and leaves them at their own scale: only the
 final reduced basis is made monic.  The table's `run` repacks wider and
-restarts it on overflow.
+restarts it on overflow.  Single-term elements cost nothing where their
+result is known in advance: a pair of two has S-polynomial 0, so criterion F
+drops its lcm class (`_gm_update`); division cancels a term against one in
+place (`polyring._reduce_sorted`); and the reduced-basis step keeps one with
+no division (`_reduce_basis`).  The monic entries that step keeps become the
+returned basis's division table, so its first normal form packs nothing.
 
 Certification re-derives a division certificate for every S-pair: the basis
 is packed once into a `DivisorTable` that all pairs share, but no quotient is
@@ -70,7 +75,8 @@ class GroebnerBasis:
 
     elements: tuple[Polynomial, ...]
     order: MonomialOrder
-    # the elements packed for division, on the first `reduce`
+    # the elements packed for division: on the first `reduce`, or by
+    # `buchberger` from the entries its reduced-basis step kept
     _divisors: DivisorTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -119,20 +125,25 @@ def _spoly_terms(packing: Packing, fi: tuple, fj: tuple, lcm: int, p: int) -> li
     return _merge_sub(left, 0, terms_j, lcm - terms_j[0][0], ci, p)
 
 
-def _gm_update(packing: Packing, lms: list[int], active: list[int], pairs: list, h: int):
+def _gm_update(
+    packing: Packing, lms: list[int], single: list[bool], active: list[int], pairs: list, h: int
+):
     """Gebauer-Moeller pair update on adding element index h.
 
-    `lms` holds the plain leading monomials without a degree field, `active`
-    the basis indices in ascending order, and `pairs` is a heap of (packed
-    lcm, i, j, plain lcm); both come back updated, `pairs` as a new heap.
-    New pairs (g, h) are grouped by lcm.  Criterion F: a class yields one
-    pair, none if it holds a coprime pair.  Criterion M: a class whose lcm
-    another class's lcm (coprime ones included) properly divides yields none.
-    Criterion B: an old pair (i, j) goes when lm(h) divides its lcm and
-    lcm(i, h), lcm(h, j) both differ from it.  Two departures from the
-    published order of deletions (Gebauer & Moeller, JSC 1988) keep the same
-    pairs: classes are visited in ascending order, not by degree, as every
-    monomial order refines divisibility; and a class keeps its smallest g.
+    `lms` holds the plain leading monomials without a degree field, `single`
+    whether each element is a single term, `active` the basis indices in
+    ascending order, and `pairs` is a heap of (packed lcm, i, j, plain lcm);
+    both come back updated, `pairs` as a new heap.  New pairs (g, h) are
+    grouped by lcm.  Criterion F: a class yields one pair, none if it holds a
+    coprime pair or a term pair (g and h both single terms): the S-polynomial
+    of either has a standard representation, the term pair's being 0.
+    Criterion M: a class whose lcm another class's lcm (those criterion F
+    empties included) properly divides yields none.  Criterion B: an old
+    pair (i, j) goes when lm(h) divides its lcm and lcm(i, h), lcm(h, j) both
+    differ from it.  Two departures from the published order of deletions
+    (Gebauer & Moeller, JSC 1988) keep the same pairs: classes are visited in
+    ascending order, not by degree, as every monomial order refines
+    divisibility; and a class keeps its smallest g.
     Active elements whose lead lm(h) divides then retire.
 
     The new pairs and the old ones criterion B spares are heapified as one
@@ -145,13 +156,14 @@ def _gm_update(packing: Packing, lms: list[int], active: list[int], pairs: list,
     guard, width, flip = packing.guard, packing.width, packing.flip
     mh = lms[h]
     mh_guard = mh | guard
-    classes: dict[int, int] = {}  # plain lcm -> smallest g, or -1 if coprime
+    single_h = single[h]
+    classes: dict[int, int] = {}  # plain lcm -> smallest g, or -1 if coprime or a term pair
     still_active = []
     for ig in active:
         m = lms[ig]
         d = (mh_guard - m) & guard
         lcm = m ^ ((mh ^ m) & (d - (d >> width)))
-        if mh + m == lcm:
+        if mh + m == lcm or single_h and single[ig]:
             classes[lcm] = -1
         elif lcm not in classes:
             classes[lcm] = ig
@@ -209,7 +221,9 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder | None = None) -
     entries of one `DivisorTable` of the generators, whose `run` repacks and
     restarts on overflow.  The result is the unique reduced basis: monic
     elements, no term of one divisible by the lead of another, sorted
-    lead-descending.
+    lead-descending.  Its own `DivisorTable` starts from the reducer entries
+    `_reduce_basis` kept, at Buchberger's packing, so its first normal form
+    packs nothing; only a wider dividend repacks it.
     """
     live = [g for g in gens if not g.is_zero()]
     if not live:
@@ -217,20 +231,24 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder | None = None) -
     ring = live[0].ring if order is None else live[0].ring.with_order(order)
     table = DivisorTable([g.resorted(ring) for g in live])
     pk, reduced = table.run(0, _packed_buchberger, ring.p)
-    return GroebnerBasis(tuple(Polynomial(ring, pk, t) for t in reduced), ring.order)
+    basis = GroebnerBasis(tuple(Polynomial(ring, pk, entry[2]) for entry in reduced), ring.order)
+    basis._divisors.seed(pk, reduced)
+    return basis
 
 
 def _packed_buchberger(packing: Packing, entries: list[tuple], p: int):
     """`buchberger` from the generators' reducer entries: the reduced basis
-    as term lists.  Pairs, criteria and divisors depend on leads alone, so no
-    element is made monic before `_reduce_basis` scales the output."""
+    as monic reducer entries.  Pairs, criteria and divisors depend on leads
+    alone, so no element is made monic before `_reduce_basis` scales the
+    output.  `single` marks the single-term elements for `_gm_update`."""
     table = list(entries)
     exponents = packing.exponents
     lms = [entry[0] & exponents for entry in table]
+    single = [len(entry[2]) == 1 for entry in table]
     active: list[int] = []
     pairs: list[tuple] = []
     for h in range(len(table)):
-        active, pairs = _gm_update(packing, lms, active, pairs, h)
+        active, pairs = _gm_update(packing, lms, single, active, pairs, h)
     reducers = [table[a] for a in active]
     while pairs:
         lcm, i, j, _ = heapq.heappop(pairs)
@@ -239,14 +257,15 @@ def _packed_buchberger(packing: Packing, entries: list[tuple], p: int):
         if rem:
             table.append(packing.reducer(rem, pow(rem[0][1], -1, p)))
             lms.append(table[-1][0] & exponents)
-            active, pairs = _gm_update(packing, lms, active, pairs, len(table) - 1)
+            single.append(len(rem) == 1)
+            active, pairs = _gm_update(packing, lms, single, active, pairs, len(table) - 1)
             reducers = [table[a] for a in active]
     return _reduce_basis(packing, [table[a] for a in active], p)
 
 
-def _reduce_basis(packing: Packing, basis: list[tuple], p: int) -> list[list]:
+def _reduce_basis(packing: Packing, basis: list[tuple], p: int) -> list[tuple]:
     """The reduced basis of the Groebner basis held by reducer entries, as
-    monic term lists, lm-descending.
+    monic reducer entries (inverse lead coefficient 1), lm-descending.
 
     One sweep in ascending lead order: an entry goes when a kept lead divides
     its lead; otherwise it is reduced against the kept entries alone, which
@@ -255,16 +274,18 @@ def _reduce_basis(packing: Packing, basis: list[tuple], p: int) -> list[list]:
     term below the entry's lead is itself smaller, so it is a kept lead or a
     multiple of one.  No term of the remainder but its lead then lies in the
     lead ideal, and the reduced basis has one such monic element per lead.
+    A single-term entry that is kept has no tail, so it is made monic
+    without a division.
     """
     guard = packing.guard
     kept: list[tuple] = []
     for entry in sorted(basis, key=lambda entry: entry[2][0][0]):
         if any(not (entry[0] - other[0]) & guard for other in kept):
             continue
-        rem = _reduce_sorted(entry[2], kept, packing, p)
+        rem = entry[2] if len(entry[2]) == 1 else _reduce_sorted(entry[2], kept, packing, p)
         c = pow(rem[0][1], -1, p)
         kept.append(packing.reducer([(m, k * c % p) for m, k in rem], 1))
-    return [entry[2] for entry in reversed(kept)]
+    return kept[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +366,13 @@ def certify_groebner(
     `s_polynomial`, not from Buchberger's packed routine, so that a basis
     Buchberger built is checked by a second route, and divides against one
     `DivisorTable` of the basis, packed on first use.  Pairs with coprime
-    leads are divided too: only a division may supply their quotients.
+    leads are divided too: only a division may supply their quotients.  A
+    Groebner basis holds no zero element, so a zero anywhere in `basis`
+    raises `ZeroPolynomial` before any pair is formed.
     """
     basis = tuple(basis)
+    if any(g.is_zero() for g in basis):
+        raise ZeroPolynomial("a Groebner basis holds no zero element")
     if not basis:
         return GroebnerCertificate((), order or DegRevLex(), True, ())
     ring = basis[0].ring if order is None else basis[0].ring.with_order(order)

@@ -823,7 +823,11 @@ def _reduce_sorted(
     `table` holds a `Packing.reducer` entry per divisor.  Rewrites the largest
     reducible term against the first listed divisor whose lead divides it;
     irreducible terms accumulate into the remainder, which is returned
-    (descending).  Quotient terms, when collected, are keyed by packed
+    (descending).  A single-term divisor cancels its term exactly, as
+    c * lc == the term's coefficient mod p, and touches no other term, so the
+    loop records its quotient and moves past the term: no merge, no copy of
+    the tail and no restart, with the quotients and remainder the merge
+    would give.  Quotient terms, when collected, are keyed by packed
     monomial.  Raises `_Overflow` before forming a product that would not fit.
     """
     flip, guard = packing.flip, packing.guard
@@ -851,8 +855,11 @@ def _reduce_sorted(
             q = quotients[gi]
             t ^= flip
             q[t] = (q.get(t, 0) + c) % p
-        h = _merge_sub(h, start, gterms, term[0] - gterms[0][0], c, p)
-        start = 0
+        if len(gterms) == 1:
+            start += 1
+        else:
+            h = _merge_sub(h, start, gterms, term[0] - gterms[0][0], c, p)
+            start = 0
     return remainder
 
 
@@ -863,7 +870,8 @@ class DivisorTable:
     `division` and `normal_form` take one in place of a list, so that many
     dividends share one packing: a `GroebnerBasis` holds one for its normal
     forms, `certify_groebner` one for all S-pairs of a basis, `colon_element`
-    one of (u), and `buchberger` one whose entries start its basis.  `run`
+    one of (u), and `buchberger` one whose entries start its basis; it then
+    `seed`s its result's table with the entries of the reduced basis.  `run`
     packs the table again, twice as wide, only when a product does not fit;
     packed at any width it picks the same divisors, so its quotients and
     remainders equal a fresh list's.  `ring` is the divisors' ring, read off
@@ -895,8 +903,14 @@ class DivisorTable:
             for g in self.divisors:
                 terms = pk.repack(g.packed, g.packing)
                 entries.append(pk.reducer(terms, pow(terms[0][1], -1, ring.p)))
-            self._packing, self._entries, self._width = pk, entries, pk.width
+            self.seed(pk, entries)
         return self._packing, self._entries
+
+    def seed(self, packing: Packing, entries: list[tuple]) -> None:
+        """Keep `entries`, the reducer entries of the divisors in order at
+        `packing`, which must be what `packed` would form there: the next
+        call at that width or below packs nothing."""
+        self._packing, self._entries, self._width = packing, entries, packing.width
 
     def run(self, width: int, kernel: Callable[..., object], *args) -> tuple:
         """(packing, kernel(packing, entries, *args)) at a packing of at

@@ -9,7 +9,7 @@ from hkforge.groebner import GroebnerCertificate, s_polynomial
 from hkforge.ideals import _unstable
 from hkforge.lengths import _code
 from hkforge.linalg import reduce_row, row_reduce
-from hkforge.polyring import DegRevLex, DivisorTable, _reduce_sorted, division
+from hkforge.polyring import DegRevLex, DivisorTable, _merge_sub, _Overflow, _reduce_sorted, division
 from hkforge.verify import build_construction
 
 
@@ -109,13 +109,14 @@ def dict_mul(a: dict, b: dict, p: int) -> dict:
 
 # -- exponent-tuple reference of the Gebauer-Moeller pair update ---------------
 
-def gebauer_moller_update(leads: list, active: list, pairs: set, h: int):
+def gebauer_moller_update(leads: list, single: list, active: list, pairs: set, h: int):
     """The pair update on adding index h, on exponent tuples, as
     `groebner._gm_update`'s docstring states criteria M, F and B.
 
-    `leads` holds the leading monomials, `active` the basis indices in
-    ascending order and `pairs` a set of index pairs (i, j) with i < j.
-    Returns the new active list and the new pair set.
+    `leads` holds the leading monomials, `single` whether each element is a
+    single term, `active` the basis indices in ascending order and `pairs` a
+    set of index pairs (i, j) with i < j.  Returns the new active list and the
+    new pair set.
     """
 
     def lcm(a, b):
@@ -133,8 +134,9 @@ def gebauer_moller_update(leads: list, active: list, pairs: set, h: int):
         # M: no other class's lcm properly divides this one
         if any(other != common and _divides(other, common) for other in classes):
             continue
-        # F: one pair per class, none if the class holds a coprime pair
-        if any(coprime(leads[g], lead) for g in members):
+        # F: one pair per class, none if the class holds a coprime pair or a
+        # pair of two single terms
+        if any(coprime(leads[g], lead) or single[g] and single[h] for g in members):
             continue
         new.add((min(members), h))
     # B: lm(h) divides lcm(i, j), which differs from lcm(i, h) and lcm(h, j)
@@ -154,12 +156,12 @@ def gebauer_moller_update(leads: list, active: list, pairs: set, h: int):
 
 # -- two-pass reference of the reduced-basis step -------------------------------
 
-def reference_reduce_basis(packing, basis: list[tuple], p: int) -> list[list]:
+def reference_reduce_basis(packing, basis: list[tuple], p: int) -> list[tuple]:
     """Reducer entries of a Groebner basis to the reduced basis in two passes,
-    as monic term lists, lm-descending: keep the entries, in ascending lead
-    order, whose lead no kept lead divides, then reduce each kept entry
-    against all the other kept ones as they came in.  `groebner._reduce_basis`
-    must give exactly this."""
+    as monic reducer entries, lm-descending: keep the entries, in ascending
+    lead order, whose lead no kept lead divides, then reduce each kept entry,
+    single terms too, against all the other kept ones as they came in.
+    `groebner._reduce_basis` must give exactly this."""
     guard = packing.guard
     minimal: list[tuple] = []
     for entry in sorted(basis, key=lambda entry: entry[2][0][0]):
@@ -170,9 +172,44 @@ def reference_reduce_basis(packing, basis: list[tuple], p: int) -> list[list]:
     for idx, entry in enumerate(minimal):
         rem = _reduce_sorted(entry[2], minimal[:idx] + minimal[idx + 1 :], packing, p)
         c = pow(rem[0][1], -1, p)
-        reduced.append([(m, k * c % p) for m, k in rem])
-    reduced.sort(key=lambda t: t[0][0], reverse=True)
+        reduced.append(packing.reducer([(m, k * c % p) for m, k in rem], 1))
+    reduced.sort(key=lambda entry: entry[2][0][0], reverse=True)
     return reduced
+
+
+# -- merge-only reference of the division loop ----------------------------------
+
+def reference_reduce_sorted(h: list, table, packing, p: int, quotients=None) -> list:
+    """`polyring._reduce_sorted` with every division step a merge and a
+    restart, single-term divisors too: the loop before single terms were
+    cancelled in place, whose quotients and remainder the core must give."""
+    flip, guard = packing.flip, packing.guard
+    leads = [entry[0] for entry in table]
+    remainder = []
+    start = 0
+    while start < len(h):
+        term = h[start]
+        e = term[0] ^ flip
+        for lead in leads:
+            t = e - lead
+            if not t & guard:
+                break
+        else:
+            remainder.append(term)
+            start += 1
+            continue
+        gi = leads.index(lead)
+        _, lcinv, gterms, top = table[gi]
+        if (t + top) & guard:
+            raise _Overflow
+        c = term[1] * lcinv % p
+        if quotients is not None:
+            q = quotients[gi]
+            t ^= flip
+            q[t] = (q.get(t, 0) + c) % p
+        h = _merge_sub(h, start, gterms, term[0] - gterms[0][0], c, p)
+        start = 0
+    return remainder
 
 
 # -- reference of the sparse elimination ---------------------------------------

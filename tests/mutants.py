@@ -57,8 +57,29 @@ MUTANTS = {
     ),
     "reduced-basis-reduces-against-nothing": (
         "groebner.py",
-        "        rem = _reduce_sorted(entry[2], kept, packing, p)\n",
-        "        rem = _reduce_sorted(entry[2], [], packing, p)\n",
+        "else _reduce_sorted(entry[2], kept, packing, p)\n",
+        "else _reduce_sorted(entry[2], [], packing, p)\n",
+    ),
+    "reduced-basis-never-divides": (
+        "groebner.py",
+        "        rem = entry[2] if len(entry[2]) == 1 else",
+        "        rem = entry[2] if True else",
+    ),
+    "criterion-f-keeps-term-pairs": (
+        "groebner.py",
+        "        if mh + m == lcm or single_h and single[ig]:\n",
+        "        if mh + m == lcm:\n",
+    ),
+    "single-term-step-skips-its-quotient": (
+        "polyring.py",
+        "        c = term[1] * lcinv % p\n        if quotients is not None:\n",
+        "        c = term[1] * lcinv % p\n        if len(gterms) == 1:\n"
+        "            start += 1\n            continue\n        if quotients is not None:\n",
+    ),
+    "single-term-step-for-two-terms": (
+        "polyring.py",
+        "        if len(gterms) == 1:\n",
+        "        if len(gterms) <= 2:\n",
     ),
     "merge-drops-a-long-tail": (
         "polyring.py",

@@ -225,24 +225,36 @@ def test_scaled_generators_take_the_same_steps(order, monkeypatch):
 
 def test_pair_update_keeps_one_pair_per_lcm_class():
     """Criterion F: the new pairs of an equal-lcm class give one S-pair, with
-    the smallest index, and none when the class holds a coprime pair."""
+    the smallest index, and none when the class holds a coprime pair or a
+    pair of two single terms."""
     pk = packing_for(DegRevLex(), 4, 4)
 
-    def pairs_after(leads):
+    def pairs_after(leads, single=None):
         lms = [(pk.pack(m) ^ pk.flip) & pk.exponents for m in leads]
+        single = single or [False] * len(leads)
         active, pairs = [], []
         for h in range(len(lms)):
-            active, pairs = _gm_update(pk, lms, active, pairs, h)
+            active, pairs = _gm_update(pk, lms, single, active, pairs, h)
         return sorted((i, j) for _, i, j, _ in pairs)
 
     # x*z and y*z both meet x*y in x*y*z; (0, 1) has that lcm too and stays by
     # criterion B.  Without criterion F, (1, 2) was formed as well.
-    assert pairs_after([(1, 0, 1, 0), (0, 1, 1, 0), (1, 1, 0, 0)]) == [(0, 1), (0, 2)]
+    leads = [(1, 0, 1, 0), (0, 1, 1, 0), (1, 1, 0, 0)]
+    assert pairs_after(leads) == [(0, 1), (0, 2)]
+    # with x*z and x*y single terms, (0, 2) is a term pair, so the class
+    # yields no pair, though (1, 2) pairs a longer element
+    assert pairs_after(leads, [True, False, True]) == [(0, 1)]
+    assert pairs_after(leads, [True, False, False]) == [(0, 1), (0, 2)]
     # z*w, x*z*w and y*z*w all meet x*y in x*y*z*w, and z*w is coprime to x*y,
     # so adding x*y forms no pair; (1, 2) went earlier by criterion M.
     assert pairs_after([(0, 0, 1, 1), (1, 0, 1, 1), (0, 1, 1, 1), (1, 1, 0, 0)]) == [
         (0, 1),
         (0, 2),
+    ]
+    # an emptied class still counts for criterion M: the term pair (0, 2)
+    # meets in x*y*z, which properly divides the lcm x*y*z*w of (1, 2)
+    assert pairs_after([(1, 0, 1, 0), (0, 1, 1, 1), (1, 1, 0, 0)], [True, False, True]) == [
+        (0, 1)
     ]
 
 
@@ -259,12 +271,13 @@ def test_pair_update_matches_a_tuple_reference(order, nvars):
     pk = packing_for(order, nvars, 8)
     for _ in range(60):
         leads = [tuple(rng.randint(0, 3) for _ in range(nvars)) for _ in range(rng.randint(2, 12))]
+        single = [rng.random() < 0.5 for _ in leads]
         lms = [(pk.pack(m) ^ pk.flip) & pk.exponents for m in leads]
         active, pairs = [], []
         ref_active, ref_pairs = [], set()
         for h in range(len(leads)):
-            active, pairs = _gm_update(pk, lms, active, pairs, h)
-            ref_active, ref_pairs = gebauer_moller_update(leads, ref_active, ref_pairs, h)
+            active, pairs = _gm_update(pk, lms, single, active, pairs, h)
+            ref_active, ref_pairs = gebauer_moller_update(leads, single, ref_active, ref_pairs, h)
             assert active == ref_active
             assert {(i, j) for _, i, j, _ in pairs} == ref_pairs
             for packed, i, j, plain in pairs:
@@ -283,17 +296,22 @@ def test_pair_update_matches_a_tuple_reference(order, nvars):
 )
 @pytest.mark.parametrize("width", [8, 32])
 def test_reduce_basis_sweep_matches_the_two_pass_reference(order, width):
-    """`_reduce_basis` gives the term lists of the two-pass reference, which
-    are the reduced basis, on Groebner bases that are far from reduced:
-    elements with smaller multiples of others added to them (tails to
-    reduce), copies scaled by constants (duplicate leads), multiples (leads
-    that divide later leads), and, in every third list, the constant 1."""
+    """`_reduce_basis` gives the monic entries of the two-pass reference,
+    whose terms are the reduced basis, on Groebner bases that are far from
+    reduced: elements with smaller multiples of others added to them (tails
+    to reduce), copies scaled by constants (duplicate leads), multiples (leads
+    that divide later leads), and, in every third list, the constant 1.  Every
+    other list starts from a scaled monomial generator, so that single-term
+    elements, kept with no division, and their scaled copies occur."""
     rng = random.Random(59 + width)
     ring = PolyRing(5, ("t", "x", "y"), order)
     pk = packing_for(order, 3, width)
     key = order.key
+    singles = 0
     for trial in range(12):
         gens = [random_nonzero_polynomial(rng, ring, max_degree=3) for _ in range(3)]
+        if trial % 2:
+            gens.append(ring.polynomial({random_monomial(rng, ring, 2): rng.randint(2, 4)}))
         basis = buchberger(gens).elements
         entries = []
         for g in basis:
@@ -313,8 +331,13 @@ def test_reduce_basis_sweep_matches_the_two_pass_reference(order, width):
             terms = pk.repack(f.packed, f.packing)
             table.append(pk.reducer(terms, pow(terms[0][1], -1, ring.p)))
         expected = [pk.repack(g.packed, g.packing) for g in basis]
-        assert reference_reduce_basis(pk, table, ring.p) == expected
-        assert _reduce_basis(pk, table, ring.p) == expected
+        singles += sum(len(terms) == 1 for terms in expected)
+        reference = reference_reduce_basis(pk, table, ring.p)
+        reduced = _reduce_basis(pk, table, ring.p)
+        assert [entry[2] for entry in reference] == expected
+        assert [entry[2] for entry in reduced] == expected
+        assert reduced == reference == [pk.reducer(terms, 1) for terms in expected]
+    assert singles >= 6
 
 
 def test_buchberger_on_non_minimal_leads_matches_the_reference(monkeypatch):
@@ -340,6 +363,30 @@ def test_buchberger_on_non_minimal_leads_matches_the_reference(monkeypatch):
     for gens, basis in zip(cases, expected):
         assert buchberger(gens).elements == basis
     assert expected[0] == (x, y)
+
+
+def test_a_basis_answers_its_first_reduce_without_packing(monkeypatch):
+    """`buchberger` seeds its basis's division table with the monic entries
+    of its reduced-basis step, so the first normal form makes no
+    `Packing.reducer` call; a dividend wider than that packing still repacks
+    the table, and every answer is a fresh list's."""
+    from hkforge.polyring import Packing
+
+    ring = PolyRing(5, ("s", "x", "y"), DegRevLex())
+    s, x, y = ring.gens()
+    basis = buchberger([x**5, y**4, x * y * (x - y) * (x + y - s * y), s * x**2 + y])
+    f = s**3 * x**4 * y**2 + 2 * x**7 - y**5 + s
+    wide = f * x ** (5**20)
+    expected = [normal_form(g, list(basis)) for g in (f, s * f, wide)]
+    made = []
+    reducer = Packing.reducer
+    monkeypatch.setattr(
+        Packing, "reducer", lambda pk, terms, lcinv: made.append(1) or reducer(pk, terms, lcinv)
+    )
+    assert [basis.reduce(f), basis.reduce(s * f)] == expected[:2]
+    assert not made
+    assert basis.reduce(wide) == expected[2]
+    assert len(made) == len(basis)
 
 
 def test_reduced_basis_is_unique_under_permutation_and_scaling():
@@ -498,8 +545,8 @@ def test_pair_update_refuses_a_degree_past_narrow_leads():
     def update(width):
         pk = packing_for(DegRevLex(), 2, width)
         lms = [(pk.pack(m) ^ pk.flip) & pk.exponents for m in ((200, 10), (10, 200))]
-        active, pairs = _gm_update(pk, lms, [], [], 0)
-        return pk, _gm_update(pk, lms, active, pairs, 1)
+        active, pairs = _gm_update(pk, lms, [False, False], [], [], 0)
+        return pk, _gm_update(pk, lms, [False, False], active, pairs, 1)
 
     with pytest.raises(_Overflow):
         update(8)
@@ -592,6 +639,16 @@ def test_certify_counterexample_reports_first_failing_pair():
         '{"basis": ["x^2", "x*y + y^2"], "failure": {"j": 0, "k": 1, "remainder": "y^3"}, '
         '"order": "lex", "pass": false}'
     )
+
+
+def test_certify_refuses_a_zero_element(lex5):
+    """A Groebner basis holds no zero element: a zero anywhere is refused
+    before any pair is formed."""
+    x = lex5.gen("x")
+    zero = lex5.zero()
+    for basis in ([zero], [x, zero], [zero, x], [zero, zero], [x**2, zero], [zero, x**2 + x]):
+        with pytest.raises(ZeroPolynomial, match="zero element"):
+            certify_groebner(basis)
 
 
 def test_certify_single_element_is_trivial(lex5):

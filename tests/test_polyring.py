@@ -25,13 +25,21 @@ from hkforge.polyring import (
     ExpressionError,
     Polynomial,
     _Overflow,
+    _reduce_sorted,
     is_prime,
     monomial_div,
     packing_for,
     packing_width,
 )
 
-from helpers import dict_add, dict_mul, random_nonzero_polynomial, random_polynomial
+from helpers import (
+    dict_add,
+    dict_mul,
+    random_monomial,
+    random_nonzero_polynomial,
+    random_polynomial,
+    reference_reduce_sorted,
+)
 
 # the orders whose packed layouts the representation tests cover
 FIVE_ORDERS = [
@@ -404,6 +412,43 @@ def test_division_by_a_table_matches_the_list():
     quotients, remainder = division(narrow.resorted(grevlex), table)
     assert remainder.ring == lex
     assert (quotients, remainder) == division(narrow, divisors)
+
+
+@pytest.mark.parametrize("order", [Lex(), DegRevLex(), Block(DegRevLex())], ids=lambda o: o.describe())
+@pytest.mark.parametrize("width", [8, 32])
+def test_single_term_divisors_match_the_merge_loop(order, width):
+    """The core cancels a term against a single-term divisor in place; its
+    quotients and remainder equal the merge-only loop's, on tables that mix
+    scaled single terms with longer divisors, listed in random order."""
+    rng = random.Random(67 + width)
+    ring = PolyRing(7, ("s", "x", "y"), order)
+    pk = packing_for(order, 3, width)
+
+    def packed(f):
+        return pk.repack(f.packed, f.packing)
+
+    steps = 0
+    for _ in range(40):
+        divisors = [
+            ring.polynomial({random_monomial(rng, ring, 3): rng.randint(1, 6)})
+            for _ in range(rng.randint(1, 3))
+        ]
+        divisors += [
+            random_nonzero_polynomial(rng, ring, max_degree=3, max_terms=4)
+            for _ in range(rng.randint(0, 3))
+        ]
+        rng.shuffle(divisors)
+        table = [pk.reducer(packed(g), pow(g.leading_term()[0], -1, ring.p)) for g in divisors]
+        for _ in range(4):
+            f = random_polynomial(rng, ring, max_degree=6, max_terms=8)
+            quotients = [{} for _ in table]
+            expected = [{} for _ in table]
+            remainder = _reduce_sorted(packed(f), table, pk, ring.p, quotients)
+            assert remainder == reference_reduce_sorted(packed(f), table, pk, ring.p, expected)
+            assert quotients == expected
+            assert _reduce_sorted(packed(f), table, pk, ring.p) == remainder
+            steps += sum(map(len, quotients))
+    assert steps > 200
 
 
 def test_a_table_holding_zero_refuses_to_divide():
